@@ -227,15 +227,16 @@ def amplitude_damping(gamma: float) -> KrausChannel:
     return KrausChannel((k0, k1), label=f"amplitudedamping(g={gamma:g})")
 
 
-# Per-qubit factory registry; each constructor takes one probability-like
-# parameter in [0, 1].
+# Per-qubit factory registry: kind -> (spec key, constructor); each
+# constructor takes one probability-like parameter in [0, 1], written
+# `kind key=value` in an inline channel spec.
 CHANNEL_FACTORIES = {
-    "bitflip": bit_flip,
-    "phaseflip": phase_flip,
-    "bitphaseflip": bit_phase_flip,
-    "depolarizing": depolarizing,
-    "phasedamping": phase_damping,
-    "amplitudedamping": amplitude_damping,
+    "bitflip": ("q", bit_flip),
+    "phaseflip": ("q", phase_flip),
+    "bitphaseflip": ("q", bit_phase_flip),
+    "depolarizing": ("q", depolarizing),
+    "phasedamping": ("l", phase_damping),
+    "amplitudedamping": ("g", amplitude_damping),
 }
 
 
@@ -252,7 +253,7 @@ def local_channel(factors) -> KrausChannel:
             continue
         kind, param = factor
         try:
-            factory = CHANNEL_FACTORIES[kind]
+            _, factory = CHANNEL_FACTORIES[kind]
         except KeyError:
             raise ValidationError(f"unknown channel kind {kind!r}") from None
         built.append(factory(param))
@@ -265,7 +266,20 @@ def random_sio_channel(dim: int, num_operators: int, seed: int) -> KrausChannel:
     Each operator places one complex gain per column along a random
     permutation; gains are normalized so that sum K^dag K = I exactly.
     """
-    return _random_patterned_channel(dim, num_operators, seed, strict=True)
+    if num_operators < 1:
+        raise ValidationError("need at least one operator")
+    rng = np.random.default_rng(seed)
+    targets = np.stack([rng.permutation(dim) for _ in range(num_operators)])
+    gains = rng.standard_normal((num_operators, dim)) + 1j * rng.standard_normal(
+        (num_operators, dim)
+    )
+    gains /= np.sqrt(np.sum(np.abs(gains) ** 2, axis=0, keepdims=True))
+    ops = []
+    for n in range(num_operators):
+        op = np.zeros((dim, dim), dtype=np.complex128)
+        op[targets[n], np.arange(dim)] = gains[n]
+        ops.append(op)
+    return KrausChannel(tuple(ops), label=f"random-sio(dim={dim},seed={seed})")
 
 
 def random_incoherent_channel(dim: int, num_operators: int, seed: int) -> KrausChannel:
@@ -288,24 +302,3 @@ def random_incoherent_channel(dim: int, num_operators: int, seed: int) -> KrausC
         op[targets[n], :] = q[n, :]
         ops.append(op)
     return KrausChannel(tuple(ops), label=f"random-io(dim={dim},seed={seed})")
-
-
-def _random_patterned_channel(
-    dim: int, num_operators: int, seed: int, *, strict: bool
-) -> KrausChannel:
-    if num_operators < 1:
-        raise ValidationError("need at least one operator")
-    if not strict:
-        return random_incoherent_channel(dim, num_operators, seed)
-    rng = np.random.default_rng(seed)
-    targets = np.stack([rng.permutation(dim) for _ in range(num_operators)])
-    gains = rng.standard_normal((num_operators, dim)) + 1j * rng.standard_normal(
-        (num_operators, dim)
-    )
-    gains /= np.sqrt(np.sum(np.abs(gains) ** 2, axis=0, keepdims=True))
-    ops = []
-    for n in range(num_operators):
-        op = np.zeros((dim, dim), dtype=np.complex128)
-        op[targets[n], np.arange(dim)] = gains[n]
-        ops.append(op)
-    return KrausChannel(tuple(ops), label=f"random-sio(dim={dim},seed={seed})")

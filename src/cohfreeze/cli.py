@@ -37,7 +37,6 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 OUTDIR_ENV = "COHFREEZE_OUTDIR"
-MAX_CLI_DIM = 64
 
 # Fixed draw seeds for the mixed-family preset; recorded in the CSV metadata.
 _MIXED_PRESET_SEEDS = (11, 12, 13, 14, 15)
@@ -95,30 +94,12 @@ def _out_dir(explicit: str | None) -> Path:
     return Path(os.environ.get(OUTDIR_ENV, "."))
 
 
-def _timestamp_metadata() -> tuple[tuple[str, str], ...]:
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return (("generated_at", stamp),)
-
-
-def _write_table(
-    table: TrajectoryTable, path: Path, *, timestamp: bool
-) -> None:
-    if timestamp:
-        table = TrajectoryTable(
-            parameter_names=table.parameter_names,
-            measures=table.measures,
-            rows=table.rows,
-            metadata=_timestamp_metadata() + table.metadata,
-        )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(table.to_csv())
-
-
-def _write_preset(path: Path, csv: str, timestamp: bool) -> None:
+def _write_csv(path: Path, csv: str, timestamp: bool) -> None:
+    """Write a CSV, led by a `# generated_at` line unless timestamp is off."""
     path.parent.mkdir(parents=True, exist_ok=True)
     prefix = ""
     if timestamp:
-        stamp = _timestamp_metadata()[0][1]
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         prefix = f"# generated_at = {stamp}\n"
     path.write_text(prefix + csv)
 
@@ -141,16 +122,8 @@ def _concat_tables(tables: list[tuple[str, TrajectoryTable]]) -> str:
     return "\n".join(chunks) + "\n"
 
 
-def _check_dim(dim: int) -> None:
-    if dim > MAX_CLI_DIM:
-        raise ValidationError(
-            f"dimension {dim} exceeds the supported maximum {MAX_CLI_DIM}"
-        )
-
-
 def cmd_measure(args) -> int:
     state = parse_state_spec(args.state)
-    _check_dim(state.dim)
     report = measure_panel(state)
     print(f"c_l1 = {report.c_l1:.12g}")
     print(f"c_rel_ent = {report.c_rel_ent:.12g}")
@@ -160,7 +133,6 @@ def cmd_measure(args) -> int:
 
 def cmd_classify(args) -> int:
     channel = parse_channel_spec(args.channel)
-    _check_dim(channel.dim)
     result = classify(channel, zero_tol=args.zero_tol)
     print(f"class = {result.channel_class.value}")
     witness = result.witness.describe() if result.witness else "none"
@@ -171,7 +143,6 @@ def cmd_classify(args) -> int:
 def cmd_certify(args) -> int:
     state = parse_state_spec(args.state)
     channel = parse_channel_spec(args.channel)
-    _check_dim(max(state.dim, channel.dim))
     certificate = certify_freezing(
         channel,
         state,
@@ -192,7 +163,7 @@ def cmd_sweep(args) -> int:
     target = Path(args.out) if args.out else None
     if target is None:
         target = _out_dir(None) / (output_path or "sweep.csv")
-    _write_table(table, target, timestamp=not args.no_timestamp)
+    _write_csv(target, table.to_csv(), not args.no_timestamp)
     summary = detect_freezing(table, spec.freezing_tol)
     for name, verdict in sorted(summary.items()):
         status = "Frozen" if verdict.frozen else "NotFrozen"
@@ -215,7 +186,7 @@ def _preset_pure(out_dir: Path, timestamp: bool) -> list[str]:
                 worst_cr = max(worst_cr, report.max_cr_deviation)
                 worst_l1 = max(worst_l1, report.max_cl1_deviation)
         path = out_dir / f"pure-family-N{n}.csv"
-        _write_preset(path, _concat_tables(tables), timestamp)
+        _write_csv(path, _concat_tables(tables), timestamp)
         lines.append(
             f"PASS pure-family N={n}: max |c_rel_ent - 1| {worst_cr:.3e}, "
             f"max |c_l1 - 1| {worst_l1:.3e} -> {path}"
@@ -239,7 +210,7 @@ def _preset_mixed(out_dir: Path, timestamp: bool) -> list[str]:
             tables.append((f"seed={seed} p={p:.6g}", report.table))
             worst = max(worst, report.max_cr_deviation)
         path = out_dir / f"mixed-family-N{n}.csv"
-        _write_preset(path, _concat_tables(tables), timestamp)
+        _write_csv(path, _concat_tables(tables), timestamp)
         lines.append(
             f"PASS mixed-family N={n}: max |c_rel_ent - (1 - H(p))| {worst:.3e} "
             f"-> {path}"
@@ -256,7 +227,7 @@ def _preset_bromley(out_dir: Path, timestamp: bool) -> list[str]:
             tables.append((f"c1={c1:g} c3={c3:g}", report.table))
             worst = max(worst, report.max_cr_deviation)
     path = out_dir / "bromley.csv"
-    _write_preset(path, _concat_tables(tables), timestamp)
+    _write_csv(path, _concat_tables(tables), timestamp)
     return [
         f"PASS bromley: max |c_rel_ent - (1 - H(p))| {worst:.3e} -> {path}"
     ]

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalInconsistencyError
-from .linalg import entropy_bits, relative_entropy
+from .linalg import NEGATIVE_FLOOR, entropy_bits, relative_entropy
 from .states import DensityMatrix, dephase
 
 CROSS_CHECK_TOL = 1e-8
-ZERO_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ def c_rel_ent(rho: DensityMatrix) -> float:
     diag_entropy = entropy_bits(rho.matrix.diagonal().real)
     value = diag_entropy - entropy_bits(np.linalg.eigvalsh(rho.matrix))
     if value < 0.0:
-        if value < -ZERO_FLOOR:
+        if value < -NEGATIVE_FLOOR:
             raise NumericalInconsistencyError(
                 f"relative entropy of coherence came out {value:.3e}"
             )

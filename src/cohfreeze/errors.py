@@ -11,10 +11,6 @@ class ValidationError(CohfreezeError, ValueError):
     """An input violates a domain invariant."""
 
 
-class NotHermitianError(ValidationError):
-    """Matrix is not Hermitian within tolerance."""
-
-
 class DimensionMismatchError(ValidationError):
     """Operands have incompatible dimensions."""
 

@@ -8,12 +8,13 @@ becomes "frozen at every grid point".
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import CHANNEL_FACTORIES, KrausChannel, apply_channel, local_channel
-from .coherence import c_l1, c_rel_ent
+from .coherence import c_l1
 from .errors import (
     DimensionTooLargeError,
     NumericalInconsistencyError,
@@ -25,10 +26,9 @@ from .recovery import CERTIFICATE_TOL, certify_freezing
 from .states import (
     DensityMatrix,
     MixedFamilySpec,
-    bit_index,
+    _parse_sign,
     bromley_spec,
     canonical_bitstrings,
-    complement,
     mixed_family,
     phi_state,
 )
@@ -38,6 +38,23 @@ MAX_GRID_POINTS = 10_000
 DEFAULT_GRID_POINTS = 11
 FREEZING_TOL = 1e-8
 MEASURE_NAMES = ("c_l1", "c_rel_ent")
+
+
+def _require_supported_dim(dim: int) -> None:
+    """Refuse a dimension above MAX_DIM before anything that size is built."""
+    if dim > MAX_DIM:
+        raise DimensionTooLargeError(
+            f"dimension {dim} exceeds the supported maximum {MAX_DIM}"
+        )
+
+
+def _require_supported_qubits(num_qubits: int) -> None:
+    """As _require_supported_dim for dimension 2**num_qubits, without
+    computing the power of an arbitrarily large count."""
+    if num_qubits > math.log2(MAX_DIM):
+        raise DimensionTooLargeError(
+            f"dimension 2^{num_qubits} exceeds the supported maximum {MAX_DIM}"
+        )
 
 
 def default_heterogeneous_grids(
@@ -79,10 +96,7 @@ class SweepSpec:
             if kind not in CHANNEL_FACTORIES:
                 raise ValidationError(f"unknown channel kind {kind!r}")
         dim = 2 ** len(self.factors)
-        if dim > MAX_DIM:
-            raise DimensionTooLargeError(
-                f"dimension {dim} exceeds the supported maximum {MAX_DIM}"
-            )
+        _require_supported_dim(dim)
         if self.state.dim != dim:
             raise ValidationError(
                 f"state dim {self.state.dim} does not match "
@@ -110,6 +124,12 @@ class SweepSpec:
         for name in self.measures:
             if name not in MEASURE_NAMES:
                 raise ValidationError(f"unknown measure {name!r}")
+        for name in ("freezing_tol", "certificate_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise OutOfRangeError(
+                    f"{name} must be finite and positive, got {value}"
+                )
         object.__setattr__(self, "grids", tuple(tuple(g) for g in self.grids))
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "measures", tuple(self.measures))
@@ -181,23 +201,23 @@ def _fmt(value: float) -> str:
 
 
 def _evaluate_grid(spec: SweepSpec):
-    """Yield (point, evolved state, certificate, table row) per grid point."""
+    """Yield (point, channel, certificate, table row) per grid point; the
+    row's measures are the certificate's values for the evolved state."""
     for point in spec.grid_points():
         channel = spec.channel_at(point)
-        rho_t = apply_channel(channel, spec.state)
         certificate = certify_freezing(
             channel, spec.state, tol=spec.certificate_tol
         )
         row = TrajectoryRow(
             params=tuple(float(v) for v in point),
-            c_l1=c_l1(rho_t),
-            c_rel_ent=c_rel_ent(rho_t),
+            c_l1=certificate.c_l1_final,
+            c_rel_ent=certificate.cr_final,
             verdict=certificate.verdict,
             cr_deviation=certificate.cr_deviation,
             recovery_residual_state=certificate.recovery_residual_state,
             recovery_residual_diag=certificate.recovery_residual_diag,
         )
-        yield point, rho_t, certificate, row
+        yield point, channel, certificate, row
 
 
 def _metadata(spec: SweepSpec, freezing_tol: float | None = None):
@@ -267,44 +287,16 @@ def bitflip_transfer_weights(bits: str, qs) -> dict[str, float]:
     return weights
 
 
-def _phi_mixture_matrix(weights: dict[str, float], sign: int, dim: int) -> np.ndarray:
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for bits, w in weights.items():
-        i, j = bit_index(bits), bit_index(complement(bits))
-        mat[i, i] += 0.5 * w
-        mat[j, j] += 0.5 * w
-        mat[i, j] += 0.5 * w * sign
-        mat[j, i] += 0.5 * w * sign
-    return mat
-
-
 @dataclass(frozen=True)
 class FamilyReport:
-    """Summary of one family reproduction run."""
+    """Summary of one family reproduction run; every grid point passed."""
 
     name: str
     expected_c_rel_ent: float
     max_cr_deviation: float
     max_cl1_deviation: float
     max_transfer_residual: float
-    all_frozen: bool
     table: TrajectoryTable
-
-    @property
-    def passed(self) -> bool:
-        return self.all_frozen
-
-
-def _check_family_point(label, point, certificate, cr_error, tol):
-    if cr_error > tol:
-        raise NumericalInconsistencyError(
-            f"{label}: c_rel_ent off by {cr_error:.3e} at grid point {point}"
-        )
-    if not certificate.frozen:
-        raise NumericalInconsistencyError(
-            f"{label}: certificate NotFrozen at grid point {point} "
-            f"({','.join(certificate.failed_checks)})"
-        )
 
 
 def reproduce_pure_family(
@@ -321,11 +313,10 @@ def reproduce_pure_family(
     under heterogeneous local bit flips, with Frozen certificates throughout,
     and cross-check the evolved state against its analytic mixture form.
     """
-    if num_qubits > 6:
-        raise DimensionTooLargeError("at most 6 qubits supported")
     if len(bits) != num_qubits:
         raise ValidationError("bit string length must match the qubit count")
-    sign_value = 1 if str(sign) in ("1", "+", "+1") else -1
+    _require_supported_qubits(num_qubits)
+    sign_value = _parse_sign(sign)
     state = phi_state(bits, sign_value)
     if grids is None:
         grids = default_heterogeneous_grids(num_qubits)
@@ -337,41 +328,12 @@ def reproduce_pure_family(
         certificate_tol=certificate_tol,
         state_label=label,
     )
-    rows = []
-    max_cr = 0.0
-    max_l1 = 0.0
-    max_transfer = 0.0
-    all_frozen = True
-    for point, rho_t, certificate, row in _evaluate_grid(spec):
-        max_cr = max(max_cr, abs(row.c_rel_ent - 1.0))
-        max_l1 = max(max_l1, abs(row.c_l1 - 1.0))
-        all_frozen = all_frozen and certificate.frozen
-        _check_family_point(label, point, certificate, abs(row.c_rel_ent - 1.0), tol)
-        if abs(row.c_l1 - 1.0) > tol:
-            raise NumericalInconsistencyError(
-                f"{label}: c_l1 off by {abs(row.c_l1 - 1.0):.3e} "
-                f"at grid point {point}"
-            )
-        analytic = _phi_mixture_matrix(
-            bitflip_transfer_weights(bits, point), sign_value, state.dim
-        )
-        transfer_residual = max_abs(rho_t.matrix - analytic)
-        max_transfer = max(max_transfer, transfer_residual)
-        if transfer_residual > transfer_tol:
-            raise NumericalInconsistencyError(
-                f"{label}: analytic mixture residual {transfer_residual:.3e} "
-                f"at grid point {point}"
-            )
-        rows.append(row)
-    return FamilyReport(
-        name=label,
-        expected_c_rel_ent=1.0,
-        max_cr_deviation=max_cr,
-        max_cl1_deviation=max_l1,
-        max_transfer_residual=max_transfer,
-        all_frozen=all_frozen,
-        table=_table(spec, rows, tol),
-    )
+
+    def analytic(point):
+        weights = bitflip_transfer_weights(bits, point)
+        return mixed_family(MixedFamilySpec(p=(1 + sign_value) / 2, weights=weights))
+
+    return _reproduce(spec, label, 1.0, tol, analytic, transfer_tol)
 
 
 def reproduce_mixed_family(
@@ -386,11 +348,10 @@ def reproduce_mixed_family(
 ) -> FamilyReport:
     """Check that c_rel_ent stays at 1 - H(p) for the +/- mixture family
     under heterogeneous local bit flips, with Frozen certificates."""
-    if num_qubits > 6:
-        raise DimensionTooLargeError("at most 6 qubits supported")
     spec_state = MixedFamilySpec(p=p, weights=weights)
     if spec_state.num_qubits != num_qubits:
         raise ValidationError("weights do not match the qubit count")
+    _require_supported_qubits(num_qubits)
     state = mixed_family(spec_state)
     expected = 1.0 - binary_entropy(p)
     if grids is None:
@@ -404,7 +365,7 @@ def reproduce_mixed_family(
         state_label=label,
         seed=seed,
     )
-    return _reproduce_constant(spec, label, expected, tol)
+    return _reproduce(spec, label, expected, tol)
 
 
 def bromley_report(
@@ -429,32 +390,55 @@ def bromley_report(
         certificate_tol=certificate_tol,
         state_label=label,
     )
-    return _reproduce_constant(spec, label, expected, tol)
+    return _reproduce(spec, label, expected, tol)
 
 
-def _reproduce_constant(
-    spec: SweepSpec, label: str, expected: float, tol: float
+def _reproduce(
+    spec: SweepSpec,
+    label: str,
+    expected: float,
+    tol: float,
+    analytic=None,
+    transfer_tol: float = 1e-10,
 ) -> FamilyReport:
-    """Run a sweep asserting c_rel_ent == expected and Frozen everywhere."""
+    """Run a sweep asserting at every grid point that c_rel_ent == expected,
+    c_l1 == c_l1(spec.state) and the certificate is Frozen; with analytic
+    (grid point -> DensityMatrix), also that the evolved state matches it."""
     base_l1 = c_l1(spec.state)
     rows = []
     max_cr = 0.0
     max_l1 = 0.0
-    all_frozen = True
-    for point, _, certificate, row in _evaluate_grid(spec):
-        max_cr = max(max_cr, abs(row.c_rel_ent - expected))
-        max_l1 = max(max_l1, abs(row.c_l1 - base_l1))
-        all_frozen = all_frozen and certificate.frozen
-        _check_family_point(
-            label, point, certificate, abs(row.c_rel_ent - expected), tol
-        )
+    max_transfer = 0.0
+    for point, channel, certificate, row in _evaluate_grid(spec):
+        cr_error = abs(row.c_rel_ent - expected)
+        l1_error = abs(row.c_l1 - base_l1)
+        max_cr = max(max_cr, cr_error)
+        max_l1 = max(max_l1, l1_error)
+        for name, error in (("c_rel_ent", cr_error), ("c_l1", l1_error)):
+            if error > tol:
+                raise NumericalInconsistencyError(
+                    f"{label}: {name} off by {error:.3e} at grid point {point}"
+                )
+        if not certificate.frozen:
+            raise NumericalInconsistencyError(
+                f"{label}: certificate NotFrozen at grid point {point} "
+                f"({','.join(certificate.failed_checks)})"
+            )
+        if analytic is not None:
+            rho_t = apply_channel(channel, spec.state)
+            residual = max_abs(rho_t.matrix - analytic(point).matrix)
+            max_transfer = max(max_transfer, residual)
+            if residual > transfer_tol:
+                raise NumericalInconsistencyError(
+                    f"{label}: analytic mixture residual {residual:.3e} "
+                    f"at grid point {point}"
+                )
         rows.append(row)
     return FamilyReport(
         name=label,
         expected_c_rel_ent=expected,
         max_cr_deviation=max_cr,
         max_cl1_deviation=max_l1,
-        max_transfer_residual=0.0,
-        all_frozen=all_frozen,
+        max_transfer_residual=max_transfer,
         table=_table(spec, rows, tol),
     )

@@ -7,21 +7,16 @@ All entropies are in bits (base-2 logarithms) and use the convention
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    NotHermitianError,
     NumericalInconsistencyError,
     OutOfRangeError,
     ValidationError,
 )
 
-HERMITICITY_TOL = 1e-10
-UNITARITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-9
 # Eigenvalues below SUPPORT_CUTOFF*(largest eigenvalue) count as zero; a state
 # carrying more than SUPPORT_LEAK_TOL weight on the other state's numerical
 # kernel has disjoint support and infinite relative entropy.
@@ -53,59 +48,6 @@ def max_abs(array) -> float:
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
     return max_abs(matrix - matrix.conj().T)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    eigenvalues are real and ascending; eigenvectors is unitary with the
-    matching eigenvector in each column.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        vecs = np.asarray(self.eigenvectors, dtype=np.complex128)
-        if np.any(np.diff(vals) < 0):
-            raise ValidationError("eigenvalues must be ascending")
-        gram = vecs.conj().T @ vecs
-        defect = max_abs(gram - np.eye(vecs.shape[0]))
-        if defect > UNITARITY_TOL:
-            raise ValidationError(
-                f"eigenvector matrix is not unitary (defect {defect:.3e})"
-            )
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-
-def hermitian_eig(matrix, hermiticity_tol: float = HERMITICITY_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix with a reconstruction check."""
-    mat = as_complex_matrix(matrix_of(matrix))
-    defect = hermiticity_defect(mat)
-    if defect > hermiticity_tol:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} "
-            f"exceeds {hermiticity_tol:.3e}"
-        )
-    # Decompose the Hermitian part; exact for Hermitian input, and projects
-    # out dirt the caller chose to tolerate.
-    herm = (mat + mat.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    spectrum = Spectrum(vals, vecs)
-    residual = max_abs((vecs * vals) @ vecs.conj().T - herm)
-    if residual > RECONSTRUCTION_TOL * max(1.0, max_abs(herm)):
-        raise NumericalInconsistencyError(
-            f"eigendecomposition reconstruction residual {residual:.3e}"
-        )
-    return spectrum
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the left factor owns the most significant index."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def entropy_bits(probabilities) -> float:

@@ -14,6 +14,7 @@ successful round trip certifies freezing of all measures at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,10 @@ from .errors import (
     OutOfRangeError,
 )
 from .linalg import max_abs
-from .states import DensityMatrix, dephase
+from .states import DIAGONAL_TOL, DensityMatrix, dephase
 
 KERNEL_CUTOFF = 1e-12  # relative to the largest diagonal entry
 CERTIFICATE_TOL = 1e-8
-DIAGONAL_TOL = 1e-12
 
 
 def petz_recovery(
@@ -149,8 +149,8 @@ def certify_freezing(
     enforce_hypothesis=False, in which case any incoherent representation is
     accepted and the outcome is reported as-is.
     """
-    if tol <= 0:
-        raise OutOfRangeError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
     classification = classify(channel)
     if (
         enforce_hypothesis

@@ -15,6 +15,8 @@ docs/spec-format.md for the full grammar.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channels import (
@@ -23,8 +25,13 @@ from .channels import (
     identity_channel,
     local_channel,
 )
-from .errors import CohfreezeError, SpecParseError
-from .experiments import FREEZING_TOL, SweepSpec
+from .errors import CohfreezeError, OutOfRangeError, SpecParseError
+from .experiments import (
+    FREEZING_TOL,
+    SweepSpec,
+    _require_supported_dim,
+    _require_supported_qubits,
+)
 from .recovery import CERTIFICATE_TOL
 from .states import (
     DensityMatrix,
@@ -35,15 +42,6 @@ from .states import (
     mixed_family,
     phi_state,
 )
-
-_CHANNEL_PARAM_KEYS = {
-    "bitflip": "q",
-    "phaseflip": "q",
-    "bitphaseflip": "q",
-    "depolarizing": "q",
-    "phasedamping": "l",
-    "amplitudedamping": "g",
-}
 
 
 def parse_complex(token: str) -> complex:
@@ -166,6 +164,26 @@ def _parse_int(text: str, context: str) -> int:
         raise SpecParseError(f"bad integer for {context}: {text!r}") from None
 
 
+def _parse_qubits(kwargs: dict[str, str], context: str) -> int:
+    """The N= qubit count, refused beyond the supported dimension before
+    anything is built."""
+    n = _parse_int(_require(kwargs, "N", context), "N")
+    if n < 1:
+        raise OutOfRangeError(f"N must be at least 1, got {n}")
+    _require_supported_qubits(n)
+    return n
+
+
+def _parse_dim(text: str) -> int:
+    """A dim= value, refused beyond the supported dimension before anything
+    is built."""
+    dim = _parse_int(text, "dim")
+    if dim < 1:
+        raise OutOfRangeError(f"dim must be at least 1, got {dim}")
+    _require_supported_dim(dim)
+    return dim
+
+
 def _parse_float(text: str, context: str) -> float:
     try:
         return float(text)
@@ -187,7 +205,7 @@ def parse_state_spec(text: str) -> DensityMatrix:
     if positional:
         raise SpecParseError(f"unexpected bracket argument for {name!r}")
     if name == "phi":
-        n = _parse_int(_require(kwargs, "N", "phi"), "N")
+        n = _parse_qubits(kwargs, "phi")
         bits = _require(kwargs, "l", "phi")
         sign = _require(kwargs, "sign", "phi")
         _reject_unknown(kwargs, "phi")
@@ -197,7 +215,7 @@ def parse_state_spec(text: str) -> DensityMatrix:
             raise SpecParseError(f"sign must be + or -, got {sign!r}")
         return phi_state(bits, sign)
     if name == "mixed":
-        n = _parse_int(_require(kwargs, "N", "mixed"), "N")
+        n = _parse_qubits(kwargs, "mixed")
         p = _parse_float(_require(kwargs, "p", "mixed"), "p")
         weights_text = _require(kwargs, "weights", "mixed")
         if weights_text == "random":
@@ -223,7 +241,7 @@ def parse_state_spec(text: str) -> DensityMatrix:
                 weights[bits] = _parse_float(value, f"weight {bits}")
         return mixed_family(MixedFamilySpec(p=p, weights=weights))
     if name == "basis":
-        n = _parse_int(_require(kwargs, "N", "basis"), "N")
+        n = _parse_qubits(kwargs, "basis")
         index = _parse_int(_require(kwargs, "i", "basis"), "i")
         _reject_unknown(kwargs, "basis")
         return basis_state(2**n, index)
@@ -234,9 +252,10 @@ def parse_state_spec(text: str) -> DensityMatrix:
         amps = [parse_complex(item) for item in _bracket_items(amps_text)]
         if not amps:
             raise SpecParseError("pure requires at least one amplitude")
+        _require_supported_dim(len(amps))
         return from_pure(np.array(amps), normalize=normalize)
     if name == "raw":
-        dim = _parse_int(_require(kwargs, "dim", "raw"), "dim")
+        dim = _parse_dim(_require(kwargs, "dim", "raw"))
         entries_text = _require(kwargs, "entries", "raw")
         _reject_unknown(kwargs, "raw")
         entries = [parse_complex(item) for item in _bracket_items(entries_text)]
@@ -255,18 +274,21 @@ def parse_channel_spec(text: str) -> KrausChannel:
     if name == "local":
         if kwargs or len(positional) != 1:
             raise SpecParseError("local takes one bracketed factor list")
-        factors = [parse_channel_spec(item) for item in _bracket_items(positional[0])]
-        if not factors:
+        items = _bracket_items(positional[0])
+        if not items:
             raise SpecParseError("local requires at least one factor")
+        _require_supported_qubits(len(items))
+        factors = [parse_channel_spec(item) for item in items]
+        _require_supported_dim(math.prod(factor.dim for factor in factors))
         return local_channel(factors)
     if positional:
         raise SpecParseError(f"unexpected bracket argument for {name!r}")
     if name == "identity":
-        dim = _parse_int(kwargs.pop("dim", "2"), "dim")
+        dim = _parse_dim(kwargs.pop("dim", "2"))
         _reject_unknown(kwargs, "identity")
         return identity_channel(dim)
     if name == "raw":
-        dim = _parse_int(_require(kwargs, "dim", "raw"), "dim")
+        dim = _parse_dim(_require(kwargs, "dim", "raw"))
         ops_text = _require(kwargs, "ops", "raw")
         _reject_unknown(kwargs, "raw")
         ops = []
@@ -282,10 +304,10 @@ def parse_channel_spec(text: str) -> KrausChannel:
             raise SpecParseError("raw requires at least one operator")
         return KrausChannel(tuple(ops), label="raw")
     if name in CHANNEL_FACTORIES:
-        key = _CHANNEL_PARAM_KEYS[name]
+        key, factory = CHANNEL_FACTORIES[name]
         value = _parse_float(_require(kwargs, key, name), key)
         _reject_unknown(kwargs, name)
-        return CHANNEL_FACTORIES[name](value)
+        return factory(value)
     raise SpecParseError(f"unknown channel constructor {name!r}")
 
 

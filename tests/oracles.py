@@ -94,12 +94,6 @@ def phi_vector(bits: str, sign: int) -> np.ndarray:
     return psi
 
 
-def random_hermitian(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2.0
-
-
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

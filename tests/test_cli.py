@@ -48,6 +48,22 @@ class TestMeasure:
         assert "validation error" in capsys.readouterr().err
 
 
+class TestDimensionCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("measure", "--state", "basis N=40 i=0"),
+            ("measure", "--state", "mixed N=40 p=0.5 weights=random seed=1"),
+            ("classify", "--channel", "identity dim=65"),
+            ("classify", "--channel", "local [" + ", ".join(["bitflip q=0.1"] * 7) + "]"),
+            ("classify", "--channel", "local [identity dim=16, identity dim=8]"),
+        ],
+    )
+    def test_checked_before_building_exits_3(self, argv, capsys):
+        assert run_cli(*argv) == 3
+        assert "exceeds the supported maximum 64" in capsys.readouterr().err
+
+
 class TestClassify:
     def test_bitflip(self, capsys):
         assert run_cli("classify", "--channel", "bitflip q=0.3") == 0
@@ -106,6 +122,17 @@ class TestCertify:
         assert code == 3
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_non_finite_or_non_positive_tol_exits_3(self, tol, capsys):
+        code = run_cli(
+            "certify",
+            "--state", "phi N=2 l=00 sign=+",
+            "--channel", "local [bitflip q=0.2, bitflip q=0.7]",
+            "--tol", tol,
+        )
+        assert code == 3
+        assert "finite and positive" in capsys.readouterr().err
+
     def test_io_only_with_override(self, capsys):
         h = "0.7071067811865476"
         spec = f"raw dim=2 ops=[[{h},{h},0,0],[{h},-{h},0,0]]"
@@ -160,6 +187,12 @@ class TestSweep:
         spec_file = tmp_path / "bad.spec"
         spec_file.write_text(EQ16_SPEC.replace("[0, 0.25, 0.5]", "[]"))
         assert run_cli("sweep", "--spec", str(spec_file)) == 2
+
+    def test_nan_freezing_tolerance_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "nan.spec"
+        spec_file.write_text(EQ16_SPEC + "tolerances.freezing = nan\n")
+        assert run_cli("sweep", "--spec", str(spec_file)) == 2
+        assert "freezing_tol" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         assert run_cli("sweep", "--spec", "/nonexistent/path.spec") == 2

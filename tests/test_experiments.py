@@ -23,12 +23,19 @@ from cohfreeze import (
     local_channel,
     mixed_family,
     phi_state,
+    random_density,
     reproduce_mixed_family,
     reproduce_pure_family,
     run_sweep,
 )
 
-from oracles import bitflip_weight, brute_apply, phi_vector, shannon_bits
+from oracles import (
+    bitflip_weight,
+    brute_apply,
+    jacobi_eigh,
+    phi_vector,
+    shannon_bits,
+)
 
 
 def bell():
@@ -67,6 +74,12 @@ class TestSweepSpec:
                 factors=("bitflip",) * 7,
                 grids=((0.0,),) * 7,
             )
+
+    @pytest.mark.parametrize("field", ["freezing_tol", "certificate_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_rejects_bad_tolerances(self, field, value):
+        with pytest.raises(OutOfRangeError):
+            make_spec(**{field: value})
 
     def test_rejects_state_channel_mismatch(self):
         with pytest.raises(ValidationError):
@@ -120,6 +133,24 @@ class TestRunSweep:
         table = run_sweep(make_spec())
         points = [row.params for row in table.rows]
         assert points == sorted(points)
+
+    def test_not_frozen_rows_match_brute_force_evolution(self):
+        state = random_density(4, 4, seed=21)
+        spec = SweepSpec(
+            state=state,
+            factors=("amplitudedamping", "amplitudedamping"),
+            grids=((0.0, 0.3, 0.7, 1.0), (0.2, 0.9)),
+        )
+        table = run_sweep(spec)
+        assert any(row.verdict == "NotFrozen" for row in table.rows)
+        for row in table.rows:
+            channel = local_channel(list(zip(spec.factors, row.params)))
+            rho_t = brute_apply(channel.operators, state.matrix)
+            off = np.abs(rho_t - np.diag(np.diag(rho_t)))
+            assert row.c_l1 == pytest.approx(off.sum(), abs=1e-12)
+            eigenvalues, _ = jacobi_eigh(rho_t)
+            expected = shannon_bits(np.diag(rho_t).real) - shannon_bits(eigenvalues)
+            assert row.c_rel_ent == pytest.approx(expected, abs=1e-12)
 
     def test_certificate_panel_consistency(self):
         spec = make_spec()
@@ -185,20 +216,17 @@ class TestReproducePureFamily:
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_all_bell_states(self, bits, sign):
         report = reproduce_pure_family(2, bits, sign)
-        assert report.passed
         assert report.max_cr_deviation <= 1e-9
         assert report.max_cl1_deviation <= 1e-9
         assert report.max_transfer_residual <= 1e-10
 
     def test_ghz(self):
         report = reproduce_pure_family(3, "000", "+")
-        assert report.passed
         assert report.max_cr_deviation <= 1e-9
 
     def test_four_qubit_case(self):
         grids = default_heterogeneous_grids(4, points=3)
         report = reproduce_pure_family(4, "0101", "-", grids)
-        assert report.passed
 
     def test_assertion_failures_name_grid_point(self):
         with pytest.raises(NumericalInconsistencyError, match="grid point"):
@@ -208,11 +236,18 @@ class TestReproducePureFamily:
         with pytest.raises(ValidationError):
             reproduce_pure_family(3, "00", "+")
 
+    def test_rejects_invalid_sign(self):
+        with pytest.raises(ValidationError, match="sign"):
+            reproduce_pure_family(2, "00", "x")
+
+    def test_rejects_dimension_above_max_before_building(self):
+        with pytest.raises(DimensionTooLargeError):
+            reproduce_pure_family(20, "0" * 20, "+")
+
 
 class TestReproduceMixedFamily:
     def test_half_p_trivially_frozen(self):
         report = reproduce_mixed_family(2, 0.5, {"00": 0.4, "01": 0.6})
-        assert report.passed
         assert report.expected_c_rel_ent == 0.0
         assert report.max_cr_deviation <= 1e-12
 
@@ -222,7 +257,6 @@ class TestReproduceMixedFamily:
         raw /= raw.sum()
         weights = dict(zip(canonical_bitstrings(2), raw.tolist()))
         report = reproduce_mixed_family(2, 0.9, weights, seed=11)
-        assert report.passed
         assert report.expected_c_rel_ent == pytest.approx(
             0.5310044064107189, abs=1e-12
         )
@@ -230,7 +264,6 @@ class TestReproduceMixedFamily:
     def test_three_qubits(self):
         weights = {"000": 0.1, "001": 0.2, "010": 0.3, "011": 0.4}
         report = reproduce_mixed_family(3, 0.67, weights)
-        assert report.passed
         expected = 1.0 - shannon_bits([0.67, 0.33])
         assert report.expected_c_rel_ent == pytest.approx(expected, abs=1e-12)
 
@@ -240,7 +273,6 @@ class TestBromleyPreset:
     @pytest.mark.parametrize("c3", [-0.5, 0.0, 0.9])
     def test_grid_of_presets(self, c1, c3):
         report = bromley_report(c1, c3)
-        assert report.passed
         assert len(report.table.rows) == 11
         assert report.max_cr_deviation <= 1e-9
         assert report.max_cl1_deviation <= 1e-8

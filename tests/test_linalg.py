@@ -6,80 +6,30 @@ import pytest
 from cohfreeze import (
     DensityMatrix,
     DimensionMismatchError,
-    NotHermitianError,
     OutOfRangeError,
     binary_entropy,
     bit_flip,
+    c_rel_ent,
     from_pure,
-    hermitian_eig,
-    kron,
     random_density,
     relative_entropy,
+    tensor,
     von_neumann_entropy,
 )
-from cohfreeze.linalg import as_complex_matrix, max_abs
+from cohfreeze.linalg import as_complex_matrix
 from cohfreeze.errors import ValidationError
 
-from oracles import brute_apply, jacobi_eigh, random_hermitian
+from oracles import brute_apply, jacobi_eigh, shannon_bits
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-class TestHermitianEig:
-    def test_diagonal_input(self):
-        spectrum = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        np.testing.assert_allclose(spectrum.eigenvalues, [1.0, 2.0, 3.0])
-
-    def test_pauli_x(self):
-        spectrum = hermitian_eig(X)
-        np.testing.assert_allclose(spectrum.eigenvalues, [-1.0, 1.0])
-
-    def test_matches_jacobi_oracle(self):
-        m = random_hermitian(8, seed=7)
-        spectrum = hermitian_eig(m)
-        oracle_vals, _ = jacobi_eigh(m)
-        np.testing.assert_allclose(spectrum.eigenvalues, oracle_vals, atol=1e-8)
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(NotHermitianError, match="1\\.0"):
-            hermitian_eig(m)
-
-    def test_hermiticity_tol_is_configurable(self):
-        m = np.array([[1.0, 1e-6], [0.0, 2.0]], dtype=complex)
-        with pytest.raises(NotHermitianError):
-            hermitian_eig(m)
-        spectrum = hermitian_eig(m, hermiticity_tol=1e-5)
-        assert spectrum.eigenvalues.shape == (2,)
-
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
-    def test_reconstruction_up_to_dim_64(self, dim):
-        m = random_hermitian(dim, seed=dim)
-        spectrum = hermitian_eig(m)
-        rebuilt = (spectrum.eigenvectors * spectrum.eigenvalues) @ (
-            spectrum.eigenvectors.conj().T
-        )
-        assert max_abs(rebuilt - m) <= 1e-9 * max(1.0, max_abs(m))
-
-
 class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_structure(self):
-        result = kron(np.diag([1.0, 0.0]), X)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = X
-        np.testing.assert_array_equal(result, expected)
-
     def test_two_qubit_channel_agreement(self):
-        # kron-built bit flip pair versus four explicit 4x4 products
+        # tensor-built bit flip pair versus four explicit 4x4 products, with
+        # the leftmost factor on the most significant qubit
         q1, q2 = 0.2, 0.7
-        pair = [
-            kron(a, b)
-            for a in bit_flip(q1).operators
-            for b in bit_flip(q2).operators
-        ]
+        pair = tensor([bit_flip(q1), bit_flip(q2)]).operators
         rho = random_density(4, 4, seed=3).matrix
         direct = brute_apply(pair, rho)
         k0 = [np.sqrt(1 - q1) * np.eye(2), np.sqrt(q1) * X]
@@ -111,6 +61,15 @@ class TestVonNeumannEntropy:
         s = von_neumann_entropy(rho)
         assert 0.0 <= s <= 3.0
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
+    def test_matches_jacobi_oracle(self, dim):
+        rho = random_density(dim, dim, seed=dim)
+        oracle_vals, _ = jacobi_eigh(rho.matrix)
+        entropy = shannon_bits(oracle_vals)
+        assert von_neumann_entropy(rho) == pytest.approx(entropy, abs=1e-9)
+        coherence = shannon_bits(rho.matrix.diagonal().real) - entropy
+        assert c_rel_ent(rho) == pytest.approx(coherence, abs=1e-9)
+
 
 class TestRelativeEntropy:
     def test_identical_arguments(self):
@@ -126,6 +85,17 @@ class TestRelativeEntropy:
         plus = from_pure(np.array([1.0, 1.0]) / np.sqrt(2))
         mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
         assert relative_entropy(plus, mixed) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_jacobi_oracle(self):
+        # Tr rho log2 rho - sum_i <v_i|rho|v_i> log2 s_i over sigma's Jacobi
+        # eigenpairs (s_i, v_i)
+        rho = random_density(8, 8, seed=7).matrix
+        sigma = random_density(8, 8, seed=8).matrix
+        rho_vals, _ = jacobi_eigh(rho)
+        sigma_vals, sigma_vecs = jacobi_eigh(sigma)
+        weights = np.einsum("ji,jk,ki->i", sigma_vecs.conj(), rho, sigma_vecs).real
+        expected = -shannon_bits(rho_vals) - float(np.sum(weights * np.log2(sigma_vals)))
+        assert relative_entropy(rho, sigma) == pytest.approx(expected, abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -109,6 +109,10 @@ class TestStateSpecs:
             parse_state_spec("phi N=2 l=10 sign=+")
         with pytest.raises(ValidationError):
             parse_state_spec("raw dim=2 entries=[1,0,0,1]")  # trace 2
+        with pytest.raises(ValidationError):
+            parse_state_spec("basis N=-1 i=0")
+        with pytest.raises(ValidationError):
+            parse_channel_spec("identity dim=-1")
 
 
 class TestChannelSpecs:
