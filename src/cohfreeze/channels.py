@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -106,8 +107,12 @@ def classify(channel: KrausChannel, zero_tol: float = ZERO_TOL) -> ChannelClassi
     At most one nonzero per column in every operator makes the channel
     incoherent; at most one per row as well makes it strictly incoherent.
     The witness points at the first violating column (NotIncoherent) or
-    row (IncoherentOnly).
+    row (IncoherentOnly). zero_tol must be finite and non-negative.
     """
+    if not 0.0 <= zero_tol < math.inf:
+        raise OutOfRangeError(
+            f"zero_tol must be finite and non-negative, got {zero_tol}"
+        )
     row_witness = None
     for n, op in enumerate(channel.operators):
         mask = np.abs(op) > zero_tol

@@ -18,7 +18,7 @@ from .channels import ZERO_TOL, classify
 from .coherence import measure_panel
 from .errors import CohfreezeError, SpecParseError, ValidationError
 from .experiments import (
-    TrajectoryTable,
+    _labelled_csv,
     bromley_report,
     default_heterogeneous_grids,
     detect_freezing,
@@ -95,31 +95,19 @@ def _out_dir(explicit: str | None) -> Path:
 
 
 def _write_csv(path: Path, csv: str, timestamp: bool) -> None:
-    """Write a CSV, led by a `# generated_at` line unless timestamp is off."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write a CSV, led by a `# generated_at` line unless timestamp is off.
+
+    A path that cannot be written is reported like an unreadable spec file.
+    """
     prefix = ""
     if timestamp:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         prefix = f"# generated_at = {stamp}\n"
-    path.write_text(prefix + csv)
-
-
-def _concat_tables(tables: list[tuple[str, TrajectoryTable]]) -> str:
-    """Serialize several labelled tables into one CSV with a label column."""
-    chunks = []
-    for label, table in tables:
-        csv = table.to_csv()
-        lines = csv.rstrip("\n").split("\n")
-        body = []
-        for line in lines:
-            if line.startswith("#"):
-                continue
-            body.append(line)
-        header, *rows = body
-        if not chunks:
-            chunks.append("case," + header)
-        chunks.extend(f"{label},{row}" for row in rows)
-    return "\n".join(chunks) + "\n"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(prefix + csv)
+    except OSError as exc:
+        raise SpecParseError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_measure(args) -> int:
@@ -186,7 +174,7 @@ def _preset_pure(out_dir: Path, timestamp: bool) -> list[str]:
                 worst_cr = max(worst_cr, report.max_cr_deviation)
                 worst_l1 = max(worst_l1, report.max_cl1_deviation)
         path = out_dir / f"pure-family-N{n}.csv"
-        _write_csv(path, _concat_tables(tables), timestamp)
+        _write_csv(path, _labelled_csv(tables), timestamp)
         lines.append(
             f"PASS pure-family N={n}: max |c_rel_ent - 1| {worst_cr:.3e}, "
             f"max |c_l1 - 1| {worst_l1:.3e} -> {path}"
@@ -210,7 +198,7 @@ def _preset_mixed(out_dir: Path, timestamp: bool) -> list[str]:
             tables.append((f"seed={seed} p={p:.6g}", report.table))
             worst = max(worst, report.max_cr_deviation)
         path = out_dir / f"mixed-family-N{n}.csv"
-        _write_csv(path, _concat_tables(tables), timestamp)
+        _write_csv(path, _labelled_csv(tables), timestamp)
         lines.append(
             f"PASS mixed-family N={n}: max |c_rel_ent - (1 - H(p))| {worst:.3e} "
             f"-> {path}"
@@ -227,7 +215,7 @@ def _preset_bromley(out_dir: Path, timestamp: bool) -> list[str]:
             tables.append((f"c1={c1:g} c3={c3:g}", report.table))
             worst = max(worst, report.max_cr_deviation)
     path = out_dir / "bromley.csv"
-    _write_csv(path, _concat_tables(tables), timestamp)
+    _write_csv(path, _labelled_csv(tables), timestamp)
     return [
         f"PASS bromley: max |c_rel_ent - (1 - H(p))| {worst:.3e} -> {path}"
     ]

@@ -37,7 +37,15 @@ MAX_DIM = 64
 MAX_GRID_POINTS = 10_000
 DEFAULT_GRID_POINTS = 11
 FREEZING_TOL = 1e-8
+TRANSFER_TOL = 1e-10  # evolved pure-family state against its analytic mixture
+# Every table records this panel: one certificate decides all measures at once.
 MEASURE_NAMES = ("c_l1", "c_rel_ent")
+_CSV_COLUMNS = MEASURE_NAMES + (
+    "verdict",
+    "cr_deviation",
+    "recovery_residual_state",
+    "recovery_residual_diag",
+)
 
 
 def _require_supported_dim(dim: int) -> None:
@@ -83,7 +91,6 @@ class SweepSpec:
     factors: tuple[str, ...]
     grids: tuple[tuple[float, ...], ...]
     tie_parameters: bool = False
-    measures: tuple[str, ...] = MEASURE_NAMES
     freezing_tol: float = FREEZING_TOL
     certificate_tol: float = CERTIFICATE_TOL
     state_label: str = ""
@@ -119,11 +126,6 @@ class SweepSpec:
             raise ValidationError(
                 f"grid has {total} points, maximum is {MAX_GRID_POINTS}"
             )
-        if not self.measures:
-            raise ValidationError("need at least one measure to record")
-        for name in self.measures:
-            if name not in MEASURE_NAMES:
-                raise ValidationError(f"unknown measure {name!r}")
         for name in ("freezing_tol", "certificate_tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -132,7 +134,6 @@ class SweepSpec:
                 )
         object.__setattr__(self, "grids", tuple(tuple(g) for g in self.grids))
         object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "measures", tuple(self.measures))
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
@@ -158,46 +159,46 @@ class TrajectoryRow:
     recovery_residual_state: float
     recovery_residual_diag: float
 
-    def measure(self, name: str) -> float:
-        if name == "c_l1":
-            return self.c_l1
-        if name == "c_rel_ent":
-            return self.c_rel_ent
-        raise ValidationError(f"unknown measure {name!r}")
-
 
 @dataclass(frozen=True)
 class TrajectoryTable:
     parameter_names: tuple[str, ...]
-    measures: tuple[str, ...]
     rows: tuple[TrajectoryRow, ...]
     metadata: tuple[tuple[str, str], ...] = ()
 
     def to_csv(self) -> str:
         """Metadata as leading # comments, then header and one row per point."""
         lines = [f"# {key} = {value}" for key, value in self.metadata]
-        header = list(self.parameter_names) + list(self.measures) + [
-            "verdict",
-            "cr_deviation",
-            "recovery_residual_state",
-            "recovery_residual_diag",
-        ]
-        lines.append(",".join(header))
-        for row in self.rows:
-            cells = [_fmt(v) for v in row.params]
-            cells += [_fmt(row.measure(name)) for name in self.measures]
-            cells.append(row.verdict)
-            cells += [
-                _fmt(row.cr_deviation),
-                _fmt(row.recovery_residual_state),
-                _fmt(row.recovery_residual_diag),
-            ]
-            lines.append(",".join(cells))
+        lines += _header_and_rows(self)
         return "\n".join(lines) + "\n"
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _header_and_rows(table: TrajectoryTable) -> list[str]:
+    """The CSV header line followed by one line per row, without metadata."""
+    lines = [",".join((*table.parameter_names, *_CSV_COLUMNS))]
+    for row in table.rows:
+        cells = [_fmt(v) for v in row.params]
+        for name in _CSV_COLUMNS:
+            value = getattr(row, name)
+            cells.append(value if isinstance(value, str) else _fmt(value))
+        lines.append(",".join(cells))
+    return lines
+
+
+def _labelled_csv(tables: list[tuple[str, TrajectoryTable]]) -> str:
+    """Several labelled tables as one CSV: a leading case column, one header
+    and no metadata."""
+    lines = []
+    for label, table in tables:
+        header, *rows = _header_and_rows(table)
+        if not lines:
+            lines.append("case," + header)
+        lines.extend(f"{label},{row}" for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _evaluate_grid(spec: SweepSpec):
@@ -234,7 +235,6 @@ def _metadata(spec: SweepSpec, freezing_tol: float | None = None):
 def _table(spec: SweepSpec, rows, freezing_tol: float | None = None) -> TrajectoryTable:
     return TrajectoryTable(
         parameter_names=spec.parameter_names,
-        measures=spec.measures,
         rows=tuple(rows),
         metadata=_metadata(spec, freezing_tol),
     )
@@ -258,9 +258,9 @@ def detect_freezing(
     if not table.rows:
         raise ValidationError("table has no rows")
     result = {}
-    for name in table.measures:
-        first = table.rows[0].measure(name)
-        deviation = max(abs(row.measure(name) - first) for row in table.rows)
+    for name in MEASURE_NAMES:
+        first = getattr(table.rows[0], name)
+        deviation = max(abs(getattr(row, name) - first) for row in table.rows)
         result[name] = FreezingSummary(frozen=deviation <= tol, max_deviation=deviation)
     return result
 
@@ -306,8 +306,6 @@ def reproduce_pure_family(
     grids: tuple[tuple[float, ...], ...] | None = None,
     *,
     tol: float = 1e-9,
-    certificate_tol: float = CERTIFICATE_TOL,
-    transfer_tol: float = 1e-10,
 ) -> FamilyReport:
     """Check that both panel measures stay at 1 for (|l> +/- |l~>)/sqrt(2)
     under heterogeneous local bit flips, with Frozen certificates throughout,
@@ -325,7 +323,6 @@ def reproduce_pure_family(
         state=state,
         factors=("bitflip",) * num_qubits,
         grids=grids,
-        certificate_tol=certificate_tol,
         state_label=label,
     )
 
@@ -333,7 +330,7 @@ def reproduce_pure_family(
         weights = bitflip_transfer_weights(bits, point)
         return mixed_family(MixedFamilySpec(p=(1 + sign_value) / 2, weights=weights))
 
-    return _reproduce(spec, label, 1.0, tol, analytic, transfer_tol)
+    return _reproduce(spec, label, 1.0, tol, analytic)
 
 
 def reproduce_mixed_family(
@@ -343,7 +340,6 @@ def reproduce_mixed_family(
     grids: tuple[tuple[float, ...], ...] | None = None,
     *,
     tol: float = 1e-9,
-    certificate_tol: float = CERTIFICATE_TOL,
     seed: int | None = None,
 ) -> FamilyReport:
     """Check that c_rel_ent stays at 1 - H(p) for the +/- mixture family
@@ -361,7 +357,6 @@ def reproduce_mixed_family(
         state=state,
         factors=("bitflip",) * num_qubits,
         grids=grids,
-        certificate_tol=certificate_tol,
         state_label=label,
         seed=seed,
     )
@@ -372,22 +367,20 @@ def bromley_report(
     c1: float,
     c3: float,
     *,
-    num_qubits: int = 2,
     grid_points: int = DEFAULT_GRID_POINTS,
     tol: float = 1e-9,
-    certificate_tol: float = CERTIFICATE_TOL,
 ) -> FamilyReport:
-    """The even-N special case under identical local bit flips (tied q)."""
-    spec_state = bromley_spec(num_qubits, c1, c3)
+    """The two-qubit Bromley-Cianciaruso-Adesso state under identical local
+    bit flips (tied q)."""
+    spec_state = bromley_spec(2, c1, c3)
     state = mixed_family(spec_state)
     expected = 1.0 - binary_entropy(spec_state.p)
-    label = f"bromley N={num_qubits} c1={c1:g} c3={c3:g}"
+    label = f"bromley N=2 c1={c1:g} c3={c3:g}"
     spec = SweepSpec(
         state=state,
-        factors=("bitflip",) * num_qubits,
+        factors=("bitflip", "bitflip"),
         grids=(tuple(np.linspace(0.0, 1.0, grid_points)),),
         tie_parameters=True,
-        certificate_tol=certificate_tol,
         state_label=label,
     )
     return _reproduce(spec, label, expected, tol)
@@ -399,7 +392,6 @@ def _reproduce(
     expected: float,
     tol: float,
     analytic=None,
-    transfer_tol: float = 1e-10,
 ) -> FamilyReport:
     """Run a sweep asserting at every grid point that c_rel_ent == expected,
     c_l1 == c_l1(spec.state) and the certificate is Frozen; with analytic
@@ -428,7 +420,7 @@ def _reproduce(
             rho_t = apply_channel(channel, spec.state)
             residual = max_abs(rho_t.matrix - analytic(point).matrix)
             max_transfer = max(max_transfer, residual)
-            if residual > transfer_tol:
+            if residual > TRANSFER_TOL:
                 raise NumericalInconsistencyError(
                     f"{label}: analytic mixture residual {residual:.3e} "
                     f"at grid point {point}"

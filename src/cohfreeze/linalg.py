@@ -70,18 +70,12 @@ def von_neumann_entropy(rho) -> float:
     return entropy_bits(np.linalg.eigvalsh(mat))
 
 
-def relative_entropy(
-    rho,
-    sigma,
-    *,
-    support_cutoff: float = SUPPORT_CUTOFF,
-    leak_tol: float = SUPPORT_LEAK_TOL,
-) -> float:
+def relative_entropy(rho, sigma) -> float:
     """Tr rho (log2 rho - log2 sigma), or +inf on support violation.
 
-    Eigenvalues below support_cutoff times the largest one are treated as
-    exact zeros; rho placing more than leak_tol weight on sigma's numerical
-    kernel makes the divergence infinite.
+    Eigenvalues below SUPPORT_CUTOFF times the largest one are treated as
+    exact zeros; rho placing more than SUPPORT_LEAK_TOL weight on sigma's
+    numerical kernel makes the divergence infinite.
     """
     rmat = as_complex_matrix(matrix_of(rho))
     smat = as_complex_matrix(matrix_of(sigma))
@@ -90,13 +84,13 @@ def relative_entropy(
             f"state dimensions differ: {rmat.shape[0]} vs {smat.shape[0]}"
         )
     svals, svecs = np.linalg.eigh(smat)
-    cutoff = support_cutoff * max(float(svals[-1]), 0.0)
+    cutoff = SUPPORT_CUTOFF * max(float(svals[-1]), 0.0)
     support = svals > cutoff
     weights = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rmat, svecs))
-    if float(weights[~support].sum()) > leak_tol:
+    if float(weights[~support].sum()) > SUPPORT_LEAK_TOL:
         return math.inf
     rvals = np.linalg.eigvalsh(rmat)
-    rcutoff = support_cutoff * max(float(rvals[-1]), 0.0)
+    rcutoff = SUPPORT_CUTOFF * max(float(rvals[-1]), 0.0)
     rpos = rvals[rvals > rcutoff]
     value = float(np.sum(rpos * np.log2(rpos)))
     value -= float(np.sum(weights[support] * np.log2(svals[support])))

@@ -36,18 +36,13 @@ from .errors import (
     OutOfRangeError,
 )
 from .linalg import max_abs
-from .states import DIAGONAL_TOL, DensityMatrix, dephase
+from .states import DensityMatrix, dephase
 
 KERNEL_CUTOFF = 1e-12  # relative to the largest diagonal entry
 CERTIFICATE_TOL = 1e-8
 
 
-def petz_recovery(
-    channel: KrausChannel,
-    delta0: DensityMatrix,
-    *,
-    kernel_cutoff: float = KERNEL_CUTOFF,
-) -> KrausChannel:
+def petz_recovery(channel: KrausChannel, delta0: DensityMatrix) -> KrausChannel:
     """Recovery channel for an incoherent channel and diagonal reference.
 
     Requires delta0 diagonal and the channel at least incoherent (so that the
@@ -55,7 +50,7 @@ def petz_recovery(
     construction; when the input channel is strictly incoherent the recovery
     operators are incoherent as well.
     """
-    if not delta0.is_diagonal(DIAGONAL_TOL):
+    if not delta0.is_diagonal():
         raise NotDiagonalError("reference state must be diagonal")
     classification = classify(channel)
     if classification.channel_class is ChannelClass.NOT_INCOHERENT:
@@ -63,11 +58,11 @@ def petz_recovery(
             "channel is not incoherent: " + classification.witness.describe()
         )
     delta_t = apply_channel(channel, delta0)
-    if not delta_t.is_diagonal(DIAGONAL_TOL):
+    if not delta_t.is_diagonal():
         raise NotDiagonalError("evolved reference state is not diagonal")
     d0 = np.clip(delta0.matrix.diagonal().real, 0.0, None)
     dt = np.clip(delta_t.matrix.diagonal().real, 0.0, None)
-    kernel = dt <= kernel_cutoff * float(dt.max())
+    kernel = dt <= KERNEL_CUTOFF * float(dt.max())
     inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, dt)))
     sqrt0 = np.sqrt(d0)
     ops = [

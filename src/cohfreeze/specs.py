@@ -63,8 +63,9 @@ def format_complex(z: complex) -> str:
     return f"{real}{imag}i"
 
 
-def _split_top_level(text: str, separator: str) -> list[str]:
-    """Split on separator at bracket depth zero."""
+def _split_top_level(text: str, separator: str | None = None) -> list[str]:
+    """Split at bracket depth zero: on separator, keeping empty parts, or by
+    default on whitespace, dropping empty parts."""
     parts = []
     depth = 0
     current = []
@@ -75,7 +76,7 @@ def _split_top_level(text: str, separator: str) -> list[str]:
             depth -= 1
             if depth < 0:
                 raise SpecParseError(f"unbalanced brackets in {text!r}")
-        if ch == separator and depth == 0:
+        if depth == 0 and (ch.isspace() if separator is None else ch == separator):
             parts.append("".join(current))
             current = []
         else:
@@ -83,37 +84,14 @@ def _split_top_level(text: str, separator: str) -> list[str]:
     if depth != 0:
         raise SpecParseError(f"unbalanced brackets in {text!r}")
     parts.append("".join(current))
+    if separator is None:
+        return [part for part in parts if part]
     return parts
-
-
-def _tokenize(text: str) -> list[str]:
-    """Whitespace-split at bracket depth zero."""
-    tokens = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise SpecParseError(f"unbalanced brackets in {text!r}")
-        if ch.isspace() and depth == 0:
-            if current:
-                tokens.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise SpecParseError(f"unbalanced brackets in {text!r}")
-    if current:
-        tokens.append("".join(current))
-    return tokens
 
 
 def _parse_tokens(text: str) -> tuple[str, dict[str, str], list[str]]:
     """Return (constructor, key=value map, positional bracket arguments)."""
-    tokens = _tokenize(text)
+    tokens = _split_top_level(text)
     if not tokens:
         raise SpecParseError("empty specification")
     name = tokens[0]

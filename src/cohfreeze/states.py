@@ -103,9 +103,9 @@ class DensityMatrix:
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal().copy()
 
-    def is_diagonal(self, tol: float = DIAGONAL_TOL) -> bool:
+    def is_diagonal(self) -> bool:
         off = self.matrix - np.diag(self.matrix.diagonal())
-        return max_abs(off) <= tol
+        return max_abs(off) <= DIAGONAL_TOL
 
 
 def from_pure(amplitudes, *, normalize: bool = False) -> DensityMatrix:
@@ -209,7 +209,8 @@ def mixed_family(spec: MixedFamilySpec) -> DensityMatrix:
 
 
 def bromley_spec(num_qubits: int, c1: float, c3: float) -> MixedFamilySpec:
-    """Even-N preset: p = (1+c1)/2 and weights (1 + (-1)^w(l) c3) / 2^(N-1)."""
+    """Even-N Bromley-Cianciaruso-Adesso state: p = (1+c1)/2 and weights
+    (1 + (-1)^w(l) c3) / 2^(N-1)."""
     if num_qubits < 2 or num_qubits % 2 != 0:
         raise ValidationError("this preset needs an even number of qubits >= 2")
     if not -1.0 <= c1 <= 1.0 or not -1.0 <= c3 <= 1.0:

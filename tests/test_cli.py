@@ -1,5 +1,7 @@
+import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,16 @@ sweep.q1 = [0, 0.2, 0.4]
 sweep.q2 = [0.1, 0.3]
 output.path = eq18.csv
 """
+
+
+# The committed --no-timestamp preset outputs; the CSV bytes are a contract.
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+EQ16_CSV_SHA256 = "60376d62f8369b7b3f796241cc0d679976b2715a0fa2d57461ac3da728811c2b"
+
+
+def assert_matches_reference(out_dir, name):
+    assert (out_dir / name).read_bytes() == (REFERENCE_DIR / name).read_bytes()
 
 
 def run_cli(*argv):
@@ -91,6 +103,19 @@ class TestClassify:
         assert "NotIncoherent" in capsys.readouterr().out
         assert run_cli("classify", "--channel", spec, "--zero-tol", "1e-6") == 0
         assert "StrictlyIncoherent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("zero_tol", ["nan", "inf", "-1"])
+    def test_bad_zero_tol_exits_3(self, zero_tol, capsys):
+        h = "0.7071067811865476"
+        for spec in (f"raw dim=2 ops=[[{h},{h},{h},-{h}]]", "bitflip q=0.3"):
+            assert run_cli(
+                "classify", "--channel", spec, "--zero-tol", zero_tol
+            ) == 3
+            assert "zero_tol" in capsys.readouterr().err
+
+    def test_zero_tol_zero_still_classifies(self, capsys):
+        assert run_cli("classify", "--channel", "bitflip q=0.3", "--zero-tol", "0") == 0
+        assert "class = StrictlyIncoherent" in capsys.readouterr().out
 
 
 class TestCertify:
@@ -183,6 +208,27 @@ class TestSweep:
                 0.2780719051126377, abs=1e-9
             )
 
+    def test_eq16_csv_bytes(self, tmp_path, capsys):
+        spec_file = tmp_path / "eq16.spec"
+        spec_file.write_text(EQ16_SPEC)
+        out_file = tmp_path / "out.csv"
+        assert run_cli(
+            "sweep", "--spec", str(spec_file), "--out", str(out_file),
+            "--no-timestamp",
+        ) == 0
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == EQ16_CSV_SHA256
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "eq16.spec"
+        spec_file.write_text(EQ16_SPEC)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli(
+            "sweep", "--spec", str(spec_file), "--out", str(blocker / "x.csv")
+        ) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_empty_grid_exits_2(self, tmp_path, capsys):
         spec_file = tmp_path / "bad.spec"
         spec_file.write_text(EQ16_SPEC.replace("[0, 0.25, 0.5]", "[]"))
@@ -239,7 +285,7 @@ class TestReproduce:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS bromley")
-        assert (tmp_path / "bromley.csv").exists()
+        assert_matches_reference(tmp_path, "bromley.csv")
 
     def test_pure_family(self, tmp_path, capsys):
         code = run_cli("reproduce", "pure-family", "--out", str(tmp_path),
@@ -248,8 +294,8 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert "PASS pure-family N=2" in out
         assert "PASS pure-family N=3" in out
-        assert (tmp_path / "pure-family-N2.csv").exists()
-        assert (tmp_path / "pure-family-N3.csv").exists()
+        assert_matches_reference(tmp_path, "pure-family-N2.csv")
+        assert_matches_reference(tmp_path, "pure-family-N3.csv")
 
     def test_mixed_family(self, tmp_path, capsys):
         code = run_cli("reproduce", "mixed-family", "--out", str(tmp_path),
@@ -258,6 +304,14 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert "PASS mixed-family N=2" in out
         assert "PASS mixed-family N=3" in out
+        assert_matches_reference(tmp_path, "mixed-family-N2.csv")
+        assert_matches_reference(tmp_path, "mixed-family-N3.csv")
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli("reproduce", "bromley", "--out", str(blocker / "sub")) == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_bromley_determinism(self, tmp_path, capsys):
         for sub in ("a", "b"):

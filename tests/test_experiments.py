@@ -174,14 +174,14 @@ class TestDetectFreezing:
             TrajectoryRow((0.0,), 1.0, 1.0, "Frozen", 0.0, 0.0, 0.0),
             TrajectoryRow((0.5,), 1.0, 1.0 + 1e-3, "Frozen", 0.0, 0.0, 0.0),
         ]
-        table = TrajectoryTable(("q",), ("c_l1", "c_rel_ent"), tuple(rows))
+        table = TrajectoryTable(("q",), tuple(rows))
         summary = detect_freezing(table, tol=1e-8)
         assert not summary["c_rel_ent"].frozen
         assert summary["c_rel_ent"].max_deviation == pytest.approx(1e-3)
         assert summary["c_l1"].frozen
 
     def test_empty_table_rejected(self):
-        table = TrajectoryTable(("q",), ("c_l1",), ())
+        table = TrajectoryTable(("q",), ())
         with pytest.raises(ValidationError):
             detect_freezing(table)
 
@@ -361,6 +361,6 @@ class TestCsvOutput:
 
     def test_twelve_digit_formatting(self):
         row = TrajectoryRow((1 / 3,), 1 / 7, 2 / 3, "Frozen", 0.0, 0.0, 0.0)
-        table = TrajectoryTable(("q",), ("c_l1", "c_rel_ent"), (row,))
+        table = TrajectoryTable(("q",), (row,))
         body = table.to_csv().strip().splitlines()[-1]
         assert body.startswith("0.333333333333,0.142857142857,0.666666666667")

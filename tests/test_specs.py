@@ -172,6 +172,38 @@ class TestChannelSpecs:
             parse_channel_spec("bitflip q=1.5")
 
 
+class TestBracketScanning:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "phi N=2 l=00 sign=+ ]",
+                "unbalanced brackets in 'phi N=2 l=00 sign=+ ]'",
+            ),
+            (
+                "mixed N=2 p=0.5 weights=[00:0.5]x[01:0.5]",
+                "unbalanced brackets in '00:0.5]x[01:0.5'",
+            ),
+            (
+                "mixed N=2 p=0.5 weights=[00:0.5,,01:0.5]",
+                "weights entries are bits:value, got ''",
+            ),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(SpecParseError) as excinfo:
+            parse_state_spec(text)
+        assert str(excinfo.value) == message
+
+    def test_whitespace_inside_brackets(self):
+        channel = parse_channel_spec("local [ bitflip   q=0.1 ,  bitflip q=0.2 ]")
+        expected = parse_channel_spec("local [bitflip q=0.1, bitflip q=0.2]")
+        assert channel.dim == 4
+        assert len(channel.operators) == 4
+        for got, want in zip(channel.operators, expected.operators):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestSweepFiles:
     def test_happy_path(self):
         spec, out = parse_sweep_file(SWEEP_TEXT)
