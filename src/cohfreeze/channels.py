@@ -6,6 +6,10 @@ columns has at most one nonzero entry; the adjoint condition adds the same
 constraint per row. The classifier applies exactly that row/column scan to
 the supplied representation (Kraus representations are not unique; no search
 over alternative representations is attempted).
+
+A local channel is kept as its factors (LocalChannel): it is applied, its
+adjoint applied and it is classified one factor at a time, so its
+tensor-product Kraus list is never stored.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -72,6 +76,93 @@ class KrausChannel:
         return np.stack(self.operators)
 
 
+class _KroneckerOperators(Sequence):
+    """The Kraus operators of a LocalChannel in tensor()'s order (first
+    factor slowest), each Kronecker product built when it is read."""
+
+    def __init__(self, factors: tuple[KrausChannel, ...]):
+        self._factors = factors
+        self._counts = tuple(len(f.operators) for f in factors)
+
+    def __len__(self) -> int:
+        return math.prod(self._counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        digits = np.unravel_index(range(len(self))[index], self._counts)
+        op = reduce(
+            np.kron, (f.operators[int(i)] for f, i in zip(self._factors, digits))
+        )
+        op.setflags(write=False)
+        return op
+
+
+def _superoperator(channel: KrausChannel) -> np.ndarray:
+    """The d^2 x d^2 matrix S[(a, a'), (b, b')] = sum_n K_n[a, b]
+    conj(K_n[a', b']), which maps X[b, b'] to the channel's output."""
+    ops = channel.stacked()
+    d = channel.dim
+    return np.einsum("nab,ncd->acbd", ops, ops.conj()).reshape(d * d, d * d)
+
+
+@dataclass(frozen=True)
+class LocalChannel:
+    """The tensor product of its factors, stored as the factors alone.
+
+    Each factor is a validated KrausChannel of any dimension; dim is the
+    product of theirs. `operators` is a read-only sequence whose items are
+    the Kronecker products tensor() would store, built on demand.
+    """
+
+    factors: tuple[KrausChannel, ...]
+    _superoperators: tuple[np.ndarray, ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        factors = tuple(self.factors)
+        if not factors:
+            raise ValidationError("local channel needs at least one factor")
+        if not all(isinstance(f, KrausChannel) for f in factors):
+            raise ValidationError("local channel factors must be KrausChannels")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(
+            self, "_superoperators", tuple(_superoperator(f) for f in factors)
+        )
+
+    @property
+    def dim(self) -> int:
+        return math.prod(f.dim for f in self.factors)
+
+    @property
+    def label(self) -> str:
+        return " x ".join(f.label or "?" for f in self.factors)
+
+    @property
+    def operators(self) -> _KroneckerOperators:
+        return _KroneckerOperators(self.factors)
+
+    def contract(self, matrix, *, adjoint: bool = False) -> np.ndarray:
+        """sum_n K_n X K_n^dag, or sum_n K_n^dag X K_n with adjoint=True, for
+        a dim x dim matrix X, one factor at a time.
+
+        X is reordered so that each factor's row and column index sit side by
+        side, (i1, j1, ..., ik, jk). Each step multiplies the leading pair by
+        that factor's superoperator and rotates it to the back, so after the
+        last factor the pairs are back in order.
+        """
+        dims = [f.dim for f in self.factors]
+        k = len(dims)
+        x = np.asarray(matrix, dtype=np.complex128).reshape(dims * 2)
+        x = x.transpose([axis for i in range(k) for axis in (i, k + i)])
+        for d, s in zip(dims, self._superoperators):
+            x = ((s.conj().T if adjoint else s) @ x.reshape(d * d, -1)).T
+        x = x.reshape([d for d in dims for _ in range(2)])
+        x = x.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
+        return x.reshape(self.dim, self.dim)
+
+
 class ChannelClass(enum.Enum):
     NOT_INCOHERENT = "NotIncoherent"
     INCOHERENT_ONLY = "IncoherentOnly"
@@ -101,18 +192,34 @@ class ChannelClassification:
     witness: ClassificationWitness | None
 
 
-def classify(channel: KrausChannel, zero_tol: float = ZERO_TOL) -> ChannelClassification:
+def classify(
+    channel: KrausChannel | LocalChannel, zero_tol: float = ZERO_TOL
+) -> ChannelClassification:
     """Row/column scan of the given Kraus representation.
 
     At most one nonzero per column in every operator makes the channel
     incoherent; at most one per row as well makes it strictly incoherent.
     The witness points at the first violating column (NotIncoherent) or
     row (IncoherentOnly). zero_tol must be finite and non-negative.
+
+    A LocalChannel whose factors all classify strictly incoherent is
+    strictly incoherent: completeness bounds every Kraus entry's modulus by
+    1, so a product entry above zero_tol has every factor entry above it,
+    and the nonzero counts per row and column multiply across factors. Any
+    other LocalChannel is scanned as tensor(factors), for the same class
+    and witness.
     """
     if not 0.0 <= zero_tol < math.inf:
         raise OutOfRangeError(
             f"zero_tol must be finite and non-negative, got {zero_tol}"
         )
+    if isinstance(channel, LocalChannel):
+        if all(
+            classify(f, zero_tol).channel_class is ChannelClass.STRICTLY_INCOHERENT
+            for f in channel.factors
+        ):
+            return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
+        channel = tensor(channel.factors)
     row_witness = None
     for n, op in enumerate(channel.operators):
         mask = np.abs(op) > zero_tol
@@ -137,12 +244,16 @@ def classify(channel: KrausChannel, zero_tol: float = ZERO_TOL) -> ChannelClassi
     return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
 
 
-def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+def apply_channel(
+    channel: KrausChannel | LocalChannel, rho: DensityMatrix
+) -> DensityMatrix:
     """sum_n K_n rho K_n^dag as a validated density matrix."""
     if channel.dim != rho.dim:
         raise DimensionMismatchError(
             f"channel dim {channel.dim} does not match state dim {rho.dim}"
         )
+    if isinstance(channel, LocalChannel):
+        return DensityMatrix(channel.contract(rho.matrix))
     ops = channel.stacked()
     out = (ops @ rho.matrix @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
     return DensityMatrix(out)
@@ -245,14 +356,18 @@ CHANNEL_FACTORIES = {
 }
 
 
-def local_channel(factors) -> KrausChannel:
-    """Tensor product of per-qubit channels.
+def local_channel(factors) -> LocalChannel:
+    """Tensor product of per-qubit channels, kept factor by factor.
 
-    Factors may be KrausChannel instances or (kind, parameter) pairs using
-    the CHANNEL_FACTORIES names; the factors need not be identical.
+    Factors may be KrausChannel instances, LocalChannel instances (which
+    contribute their own factors) or (kind, parameter) pairs using the
+    CHANNEL_FACTORIES names; the factors need not be identical.
     """
     built = []
     for factor in factors:
+        if isinstance(factor, LocalChannel):
+            built.extend(factor.factors)
+            continue
         if isinstance(factor, KrausChannel):
             built.append(factor)
             continue
@@ -262,7 +377,7 @@ def local_channel(factors) -> KrausChannel:
         except KeyError:
             raise ValidationError(f"unknown channel kind {kind!r}") from None
         built.append(factory(param))
-    return tensor(built)
+    return LocalChannel(tuple(built))
 
 
 def random_sio_channel(dim: int, num_operators: int, seed: int) -> KrausChannel:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CHANNEL_FACTORIES, KrausChannel, apply_channel, local_channel
+from .channels import CHANNEL_FACTORIES, KrausChannel, apply_channel, tensor
 from .coherence import c_l1
 from .errors import (
     DimensionTooLargeError,
@@ -146,7 +146,11 @@ class SweepSpec:
 
     def channel_at(self, point: tuple[float, ...]) -> KrausChannel:
         params = point * len(self.factors) if self.tie_parameters else point
-        return local_channel(list(zip(self.factors, params)))
+        # Dense, not local_channel: the sweep and preset CSVs are pinned byte
+        # for byte, and factor-by-factor arithmetic moves their last digits.
+        return tensor(
+            [CHANNEL_FACTORIES[kind][1](q) for kind, q in zip(self.factors, params)]
+        )
 
 
 @dataclass(frozen=True)

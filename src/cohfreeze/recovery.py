@@ -10,6 +10,14 @@ singular the projector onto its kernel is appended, which restores trace
 preservation. Reversing the evolution with such a map, itself incoherent,
 pins every coherence measure between its initial and final values, so a
 successful round trip certifies freezing of all measures at once.
+
+For a LocalChannel whose factors are strictly incoherent entry by entry,
+the certificate applies the same recovery in closed form,
+
+    R(X) = d0^(1/2) L^dag(dt^(-1/2) X dt^(-1/2)) d0^(1/2) + P_ker X P_ker,
+
+with L^dag the channel's adjoint applied factor by factor, and never builds
+the Kraus list.
 """
 
 from __future__ import annotations
@@ -24,8 +32,10 @@ from .channels import (
     ChannelClassification,
     ClassificationWitness,
     KrausChannel,
+    LocalChannel,
     apply_channel,
     classify,
+    tensor,
 )
 from .coherence import c_l1, c_rel_ent
 from .errors import (
@@ -42,7 +52,23 @@ KERNEL_CUTOFF = 1e-12  # relative to the largest diagonal entry
 CERTIFICATE_TOL = 1e-8
 
 
-def petz_recovery(channel: KrausChannel, delta0: DensityMatrix) -> KrausChannel:
+def _recovery_weights(
+    delta0: DensityMatrix, delta_t: DensityMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d0^(1/2), dt^(-1/2) on dt's support (zero on its kernel), and the
+    kernel mask, from the clipped diagonals of the two references."""
+    if not delta_t.is_diagonal():
+        raise NotDiagonalError("evolved reference state is not diagonal")
+    d0 = np.clip(delta0.matrix.diagonal().real, 0.0, None)
+    dt = np.clip(delta_t.matrix.diagonal().real, 0.0, None)
+    kernel = dt <= KERNEL_CUTOFF * float(dt.max())
+    inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, dt)))
+    return np.sqrt(d0), inv_sqrt, kernel
+
+
+def petz_recovery(
+    channel: KrausChannel | LocalChannel, delta0: DensityMatrix
+) -> KrausChannel:
     """Recovery channel for an incoherent channel and diagonal reference.
 
     Requires delta0 diagonal and the channel at least incoherent (so that the
@@ -57,14 +83,9 @@ def petz_recovery(channel: KrausChannel, delta0: DensityMatrix) -> KrausChannel:
         raise NotIncoherentChannelError(
             "channel is not incoherent: " + classification.witness.describe()
         )
-    delta_t = apply_channel(channel, delta0)
-    if not delta_t.is_diagonal():
-        raise NotDiagonalError("evolved reference state is not diagonal")
-    d0 = np.clip(delta0.matrix.diagonal().real, 0.0, None)
-    dt = np.clip(delta_t.matrix.diagonal().real, 0.0, None)
-    kernel = dt <= KERNEL_CUTOFF * float(dt.max())
-    inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, dt)))
-    sqrt0 = np.sqrt(d0)
+    sqrt0, inv_sqrt, kernel = _recovery_weights(
+        delta0, apply_channel(channel, delta0)
+    )
     ops = [
         sqrt0[:, None] * op.conj().T * inv_sqrt[None, :]
         for op in channel.operators
@@ -72,6 +93,40 @@ def petz_recovery(channel: KrausChannel, delta0: DensityMatrix) -> KrausChannel:
     if kernel.any():
         ops.append(np.diag(kernel.astype(np.complex128)))
     return KrausChannel(tuple(ops), label=f"recovery({channel.label})")
+
+
+def _closed_form_recovery(
+    channel: LocalChannel, delta0: DensityMatrix, delta_t: DensityMatrix
+):
+    """The action of petz_recovery(channel, delta0), as a function from a
+    state to its validated image, without the recovery's Kraus list.
+
+    For factors that pass _exactly_strict, channel(delta0) is exactly
+    diagonal, so sum R_n^dag R_n = dt^(-1/2) channel(delta0) dt^(-1/2) +
+    P_ker = I: the completeness that KrausChannel checks on the Kraus list
+    holds by construction.
+    """
+    sqrt0, inv_sqrt, kernel = _recovery_weights(delta0, delta_t)
+    outer0 = np.outer(sqrt0, sqrt0)
+    outer_t = np.outer(inv_sqrt, inv_sqrt)
+    projector = np.outer(kernel, kernel)
+
+    def recover(state: DensityMatrix) -> DensityMatrix:
+        x = state.matrix
+        back = channel.contract(outer_t * x, adjoint=True)
+        return DensityMatrix(outer0 * back + projector * x)
+
+    return recover
+
+
+def _exactly_strict(channel: LocalChannel) -> bool:
+    """Every factor operator has at most one nonzero entry per row and
+    column, counting any nonzero. Each recovery operator d0^(1/2) K^dag
+    dt^(-1/2) then has too, however its entries are scaled."""
+    return all(
+        classify(f, 0.0).channel_class is ChannelClass.STRICTLY_INCOHERENT
+        for f in channel.factors
+    )
 
 
 @dataclass(frozen=True)
@@ -132,7 +187,7 @@ class FreezingCertificate:
 
 
 def certify_freezing(
-    channel: KrausChannel,
+    channel: KrausChannel | LocalChannel,
     rho0: DensityMatrix,
     tol: float = CERTIFICATE_TOL,
     *,
@@ -142,10 +197,14 @@ def certify_freezing(
 
     The channel must classify strictly incoherent unless
     enforce_hypothesis=False, in which case any incoherent representation is
-    accepted and the outcome is reported as-is.
+    accepted and the outcome is reported as-is. A LocalChannel takes the
+    closed-form recovery when its factors are strictly incoherent entry by
+    entry; otherwise it is certified as tensor(factors).
     """
     if not 0.0 < tol < math.inf:
         raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
+    if isinstance(channel, LocalChannel) and not _exactly_strict(channel):
+        channel = tensor(channel.factors)
     classification = classify(channel)
     if (
         enforce_hypothesis
@@ -171,12 +230,20 @@ def certify_freezing(
     cr_deviation = abs(crt - cr0)
     l1_deviation = abs(l1t - l10)
 
-    recovery = petz_recovery(channel, delta0)
-    recovered_state = apply_channel(recovery, rho_t)
-    recovered_diag = apply_channel(recovery, delta_t)
+    if isinstance(channel, LocalChannel):
+        recover = _closed_form_recovery(channel, delta0, delta_t)
+        recovered_state, recovered_diag = recover(rho_t), recover(delta_t)
+        # Strictly incoherent by _exactly_strict; the kernel projector is diagonal.
+        recovery_classification = ChannelClassification(
+            ChannelClass.STRICTLY_INCOHERENT, None
+        )
+    else:
+        recovery = petz_recovery(channel, delta0)
+        recovered_state = apply_channel(recovery, rho_t)
+        recovered_diag = apply_channel(recovery, delta_t)
+        recovery_classification = classify(recovery)
     residual_state = max_abs(recovered_state.matrix - rho0.matrix)
     residual_diag = max_abs(recovered_diag.matrix - delta0.matrix)
-    recovery_classification: ChannelClassification = classify(recovery)
     recovery_incoherent = (
         recovery_classification.channel_class is not ChannelClass.NOT_INCOHERENT
     )

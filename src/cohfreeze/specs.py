@@ -22,6 +22,7 @@ import numpy as np
 from .channels import (
     CHANNEL_FACTORIES,
     KrausChannel,
+    LocalChannel,
     identity_channel,
     local_channel,
 )
@@ -199,6 +200,8 @@ def parse_state_spec(text: str) -> DensityMatrix:
         if weights_text == "random":
             seed = _parse_int(_require(kwargs, "seed", "mixed random weights"), "seed")
             _reject_unknown(kwargs, "mixed")
+            if seed < 0:
+                raise OutOfRangeError(f"seed must be non-negative, got {seed}")
             rng = np.random.default_rng(seed)
             raw = rng.random(2 ** (n - 1))
             raw /= raw.sum()
@@ -216,6 +219,8 @@ def parse_state_spec(text: str) -> DensityMatrix:
                     raise SpecParseError(
                         f"weight key {bits!r} does not have N={n} bits"
                     )
+                if bits in weights:
+                    raise SpecParseError(f"duplicate weight key {bits!r}")
                 weights[bits] = _parse_float(value, f"weight {bits}")
         return mixed_family(MixedFamilySpec(p=p, weights=weights))
     if name == "basis":
@@ -246,7 +251,7 @@ def parse_state_spec(text: str) -> DensityMatrix:
     raise SpecParseError(f"unknown state constructor {name!r}")
 
 
-def parse_channel_spec(text: str) -> KrausChannel:
+def parse_channel_spec(text: str) -> KrausChannel | LocalChannel:
     """Build a channel from its inline constructor specification."""
     name, kwargs, positional = _parse_tokens(text)
     if name == "local":

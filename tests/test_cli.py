@@ -60,6 +60,20 @@ class TestMeasure:
         assert "validation error" in capsys.readouterr().err
 
 
+    def test_negative_seed_exits_3(self, capsys):
+        spec = "mixed N=2 p=0.5 weights=random seed=-1"
+        assert run_cli("measure", "--state", spec) == 3
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weights", ["[00:1,00:1]", "[00:0.3,01:0.7,00:0.3]"]
+    )
+    def test_duplicate_weight_key_exits_2(self, weights, capsys):
+        spec = f"mixed N=2 p=0.9 weights={weights}"
+        assert run_cli("measure", "--state", spec) == 2
+        assert "duplicate weight key '00'" in capsys.readouterr().err
+
+
 class TestDimensionCap:
     @pytest.mark.parametrize(
         "argv",
@@ -239,6 +253,16 @@ class TestSweep:
         spec_file.write_text(EQ16_SPEC + "tolerances.freezing = nan\n")
         assert run_cli("sweep", "--spec", str(spec_file)) == 2
         assert "freezing_tol" in capsys.readouterr().err
+
+    def test_negative_seed_in_state_spec_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "seed.spec"
+        spec_file.write_text(
+            EQ16_SPEC.replace(
+                "phi N=2 l=00 sign=+", "mixed N=2 p=0.5 weights=random seed=-1"
+            )
+        )
+        assert run_cli("sweep", "--spec", str(spec_file)) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         assert run_cli("sweep", "--spec", "/nonexistent/path.spec") == 2

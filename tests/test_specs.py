@@ -4,6 +4,7 @@ import pytest
 from cohfreeze import (
     ChannelClass,
     InvalidCanonicalFormError,
+    OutOfRangeError,
     SpecParseError,
     ValidationError,
     classify,
@@ -77,6 +78,17 @@ class TestStateSpecs:
         np.testing.assert_array_equal(a.matrix, b.matrix)
         c = parse_state_spec("mixed N=2 p=0.9 weights=random seed=12")
         assert np.max(np.abs(a.matrix - c.matrix)) > 1e-6
+
+    def test_negative_seed_is_out_of_range(self):
+        with pytest.raises(OutOfRangeError, match="seed must be non-negative"):
+            parse_state_spec("mixed N=2 p=0.5 weights=random seed=-1")
+
+    @pytest.mark.parametrize(
+        "weights", ["[00:1,00:1]", "[00:0.3,01:0.7,00:0.3]"]
+    )
+    def test_duplicate_weight_key(self, weights):
+        with pytest.raises(SpecParseError, match="duplicate weight key '00'"):
+            parse_state_spec(f"mixed N=2 p=0.9 weights={weights}")
 
     def test_pure_with_normalize(self):
         state = parse_state_spec("pure amps=[3,4i] normalize=true")
@@ -256,6 +268,14 @@ class TestSweepFiles:
     def test_tied_and_per_qubit_conflict(self):
         text = SWEEP_TEXT + "sweep.q = [0.5]\n"
         with pytest.raises(SpecParseError):
+            parse_sweep_file(text)
+
+    def test_negative_seed_in_state_spec(self):
+        text = SWEEP_TEXT.replace(
+            "state.spec = phi N=2 l=00 sign=+",
+            "state.spec = mixed N=2 p=0.5 weights=random seed=-1",
+        )
+        with pytest.raises(SpecParseError, match="line 2: bad state.spec"):
             parse_sweep_file(text)
 
     def test_bad_state_spec_reports_its_line(self):
