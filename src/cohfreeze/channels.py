@@ -7,6 +7,10 @@ constraint per row. The classifier applies exactly that row/column scan to
 the supplied representation (Kraus representations are not unique; no search
 over alternative representations is attempted).
 
+A KrausChannel holds its operators as one read-only complex (n, d, d)
+array, validated once, so tensor products, the classifier, the completeness
+check and channel application each work on the whole stack at once.
+
 A local channel is kept as its factors (LocalChannel): it is applied, its
 adjoint applied and it is classified one factor at a time, so its
 tensor-product Kraus list is never stored.
@@ -15,7 +19,6 @@ tensor-product Kraus list is never stored.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -40,40 +43,59 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
+def _operator_stack(operators) -> np.ndarray:
+    """The operators as one C-contiguous complex (n, d, d) copy. A bad
+    input raises the error as_complex_matrix gives its first bad operator."""
+    if not isinstance(operators, np.ndarray):
+        operators = list(operators)  # any iterable, read once
+    try:
+        ops = np.array(operators, dtype=np.complex128)
+    except ValueError:  # operators of different shapes
+        ops = None
+    if ops is None or ops.ndim != 3:
+        matrices = [as_complex_matrix(op) for op in operators]
+        if not matrices:
+            raise ValidationError("channel needs at least one Kraus operator")
+        raise DimensionMismatchError("Kraus operators differ in dimension")
+    n, rows, cols = ops.shape
+    if n == 0:
+        raise ValidationError("channel needs at least one Kraus operator")
+    if rows != cols:
+        raise ValidationError(f"expected a square matrix, got shape {(rows, cols)}")
+    if rows == 0:
+        raise ValidationError("matrix must have positive dimension")
+    if not np.isfinite(ops).all():
+        raise ValidationError("matrix entries must be finite")
+    return ops
+
+
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map given by an explicit list of Kraus operators.
+    """A CPTP map given by its Kraus operators.
 
-    Construction verifies completeness: sum K^dag K = I within
-    COMPLETENESS_TOL. Operators are stored immutably.
+    `operators` may be a sequence of d x d matrices or an (n, d, d) array; it
+    is stored as one read-only complex (n, d, d) array. Construction verifies
+    completeness: sum K^dag K = I within COMPLETENESS_TOL.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if not self.operators:
-            raise ValidationError("channel needs at least one Kraus operator")
-        ops = tuple(as_complex_matrix(op).copy() for op in self.operators)
-        dim = ops[0].shape[0]
-        if any(op.shape[0] != dim for op in ops):
-            raise DimensionMismatchError("Kraus operators differ in dimension")
-        total = sum(op.conj().T @ op for op in ops)
-        defect = max_abs(total - np.eye(dim))
+        ops = _operator_stack(self.operators)
+        n, dim, _ = ops.shape
+        stacked = ops.reshape(n * dim, dim)
+        defect = max_abs(stacked.conj().T @ stacked - np.eye(dim))
         if defect > COMPLETENESS_TOL:
             raise ValidationError(
                 f"completeness fails: max |sum K^dag K - I| = {defect:.3e}"
             )
-        for op in ops:
-            op.setflags(write=False)
+        ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.operators)
+        return self.operators.shape[1]
 
 
 class _KroneckerOperators(Sequence):
@@ -101,7 +123,7 @@ class _KroneckerOperators(Sequence):
 def _superoperator(channel: KrausChannel) -> np.ndarray:
     """The d^2 x d^2 matrix S[(a, a'), (b, b')] = sum_n K_n[a, b]
     conj(K_n[a', b']), which maps X[b, b'] to the channel's output."""
-    ops = channel.stacked()
+    ops = channel.operators
     d = channel.dim
     return np.einsum("nab,ncd->acbd", ops, ops.conj()).reshape(d * d, d * d)
 
@@ -220,27 +242,22 @@ def classify(
         ):
             return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
         channel = tensor(channel.factors)
-    row_witness = None
-    for n, op in enumerate(channel.operators):
-        mask = np.abs(op) > zero_tol
-        col_counts = mask.sum(axis=0)
-        bad_cols = np.nonzero(col_counts > 1)[0]
-        if bad_cols.size:
-            col = int(bad_cols[0])
-            rows = tuple(int(r) for r in np.nonzero(mask[:, col])[0])
-            return ChannelClassification(
-                ChannelClass.NOT_INCOHERENT,
-                ClassificationWitness(n, "column", col, rows),
-            )
-        if row_witness is None:
-            row_counts = mask.sum(axis=1)
-            bad_rows = np.nonzero(row_counts > 1)[0]
-            if bad_rows.size:
-                row = int(bad_rows[0])
-                cols = tuple(int(c) for c in np.nonzero(mask[row, :])[0])
-                row_witness = ClassificationWitness(n, "row", row, cols)
-    if row_witness is not None:
-        return ChannelClassification(ChannelClass.INCOHERENT_ONLY, row_witness)
+    mask = np.abs(channel.operators) > zero_tol
+    bad_columns = mask.sum(axis=1) > 1  # [n, column]
+    if bad_columns.any():
+        n, col = (int(i) for i in np.argwhere(bad_columns)[0])
+        rows = tuple(int(r) for r in np.nonzero(mask[n, :, col])[0])
+        return ChannelClassification(
+            ChannelClass.NOT_INCOHERENT,
+            ClassificationWitness(n, "column", col, rows),
+        )
+    bad_rows = mask.sum(axis=2) > 1  # [n, row]
+    if bad_rows.any():
+        n, row = (int(i) for i in np.argwhere(bad_rows)[0])
+        cols = tuple(int(c) for c in np.nonzero(mask[n, row, :])[0])
+        return ChannelClassification(
+            ChannelClass.INCOHERENT_ONLY, ClassificationWitness(n, "row", row, cols)
+        )
     return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
 
 
@@ -254,7 +271,7 @@ def apply_channel(
         )
     if isinstance(channel, LocalChannel):
         return DensityMatrix(channel.contract(rho.matrix))
-    ops = channel.stacked()
+    ops = channel.operators
     out = (ops @ rho.matrix @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
     return DensityMatrix(out)
 
@@ -272,13 +289,22 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
 
 
 def tensor(channels: Sequence[KrausChannel]) -> KrausChannel:
-    """Tensor product channel; operators are all Kronecker products."""
+    """Tensor product channel; operators are all Kronecker products, in
+    itertools.product order (first factor slowest).
+
+    Each factor takes one broadcast product, acc[m, i, j] * b[n, k, l] at
+    [m, n, i, k, j, l]: the products np.kron forms, in its order.
+    """
     if not channels:
         raise ValidationError("tensor needs at least one channel")
-    ops = tuple(
-        reduce(np.kron, combo)
-        for combo in itertools.product(*(c.operators for c in channels))
-    )
+    first, *rest = channels
+    ops = first.operators
+    for channel in rest:
+        b = channel.operators
+        (n1, d1, _), (n2, d2, _) = ops.shape, b.shape
+        ops = (ops[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(
+            n1 * n2, d1 * d2, d1 * d2
+        )
     label = " x ".join(c.label or "?" for c in channels)
     return KrausChannel(ops, label=label)
 
@@ -394,12 +420,9 @@ def random_sio_channel(dim: int, num_operators: int, seed: int) -> KrausChannel:
         (num_operators, dim)
     )
     gains /= np.sqrt(np.sum(np.abs(gains) ** 2, axis=0, keepdims=True))
-    ops = []
-    for n in range(num_operators):
-        op = np.zeros((dim, dim), dtype=np.complex128)
-        op[targets[n], np.arange(dim)] = gains[n]
-        ops.append(op)
-    return KrausChannel(tuple(ops), label=f"random-sio(dim={dim},seed={seed})")
+    ops = np.zeros((num_operators, dim, dim), dtype=np.complex128)
+    ops[np.arange(num_operators)[:, None], targets, np.arange(dim)] = gains
+    return KrausChannel(ops, label=f"random-sio(dim={dim},seed={seed})")
 
 
 def random_incoherent_channel(dim: int, num_operators: int, seed: int) -> KrausChannel:
@@ -416,9 +439,6 @@ def random_incoherent_channel(dim: int, num_operators: int, seed: int) -> KrausC
     g = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
     q, _ = np.linalg.qr(g)  # m x dim, orthonormal columns
     targets = rng.integers(0, dim, size=m)
-    ops = []
-    for n in range(m):
-        op = np.zeros((dim, dim), dtype=np.complex128)
-        op[targets[n], :] = q[n, :]
-        ops.append(op)
-    return KrausChannel(tuple(ops), label=f"random-io(dim={dim},seed={seed})")
+    ops = np.zeros((m, dim, dim), dtype=np.complex128)
+    ops[np.arange(m), targets, :] = q
+    return KrausChannel(ops, label=f"random-io(dim={dim},seed={seed})")

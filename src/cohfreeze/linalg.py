@@ -32,7 +32,7 @@ def as_complex_matrix(entries) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
     if mat.shape[0] == 0:
         raise ValidationError("matrix must have positive dimension")
-    if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
+    if not np.isfinite(mat).all():
         raise ValidationError("matrix entries must be finite")
     return mat
 

@@ -86,13 +86,11 @@ def petz_recovery(
     sqrt0, inv_sqrt, kernel = _recovery_weights(
         delta0, apply_channel(channel, delta0)
     )
-    ops = [
-        sqrt0[:, None] * op.conj().T * inv_sqrt[None, :]
-        for op in channel.operators
-    ]
+    kraus_dag = np.asarray(channel.operators).conj().transpose(0, 2, 1)
+    ops = sqrt0[None, :, None] * kraus_dag * inv_sqrt[None, None, :]
     if kernel.any():
-        ops.append(np.diag(kernel.astype(np.complex128)))
-    return KrausChannel(tuple(ops), label=f"recovery({channel.label})")
+        ops = np.concatenate([ops, np.diag(kernel.astype(np.complex128))[None]])
+    return KrausChannel(ops, label=f"recovery({channel.label})")
 
 
 def _closed_form_recovery(

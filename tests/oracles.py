@@ -99,3 +99,24 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def classify_loop(operators, zero_tol: float):
+    """Row/column scan one entry at a time: every operator's columns first,
+    then every operator's rows. Returns (class name, witness), the witness
+    being (operator index, axis, index, positions) of the first violation,
+    or None."""
+    ops = [np.asarray(op) for op in operators]
+    for n, op in enumerate(ops):
+        rows, cols = op.shape
+        for j in range(cols):
+            hits = tuple(i for i in range(rows) if abs(op[i, j]) > zero_tol)
+            if len(hits) > 1:
+                return "NotIncoherent", (n, "column", j, hits)
+    for n, op in enumerate(ops):
+        rows, cols = op.shape
+        for i in range(rows):
+            hits = tuple(j for j in range(cols) if abs(op[i, j]) > zero_tol)
+            if len(hits) > 1:
+                return "IncoherentOnly", (n, "row", i, hits)
+    return "StrictlyIncoherent", None

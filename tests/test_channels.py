@@ -1,10 +1,15 @@
 import itertools
+import re
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohfreeze import (
     ChannelClass,
+    ClassificationWitness,
     DimensionMismatchError,
     KrausChannel,
     OutOfRangeError,
@@ -30,7 +35,7 @@ from cohfreeze import (
 )
 from cohfreeze.linalg import max_abs
 
-from oracles import brute_apply, random_unitary
+from oracles import brute_apply, classify_loop, random_unitary
 
 LIBRARY = {
     "bitflip": bit_flip,
@@ -44,6 +49,37 @@ LIBRARY = {
 
 def plus_state():
     return from_pure(np.array([1.0, 1.0]) / np.sqrt(2))
+
+
+NAN_OP = np.array([[1.0, 0.0], [0.0, np.nan]])
+INF_OP = np.array([[1.0, 0.0], [0.0, complex(0.0, np.inf)]])
+# (bad operators, exception type, message prefix); each list also runs as
+# one (n, d, d) array, except the mixed dimensions, which cannot stack
+BAD_OPERATORS = {
+    "empty": ([], ValidationError, "channel needs at least one Kraus operator"),
+    "non-square": (
+        [np.ones((2, 3))],
+        ValidationError,
+        "expected a square matrix, got shape (2, 3)",
+    ),
+    "mixed-dims": (
+        [np.eye(2), np.eye(4)],
+        DimensionMismatchError,
+        "Kraus operators differ in dimension",
+    ),
+    "zero-dim": (
+        [np.zeros((0, 0))],
+        ValidationError,
+        "matrix must have positive dimension",
+    ),
+    "nan": ([np.eye(2), NAN_OP], ValidationError, "matrix entries must be finite"),
+    "inf": ([INF_OP], ValidationError, "matrix entries must be finite"),
+    "one-dim": (
+        [np.ones(2)],
+        ValidationError,
+        "expected a square matrix, got shape (2,)",
+    ),
+}
 
 
 class TestKrausChannel:
@@ -63,6 +99,35 @@ class TestKrausChannel:
         channel = bit_flip(0.3)
         with pytest.raises(ValueError):
             channel.operators[0][0, 0] = 5.0
+
+    def test_accepts_operator_array(self):
+        array = np.stack([np.sqrt(0.3) * np.eye(2), np.sqrt(0.7) * np.eye(2)])
+        channel = KrausChannel(array)
+        ops = channel.operators
+        assert ops.shape == (2, 2, 2) and ops.dtype == np.complex128
+        assert ops.flags.c_contiguous and not ops.flags.writeable
+        np.testing.assert_array_equal(ops, KrausChannel(list(array)).operators)
+        np.testing.assert_array_equal(ops, KrausChannel(op for op in array).operators)
+        array[0, 0, 0] = 5.0  # the channel keeps its own copy
+        assert ops[0, 0, 0] == np.sqrt(0.3)
+        assert KrausChannel(np.stack([np.eye(2)])).dim == 2
+
+    @pytest.mark.parametrize(
+        "case, form",
+        [
+            (case, form)
+            for case in sorted(BAD_OPERATORS)
+            for form in ("list", "array")
+            if (case, form) != ("mixed-dims", "array")
+        ],
+    )
+    def test_rejects_bad_operators(self, case, form):
+        operators, error, prefix = BAD_OPERATORS[case]
+        if form == "array":
+            operators = np.empty((0, 2, 2)) if case == "empty" else np.stack(operators)
+        with pytest.raises(error, match="^" + re.escape(prefix)) as excinfo:
+            KrausChannel(operators)
+        assert excinfo.type is error
 
 
 class TestApply:
@@ -95,6 +160,14 @@ class TestApply:
             assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-9
 
 
+def assert_tensor_is_kron(channels):
+    expected = [
+        reduce(np.kron, combo)
+        for combo in itertools.product(*(c.operators for c in channels))
+    ]
+    np.testing.assert_array_equal(tensor(channels).operators, np.array(expected))
+
+
 class TestComposeAndTensor:
     def test_tensor_of_identities(self):
         channel = tensor([identity_channel(2)] * 3)
@@ -111,6 +184,38 @@ class TestComposeAndTensor:
         np.testing.assert_allclose(
             apply_channel(channel, bell).matrix, expected, atol=1e-14
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(LIBRARY)), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_tensor_bits_equal_kron(self, factors):
+        channels = [LIBRARY[kind](param) for kind, param in factors]
+        assert_tensor_is_kron(channels)
+
+    @pytest.mark.parametrize(
+        "channels",
+        [
+            [identity_channel(3), bit_flip(0.3)],
+            [bit_flip(0.3), identity_channel(3)],
+            [identity_channel(4), depolarizing(0.2), identity_channel(3)],
+        ],
+        ids=["3x2", "2x3", "4x2x3"],
+    )
+    def test_tensor_bits_equal_kron_mixed_dims(self, channels):
+        assert_tensor_is_kron(channels)
+
+    def test_tensor_calls_no_kron(self, monkeypatch):
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        channel = tensor([bit_flip(0.1), depolarizing(0.2), amplitude_damping(0.3)])
+        assert channel.operators.shape == (16, 8, 8)
 
     def test_compose_with_identity_is_noop(self):
         channel = depolarizing(0.3)
@@ -195,6 +300,80 @@ class TestClassify:
             classify(channel, zero_tol=1e-6).channel_class
             is ChannelClass.STRICTLY_INCOHERENT
         )
+
+
+# Entries of the patterned stacks: mostly zeros, some exactly at zero_tol
+# (|x| > zero_tol is False there), the rest small enough that the drawn
+# operators keep sum K^dag K below I.
+AT_TOL = ("tol", "-tol", "itol")
+PATTERN_VALUES = (0.0,) * 5 + AT_TOL + (0.1, -0.05j, 0.07 + 0.02j, 1e-13)
+
+
+@st.composite
+def patterned_channels(draw):
+    """A complete channel whose leading operators carry a random sparse
+    pattern; the completion operators sqrt(lam) |t><v| have one nonzero row
+    each, so they add row violations only."""
+    zero_tol = draw(st.sampled_from([0.0, 1e-12, 0.05, 0.1]))
+    dim = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 4))
+    scale = {"tol": zero_tol, "-tol": -zero_tol, "itol": 1j * zero_tol}
+    cells = draw(
+        st.lists(
+            st.sampled_from(PATTERN_VALUES),
+            min_size=count * dim * dim,
+            max_size=count * dim * dim,
+        )
+    )
+    pattern = np.array(
+        [scale.get(c, c) for c in cells], dtype=np.complex128
+    ).reshape(count, dim, dim)
+    gram = sum(op.conj().T @ op for op in pattern)
+    lam, vecs = np.linalg.eigh(np.eye(dim) - gram)
+    targets = draw(st.lists(st.integers(0, dim - 1), min_size=dim, max_size=dim))
+    completion = np.zeros((dim, dim, dim), dtype=np.complex128)
+    for j, t in enumerate(targets):
+        completion[j, t, :] = np.sqrt(lam[j]) * vecs[:, j].conj()
+    return KrausChannel(list(pattern) + list(completion)), zero_tol
+
+
+def assert_classify_matches_loop(channel, zero_tol):
+    result = classify(channel, zero_tol)
+    name, witness = classify_loop(channel.operators, zero_tol)
+    assert result.channel_class.value == name
+    if witness is None:
+        assert result.witness is None
+    else:
+        w = result.witness
+        assert (w.operator_index, w.axis, w.index, w.positions) == witness
+
+
+class TestClassifyDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(patterned_channels())
+    def test_matches_loop_oracle(self, drawn):
+        assert_classify_matches_loop(*drawn)
+
+    def test_row_violation_before_column_violation(self):
+        row_only = np.array([[0.5, 0.5], [0, 0]])  # row 0 twice, columns once
+        column = np.array([[0.5, 0], [0.5, 0]])  # column 0 twice
+        row_only_too = np.array([[0.5, -0.5], [0, 0]])
+        rest = np.diag([0.0, np.sqrt(0.5)])
+        channel = KrausChannel([row_only, column, row_only_too, rest])
+        result = classify(channel)
+        assert result.channel_class is ChannelClass.NOT_INCOHERENT
+        assert result.witness == ClassificationWitness(1, "column", 0, (0, 1))
+        assert_classify_matches_loop(channel, 0.0)
+
+    def test_first_of_several_violating_operators(self):
+        a = np.array([[0, 0.5, 0], [0, 0.5, 0], [0.5, 0, 0]])  # column 1
+        b = np.array([[0.5, 0, 0], [0.5, 0, 0], [0, 0, 0]])  # column 0
+        gram = a.conj().T @ a + b.conj().T @ b
+        rest = np.diag(np.sqrt(1.0 - np.diag(gram)))
+        channel = KrausChannel([a, b, rest])
+        result = classify(channel)
+        assert result.witness == ClassificationWitness(0, "column", 1, (0, 1))
+        assert_classify_matches_loop(channel, 0.0)
 
 
 class TestFactories:

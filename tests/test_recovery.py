@@ -13,6 +13,7 @@ from cohfreeze import (
     bit_flip,
     certify_freezing,
     classify,
+    depolarizing,
     dephase,
     from_pure,
     identity_channel,
@@ -26,6 +27,7 @@ from cohfreeze import (
     tensor,
 )
 from cohfreeze.linalg import max_abs
+from cohfreeze.recovery import _recovery_weights
 
 from oracles import brute_apply
 
@@ -125,6 +127,30 @@ class TestPetzRecovery:
         via_loop = brute_apply(recovery.operators, rho_t.matrix)
         np.testing.assert_allclose(
             apply_channel(recovery, rho_t).matrix, via_loop, atol=1e-13
+        )
+
+    @pytest.mark.parametrize(
+        "channel, probs, singular",
+        [
+            (tensor([bit_flip(0.3), depolarizing(0.2)]), [0.1, 0.2, 0.3, 0.4], False),
+            (random_sio_channel(5, 3, seed=4), [0.3, 0.1, 0.2, 0.15, 0.25], False),
+            (tensor([amplitude_damping(1.0), bit_flip(0.4)]), [0.1, 0.2, 0.3, 0.4], True),
+        ],
+        ids=["regular", "regular-sio", "singular"],
+    )
+    def test_operators_equal_per_operator_expression(self, channel, probs, singular):
+        delta0 = diagonal_state(probs)
+        sqrt0, inv_sqrt, kernel = _recovery_weights(
+            delta0, apply_channel(channel, delta0)
+        )
+        expected = [
+            sqrt0[:, None] * op.conj().T * inv_sqrt[None, :] for op in channel.operators
+        ]
+        if kernel.any():
+            expected.append(np.diag(kernel.astype(np.complex128)))
+        assert bool(kernel.any()) == singular
+        np.testing.assert_array_equal(
+            petz_recovery(channel, delta0).operators, np.array(expected)
         )
 
 
