@@ -69,13 +69,14 @@ def _operator_stack(operators) -> np.ndarray:
     return ops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A CPTP map given by its Kraus operators.
 
     `operators` may be a sequence of d x d matrices or an (n, d, d) array; it
     is stored as one read-only complex (n, d, d) array. Construction verifies
-    completeness: sum K^dag K = I within COMPLETENESS_TOL.
+    completeness: sum K^dag K = I within COMPLETENESS_TOL. Equality and
+    hashing are by identity.
     """
 
     operators: np.ndarray
@@ -128,19 +129,18 @@ def _superoperator(channel: KrausChannel) -> np.ndarray:
     return np.einsum("nab,ncd->acbd", ops, ops.conj()).reshape(d * d, d * d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalChannel:
     """The tensor product of its factors, stored as the factors alone.
 
     Each factor is a validated KrausChannel of any dimension; dim is the
     product of theirs. `operators` is a read-only sequence whose items are
-    the Kronecker products tensor() would store, built on demand.
+    the Kronecker products tensor() would store, built on demand. Equality
+    and hashing are by identity.
     """
 
     factors: tuple[KrausChannel, ...]
-    _superoperators: tuple[np.ndarray, ...] = field(
-        init=False, repr=False, compare=False
-    )
+    _superoperators: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         factors = tuple(self.factors)

@@ -28,7 +28,7 @@ from .experiments import (
 )
 from .recovery import CERTIFICATE_TOL, certify_freezing
 from .specs import parse_channel_spec, parse_state_spec, parse_sweep_file
-from .states import canonical_bitstrings
+from .states import _random_weights, canonical_bitstrings
 
 EXIT_OK = 0
 EXIT_NOT_FROZEN = 1
@@ -38,7 +38,8 @@ EXIT_NUMERICAL = 4
 
 OUTDIR_ENV = "COHFREEZE_OUTDIR"
 
-# Fixed draw seeds for the mixed-family preset; recorded in the CSV metadata.
+# Fixed draw seeds for the mixed-family preset; each row's case label names
+# its seed.
 _MIXED_PRESET_SEEDS = (11, 12, 13, 14, 15)
 _BROMLEY_C1 = (-0.8, 0.0, 0.6)
 _BROMLEY_C3 = (-0.5, 0.0, 0.9)
@@ -160,21 +161,26 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _write_preset(path: Path, cases, timestamp: bool) -> tuple[float, float]:
+    """Write a preset's (case label, FamilyReport) pairs as one labelled CSV
+    and return the worst c_rel_ent and c_l1 deviations over its cases."""
+    _write_csv(path, _labelled_csv([(label, r.table) for label, r in cases]), timestamp)
+    return (
+        max(r.max_cr_deviation for _, r in cases),
+        max(r.max_cl1_deviation for _, r in cases),
+    )
+
+
 def _preset_pure(out_dir: Path, timestamp: bool) -> list[str]:
     lines = []
     for n in (2, 3):
-        grids = default_heterogeneous_grids(n)
-        tables = []
-        worst_cr = 0.0
-        worst_l1 = 0.0
-        for bits in canonical_bitstrings(n):
-            for sign in ("+", "-"):
-                report = reproduce_pure_family(n, bits, sign, grids)
-                tables.append((f"l={bits} sign={sign}", report.table))
-                worst_cr = max(worst_cr, report.max_cr_deviation)
-                worst_l1 = max(worst_l1, report.max_cl1_deviation)
+        cases = [
+            (f"l={bits} sign={sign}", reproduce_pure_family(n, bits, sign))
+            for bits in canonical_bitstrings(n)
+            for sign in ("+", "-")
+        ]
         path = out_dir / f"pure-family-N{n}.csv"
-        _write_csv(path, _labelled_csv(tables), timestamp)
+        worst_cr, worst_l1 = _write_preset(path, cases, timestamp)
         lines.append(
             f"PASS pure-family N={n}: max |c_rel_ent - 1| {worst_cr:.3e}, "
             f"max |c_l1 - 1| {worst_l1:.3e} -> {path}"
@@ -186,19 +192,14 @@ def _preset_mixed(out_dir: Path, timestamp: bool) -> list[str]:
     lines = []
     for n in (2, 3):
         grids = default_heterogeneous_grids(n, points=4)
-        tables = []
-        worst = 0.0
+        cases = []
         for seed in _MIXED_PRESET_SEEDS:
             rng = np.random.default_rng(seed)
             p = float(rng.uniform(0.0, 1.0))
-            raw = rng.random(2 ** (n - 1))
-            raw /= raw.sum()
-            weights = dict(zip(canonical_bitstrings(n), raw.tolist()))
-            report = reproduce_mixed_family(n, p, weights, grids, seed=seed)
-            tables.append((f"seed={seed} p={p:.6g}", report.table))
-            worst = max(worst, report.max_cr_deviation)
+            report = reproduce_mixed_family(n, p, _random_weights(n, rng), grids)
+            cases.append((f"seed={seed} p={p:.6g}", report))
         path = out_dir / f"mixed-family-N{n}.csv"
-        _write_csv(path, _labelled_csv(tables), timestamp)
+        worst, _ = _write_preset(path, cases, timestamp)
         lines.append(
             f"PASS mixed-family N={n}: max |c_rel_ent - (1 - H(p))| {worst:.3e} "
             f"-> {path}"
@@ -207,15 +208,13 @@ def _preset_mixed(out_dir: Path, timestamp: bool) -> list[str]:
 
 
 def _preset_bromley(out_dir: Path, timestamp: bool) -> list[str]:
-    tables = []
-    worst = 0.0
-    for c1 in _BROMLEY_C1:
-        for c3 in _BROMLEY_C3:
-            report = bromley_report(c1, c3)
-            tables.append((f"c1={c1:g} c3={c3:g}", report.table))
-            worst = max(worst, report.max_cr_deviation)
+    cases = [
+        (f"c1={c1:g} c3={c3:g}", bromley_report(c1, c3))
+        for c1 in _BROMLEY_C1
+        for c3 in _BROMLEY_C3
+    ]
     path = out_dir / "bromley.csv"
-    _write_csv(path, _labelled_csv(tables), timestamp)
+    worst, _ = _write_preset(path, cases, timestamp)
     return [
         f"PASS bromley: max |c_rel_ent - (1 - H(p))| {worst:.3e} -> {path}"
     ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CHANNEL_FACTORIES, KrausChannel, apply_channel, tensor
+from .channels import CHANNEL_FACTORIES, KrausChannel, tensor
 from .coherence import c_l1
 from .errors import (
     DimensionTooLargeError,
@@ -206,12 +206,11 @@ def _labelled_csv(tables: list[tuple[str, TrajectoryTable]]) -> str:
 
 
 def _evaluate_grid(spec: SweepSpec):
-    """Yield (point, channel, certificate, table row) per grid point; the
-    row's measures are the certificate's values for the evolved state."""
+    """Yield (point, certificate, table row) per grid point; the row's
+    measures are the certificate's values for its evolved state."""
     for point in spec.grid_points():
-        channel = spec.channel_at(point)
         certificate = certify_freezing(
-            channel, spec.state, tol=spec.certificate_tol
+            spec.channel_at(point), spec.state, tol=spec.certificate_tol
         )
         row = TrajectoryRow(
             params=tuple(float(v) for v in point),
@@ -222,31 +221,31 @@ def _evaluate_grid(spec: SweepSpec):
             recovery_residual_state=certificate.recovery_residual_state,
             recovery_residual_diag=certificate.recovery_residual_diag,
         )
-        yield point, channel, certificate, row
+        yield point, certificate, row
 
 
-def _metadata(spec: SweepSpec, freezing_tol: float | None = None):
+def _metadata(spec: SweepSpec):
     return (
         ("state", spec.state_label or f"dim={spec.state.dim}"),
         ("channel", " x ".join(spec.factors)),
         ("tie_parameters", "true" if spec.tie_parameters else "false"),
-        ("freezing_tol", _fmt(spec.freezing_tol if freezing_tol is None else freezing_tol)),
+        ("freezing_tol", _fmt(spec.freezing_tol)),
         ("certificate_tol", _fmt(spec.certificate_tol)),
         ("seed", "none" if spec.seed is None else str(spec.seed)),
     )
 
 
-def _table(spec: SweepSpec, rows, freezing_tol: float | None = None) -> TrajectoryTable:
+def _table(spec: SweepSpec, rows) -> TrajectoryTable:
     return TrajectoryTable(
         parameter_names=spec.parameter_names,
         rows=tuple(rows),
-        metadata=_metadata(spec, freezing_tol),
+        metadata=_metadata(spec),
     )
 
 
 def run_sweep(spec: SweepSpec) -> TrajectoryTable:
     """Evaluate measures and the freezing certificate at every grid point."""
-    return _table(spec, (row for _, _, _, row in _evaluate_grid(spec)))
+    return _table(spec, (row for _, _, row in _evaluate_grid(spec)))
 
 
 @dataclass(frozen=True)
@@ -295,7 +294,6 @@ def bitflip_transfer_weights(bits: str, qs) -> dict[str, float]:
 class FamilyReport:
     """Summary of one family reproduction run; every grid point passed."""
 
-    name: str
     expected_c_rel_ent: float
     max_cr_deviation: float
     max_cl1_deviation: float
@@ -311,30 +309,29 @@ def reproduce_pure_family(
     *,
     tol: float = 1e-9,
 ) -> FamilyReport:
-    """Check that both panel measures stay at 1 for (|l> +/- |l~>)/sqrt(2)
-    under heterogeneous local bit flips, with Frozen certificates throughout,
-    and cross-check the evolved state against its analytic mixture form.
+    """Check that both panel measures stay at 1 for (|l> +/- |l~>)/sqrt(2),
+    the mixed family's one-weight case with p = 1 or 0, under heterogeneous
+    local bit flips, with Frozen certificates throughout, and cross-check the
+    evolved state against its analytic mixture form.
     """
     if len(bits) != num_qubits:
         raise ValidationError("bit string length must match the qubit count")
     _require_supported_qubits(num_qubits)
     sign_value = _parse_sign(sign)
-    state = phi_state(bits, sign_value)
-    if grids is None:
-        grids = default_heterogeneous_grids(num_qubits)
-    label = f"phi N={num_qubits} l={bits} sign={'+' if sign_value > 0 else '-'}"
+    family = MixedFamilySpec(p=(1 + sign_value) / 2, weights={bits: 1.0})
+    sign_text = "+" if sign_value > 0 else "-"
     spec = SweepSpec(
-        state=state,
+        state=phi_state(bits, sign_value),
         factors=("bitflip",) * num_qubits,
-        grids=grids,
-        state_label=label,
+        grids=default_heterogeneous_grids(num_qubits) if grids is None else grids,
+        state_label=f"phi N={num_qubits} l={bits} sign={sign_text}",
     )
 
     def analytic(point):
         weights = bitflip_transfer_weights(bits, point)
-        return mixed_family(MixedFamilySpec(p=(1 + sign_value) / 2, weights=weights))
+        return mixed_family(MixedFamilySpec(p=family.p, weights=weights))
 
-    return _reproduce(spec, label, 1.0, tol, analytic)
+    return _reproduce(spec, family, tol, analytic)
 
 
 def reproduce_mixed_family(
@@ -344,27 +341,20 @@ def reproduce_mixed_family(
     grids: tuple[tuple[float, ...], ...] | None = None,
     *,
     tol: float = 1e-9,
-    seed: int | None = None,
 ) -> FamilyReport:
     """Check that c_rel_ent stays at 1 - H(p) for the +/- mixture family
     under heterogeneous local bit flips, with Frozen certificates."""
-    spec_state = MixedFamilySpec(p=p, weights=weights)
-    if spec_state.num_qubits != num_qubits:
+    family = MixedFamilySpec(p=p, weights=weights)
+    if family.num_qubits != num_qubits:
         raise ValidationError("weights do not match the qubit count")
     _require_supported_qubits(num_qubits)
-    state = mixed_family(spec_state)
-    expected = 1.0 - binary_entropy(p)
-    if grids is None:
-        grids = default_heterogeneous_grids(num_qubits)
-    label = f"mixed N={num_qubits} p={p:g}"
     spec = SweepSpec(
-        state=state,
+        state=mixed_family(family),
         factors=("bitflip",) * num_qubits,
-        grids=grids,
-        state_label=label,
-        seed=seed,
+        grids=default_heterogeneous_grids(num_qubits) if grids is None else grids,
+        state_label=f"mixed N={num_qubits} p={p:g}",
     )
-    return _reproduce(spec, label, expected, tol)
+    return _reproduce(spec, family, tol)
 
 
 def bromley_report(
@@ -376,36 +366,35 @@ def bromley_report(
 ) -> FamilyReport:
     """The two-qubit Bromley-Cianciaruso-Adesso state under identical local
     bit flips (tied q)."""
-    spec_state = bromley_spec(2, c1, c3)
-    state = mixed_family(spec_state)
-    expected = 1.0 - binary_entropy(spec_state.p)
-    label = f"bromley N=2 c1={c1:g} c3={c3:g}"
+    family = bromley_spec(2, c1, c3)
     spec = SweepSpec(
-        state=state,
+        state=mixed_family(family),
         factors=("bitflip", "bitflip"),
         grids=(tuple(np.linspace(0.0, 1.0, grid_points)),),
         tie_parameters=True,
-        state_label=label,
+        state_label=f"bromley N=2 c1={c1:g} c3={c3:g}",
     )
-    return _reproduce(spec, label, expected, tol)
+    return _reproduce(spec, family, tol)
 
 
 def _reproduce(
     spec: SweepSpec,
-    label: str,
-    expected: float,
+    family: MixedFamilySpec,
     tol: float,
     analytic=None,
 ) -> FamilyReport:
-    """Run a sweep asserting at every grid point that c_rel_ent == expected,
-    c_l1 == c_l1(spec.state) and the certificate is Frozen; with analytic
-    (grid point -> DensityMatrix), also that the evolved state matches it."""
+    """Run a sweep whose state, spec.state, is mixed_family(family), asserting
+    at every grid point that c_rel_ent == 1 - H(family.p), c_l1 ==
+    c_l1(spec.state) and the certificate is Frozen; with analytic (grid point
+    -> DensityMatrix), also that the certificate's evolved state matches it."""
+    label = spec.state_label
+    expected = 1.0 - binary_entropy(family.p)
     base_l1 = c_l1(spec.state)
     rows = []
     max_cr = 0.0
     max_l1 = 0.0
     max_transfer = 0.0
-    for point, channel, certificate, row in _evaluate_grid(spec):
+    for point, certificate, row in _evaluate_grid(spec):
         cr_error = abs(row.c_rel_ent - expected)
         l1_error = abs(row.c_l1 - base_l1)
         max_cr = max(max_cr, cr_error)
@@ -421,8 +410,9 @@ def _reproduce(
                 f"({','.join(certificate.failed_checks)})"
             )
         if analytic is not None:
-            rho_t = apply_channel(channel, spec.state)
-            residual = max_abs(rho_t.matrix - analytic(point).matrix)
+            residual = max_abs(
+                certificate.final_state.matrix - analytic(point).matrix
+            )
             max_transfer = max(max_transfer, residual)
             if residual > TRANSFER_TOL:
                 raise NumericalInconsistencyError(
@@ -431,10 +421,9 @@ def _reproduce(
                 )
         rows.append(row)
     return FamilyReport(
-        name=label,
         expected_c_rel_ent=expected,
         max_cr_deviation=max_cr,
         max_cl1_deviation=max_l1,
         max_transfer_residual=max_transfer,
-        table=_table(spec, rows, tol),
+        table=_table(spec, rows),
     )

@@ -23,7 +23,7 @@ the Kraus list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,6 +134,10 @@ class FreezingCertificate:
     verdict is "Frozen" only if the relative-entropy deviation, both recovery
     residuals, and the incoherence of the recovery operators all pass at tol;
     otherwise failed_checks names every check that failed.
+
+    final_state is the evolved state channel(rho0) that the final measures
+    and the round trip were computed from. It takes no part in equality,
+    repr or to_text().
     """
 
     cr_initial: float
@@ -149,6 +153,7 @@ class FreezingCertificate:
     verdict: str
     failed_checks: tuple[str, ...]
     tol: float
+    final_state: DensityMatrix = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.verdict == "NotFrozen" and not self.failed_checks:
@@ -274,4 +279,5 @@ def certify_freezing(
         verdict=verdict,
         failed_checks=failed,
         tol=tol,
+        final_state=rho_t,
     )

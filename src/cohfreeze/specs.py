@@ -37,8 +37,8 @@ from .recovery import CERTIFICATE_TOL
 from .states import (
     DensityMatrix,
     MixedFamilySpec,
+    _random_weights,
     basis_state,
-    canonical_bitstrings,
     from_pure,
     mixed_family,
     phi_state,
@@ -202,10 +202,7 @@ def parse_state_spec(text: str) -> DensityMatrix:
             _reject_unknown(kwargs, "mixed")
             if seed < 0:
                 raise OutOfRangeError(f"seed must be non-negative, got {seed}")
-            rng = np.random.default_rng(seed)
-            raw = rng.random(2 ** (n - 1))
-            raw /= raw.sum()
-            weights = dict(zip(canonical_bitstrings(n), raw.tolist()))
+            weights = _random_weights(n, np.random.default_rng(seed))
         else:
             _reject_unknown(kwargs, "mixed")
             weights = {}

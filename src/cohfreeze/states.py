@@ -58,12 +58,13 @@ def canonical_bitstrings(num_qubits: int) -> list[str]:
     return [format(i, f"0{num_qubits}b") for i in range(2 ** (num_qubits - 1))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A quantum state: Hermitian, unit-trace, positive semidefinite.
 
     Marginally negative spectra (down to -PSD_TOL) are repaired by clipping;
-    anything worse is rejected. The stored array is immutable.
+    anything worse is rejected. The stored array is immutable. Equality and
+    hashing are by identity: compare `.matrix` to compare entries.
     """
 
     matrix: np.ndarray
@@ -143,19 +144,15 @@ def _parse_sign(sign) -> int:
 
 
 def phi_state(bits: str, sign) -> DensityMatrix:
-    """The pure state (|l> + sign*|l-complement>)/sqrt(2), l starting with 0."""
+    """The pure state (|l> + sign*|l-complement>)/sqrt(2), l starting with 0:
+    the mixed family with the one weight {l: 1} and p = (1 + sign)/2."""
     check_bits(bits)
     if bits[0] != "0":
         raise InvalidCanonicalFormError(
             f"bit string must start with 0, got {bits!r}"
         )
     s = _parse_sign(sign)
-    dim = 2 ** len(bits)
-    i, j = bit_index(bits), bit_index(complement(bits))
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[i, i] = mat[j, j] = 0.5
-    mat[i, j] = mat[j, i] = 0.5 * s
-    return DensityMatrix(mat)
+    return mixed_family(MixedFamilySpec(p=(1 + s) / 2, weights={bits: 1.0}))
 
 
 @dataclass(frozen=True)
@@ -206,6 +203,13 @@ def mixed_family(spec: MixedFamilySpec) -> DensityMatrix:
         mat[i, j] += off
         mat[j, i] += off
     return DensityMatrix(mat)
+
+
+def _random_weights(num_qubits: int, rng: np.random.Generator) -> dict[str, float]:
+    """Uniform draws over the canonical bit strings, normalised to sum 1."""
+    raw = rng.random(2 ** (num_qubits - 1))
+    raw /= raw.sum()
+    return dict(zip(canonical_bitstrings(num_qubits), raw.tolist()))
 
 
 def bromley_spec(num_qubits: int, c1: float, c3: float) -> MixedFamilySpec:

@@ -427,6 +427,25 @@ class TestLocalChannel:
             local_channel([("squeeze", 0.5)])
 
 
+class TestIdentityEquality:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: phi_state("01", "-"),
+            lambda: bit_flip(0.1),
+            lambda: local_channel([("bitflip", 0.1), ("phaseflip", 0.3)]),
+        ],
+        ids=["DensityMatrix", "KrausChannel", "LocalChannel"],
+    )
+    def test_eq_and_hash_do_not_raise(self, make):
+        a, b = make(), make()
+        assert a == a
+        assert (a == b) is False  # equal entries, distinct objects
+        assert (a != b) is True
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
+
 class TestMonotonicity:
     def test_sio_channels_keep_diagonal_states_diagonal(self):
         for seed in range(8):

@@ -256,7 +256,7 @@ class TestReproduceMixedFamily:
         raw = rng.random(2)
         raw /= raw.sum()
         weights = dict(zip(canonical_bitstrings(2), raw.tolist()))
-        report = reproduce_mixed_family(2, 0.9, weights, seed=11)
+        report = reproduce_mixed_family(2, 0.9, weights)
         assert report.expected_c_rel_ent == pytest.approx(
             0.5310044064107189, abs=1e-12
         )

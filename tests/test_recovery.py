@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from cohfreeze import (
     NotDiagonalError,
     NotIncoherentChannelError,
     NotStrictlyIncoherentError,
+    SweepSpec,
     amplitude_damping,
     apply_channel,
     bit_flip,
     certify_freezing,
     classify,
     depolarizing,
+    default_heterogeneous_grids,
     dephase,
     from_pure,
     identity_channel,
@@ -207,6 +211,29 @@ class TestCertifyFreezing:
             certificate.cr_deviation, abs=1e-15
         )
         assert lines["recovery_incoherent"] == "true"
+
+    @pytest.mark.parametrize("case", ["sio", "sweep-tensor", "local"])
+    def test_final_state_is_the_evolved_state(self, case):
+        if case == "sio":
+            rho0 = random_density(4, 2, seed=61)
+            channel = random_sio_channel(4, 3, seed=62)
+        elif case == "sweep-tensor":
+            spec = SweepSpec(
+                state=phi_state("010", "-"),
+                factors=("bitflip",) * 3,
+                grids=default_heterogeneous_grids(3),
+            )
+            rho0, channel = spec.state, spec.channel_at((0.2, 0.5, 0.7))
+        else:
+            rho0 = phi_state("01", "+")
+            channel = local_channel([("bitflip", 0.3), ("bitflip", 0.85)])
+        certificate = certify_freezing(channel, rho0)
+        np.testing.assert_array_equal(
+            certificate.final_state.matrix, apply_channel(channel, rho0).matrix
+        )
+        assert "final_state" not in repr(certificate)
+        assert "final_state" not in certificate.to_text()
+        assert dataclasses.replace(certificate, final_state=rho0) == certificate
 
     def test_trace_preservation_of_recovery(self):
         for seed in range(15):

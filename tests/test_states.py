@@ -163,10 +163,21 @@ class TestPhiState:
 
 class TestMixedFamily:
     def test_degenerate_mixture_is_ghz(self):
-        spec = MixedFamilySpec(p=1.0, weights={"000": 1.0})
-        np.testing.assert_allclose(
-            mixed_family(spec).matrix, phi_state("000", "+").matrix, atol=1e-15
-        )
+        # every canonical string and sign: p = 1 (+) or 0 (-), one weight,
+        # equal bit for bit to phi_state and to its four entries set by hand
+        for n in range(1, 7):
+            dim = 2**n
+            for bits in canonical_bitstrings(n):
+                i, j = bit_index(bits), bit_index(complement(bits))
+                for sign, p in (("+", 1.0), ("-", 0.0)):
+                    spec = MixedFamilySpec(p=p, weights={bits: 1.0})
+                    expected = np.zeros((dim, dim), dtype=complex)
+                    expected[i, i] = expected[j, j] = 0.5
+                    expected[i, j] = expected[j, i] = 0.5 if sign == "+" else -0.5
+                    np.testing.assert_array_equal(mixed_family(spec).matrix, expected)
+                    np.testing.assert_array_equal(
+                        phi_state(bits, sign).matrix, expected
+                    )
 
     def test_half_mixture_is_incoherent(self):
         spec = MixedFamilySpec(p=0.5, weights={"00": 0.3, "01": 0.7})
