@@ -35,11 +35,12 @@ def c_l1(rho: DensityMatrix) -> float:
 
 
 def c_rel_ent(rho: DensityMatrix) -> float:
-    """S(diag(rho)) - S(rho), in bits."""
+    """S(diag(rho)) - S(rho), in bits; S(rho) from the spectrum that
+    validation stored on rho."""
     if c_l1(rho) == 0.0:
         return 0.0
     diag_entropy = entropy_bits(rho.matrix.diagonal().real)
-    value = diag_entropy - entropy_bits(np.linalg.eigvalsh(rho.matrix))
+    value = diag_entropy - entropy_bits(rho.eigenvalues)
     if value < 0.0:
         if value < -NEGATIVE_FLOOR:
             raise NumericalInconsistencyError(

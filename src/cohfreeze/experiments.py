@@ -26,6 +26,7 @@ from .recovery import CERTIFICATE_TOL, certify_freezing
 from .states import (
     DensityMatrix,
     MixedFamilySpec,
+    _mixed_family_matrix,
     _parse_sign,
     bromley_spec,
     canonical_bitstrings,
@@ -94,7 +95,6 @@ class SweepSpec:
     freezing_tol: float = FREEZING_TOL
     certificate_tol: float = CERTIFICATE_TOL
     state_label: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.factors:
@@ -144,13 +144,37 @@ class SweepSpec:
     def grid_points(self):
         yield from itertools.product(*self.grids)
 
+    def _per_factor(self, values: tuple) -> tuple:
+        """A grid point, index or grid tuple spread to one entry per factor."""
+        return values * len(self.factors) if self.tie_parameters else values
+
     def channel_at(self, point: tuple[float, ...]) -> KrausChannel:
-        params = point * len(self.factors) if self.tie_parameters else point
-        # Dense, not local_channel: the sweep and preset CSVs are pinned byte
-        # for byte, and factor-by-factor arithmetic moves their last digits.
-        return tensor(
-            [CHANNEL_FACTORIES[kind][1](q) for kind, q in zip(self.factors, params)]
+        return _dense(
+            [
+                CHANNEL_FACTORIES[kind][1](q)
+                for kind, q in zip(self.factors, self._per_factor(point))
+            ]
         )
+
+    def channels(self):
+        """Yield (point, channel_at(point)) over grid_points(), building each
+        factor channel once per grid value instead of once per point."""
+        built = [
+            [CHANNEL_FACTORIES[kind][1](q) for q in grid]
+            for kind, grid in zip(self.factors, self._per_factor(self.grids))
+        ]
+        indices = itertools.product(*(range(len(g)) for g in self.grids))
+        for point, index in zip(self.grid_points(), indices):
+            yield point, _dense(
+                [column[i] for column, i in zip(built, self._per_factor(index))]
+            )
+
+
+def _dense(factor_channels: list[KrausChannel]) -> KrausChannel:
+    """A sweep point's channel. Dense, not local_channel: the sweep and
+    preset CSVs are pinned byte for byte, and factor-by-factor arithmetic
+    moves their last digits."""
+    return tensor(factor_channels)
 
 
 @dataclass(frozen=True)
@@ -208,10 +232,8 @@ def _labelled_csv(tables: list[tuple[str, TrajectoryTable]]) -> str:
 def _evaluate_grid(spec: SweepSpec):
     """Yield (point, certificate, table row) per grid point; the row's
     measures are the certificate's values for its evolved state."""
-    for point in spec.grid_points():
-        certificate = certify_freezing(
-            spec.channel_at(point), spec.state, tol=spec.certificate_tol
-        )
+    for point, channel in spec.channels():
+        certificate = certify_freezing(channel, spec.state, tol=spec.certificate_tol)
         row = TrajectoryRow(
             params=tuple(float(v) for v in point),
             c_l1=certificate.c_l1_final,
@@ -231,7 +253,8 @@ def _metadata(spec: SweepSpec):
         ("tie_parameters", "true" if spec.tie_parameters else "false"),
         ("freezing_tol", _fmt(spec.freezing_tol)),
         ("certificate_tol", _fmt(spec.certificate_tol)),
-        ("seed", "none" if spec.seed is None else str(spec.seed)),
+        # No sweep draws random numbers; the line keeps the CSV layout.
+        ("seed", "none"),
     )
 
 
@@ -329,7 +352,7 @@ def reproduce_pure_family(
 
     def analytic(point):
         weights = bitflip_transfer_weights(bits, point)
-        return mixed_family(MixedFamilySpec(p=family.p, weights=weights))
+        return _mixed_family_matrix(MixedFamilySpec(p=family.p, weights=weights))
 
     return _reproduce(spec, family, tol, analytic)
 
@@ -386,7 +409,8 @@ def _reproduce(
     """Run a sweep whose state, spec.state, is mixed_family(family), asserting
     at every grid point that c_rel_ent == 1 - H(family.p), c_l1 ==
     c_l1(spec.state) and the certificate is Frozen; with analytic (grid point
-    -> DensityMatrix), also that the certificate's evolved state matches it."""
+    -> the analytic mixture's unvalidated matrix), also that the certificate's
+    evolved state matches it."""
     label = spec.state_label
     expected = 1.0 - binary_entropy(family.p)
     base_l1 = c_l1(spec.state)
@@ -410,9 +434,7 @@ def _reproduce(
                 f"({','.join(certificate.failed_checks)})"
             )
         if analytic is not None:
-            residual = max_abs(
-                certificate.final_state.matrix - analytic(point).matrix
-            )
+            residual = max_abs(certificate.final_state.matrix - analytic(point))
             max_transfer = max(max_transfer, residual)
             if residual > TRANSFER_TOL:
                 raise NumericalInconsistencyError(

@@ -43,7 +43,7 @@ def matrix_of(state) -> np.ndarray:
 
 
 def max_abs(array) -> float:
-    return float(np.max(np.abs(array)))
+    return float(np.abs(array).max())
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:

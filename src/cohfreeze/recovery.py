@@ -78,7 +78,16 @@ def petz_recovery(
     """
     if not delta0.is_diagonal():
         raise NotDiagonalError("reference state must be diagonal")
-    classification = classify(channel)
+    return _recovery_channel(channel, classify(channel), delta0)
+
+
+def _recovery_channel(
+    channel: KrausChannel | LocalChannel,
+    classification: ChannelClassification,
+    delta0: DensityMatrix,
+) -> KrausChannel:
+    """petz_recovery for a diagonal delta0, given the channel's
+    classification instead of classifying it again."""
     if classification.channel_class is ChannelClass.NOT_INCOHERENT:
         raise NotIncoherentChannelError(
             "channel is not incoherent: " + classification.witness.describe()
@@ -241,7 +250,8 @@ def certify_freezing(
             ChannelClass.STRICTLY_INCOHERENT, None
         )
     else:
-        recovery = petz_recovery(channel, delta0)
+        # delta0 = dephase(rho0) is diagonal by construction.
+        recovery = _recovery_channel(channel, classification, delta0)
         recovered_state = apply_channel(recovery, rho_t)
         recovered_diag = apply_channel(recovery, delta_t)
         recovery_classification = classify(recovery)

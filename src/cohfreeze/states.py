@@ -7,7 +7,7 @@ a bit string l is sum(l_i * 2**(N-i)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -58,26 +58,40 @@ def canonical_bitstrings(num_qubits: int) -> list[str]:
     return [format(i, f"0{num_qubits}b") for i in range(2 ** (num_qubits - 1))]
 
 
+def _spectrum(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix. With every off-diagonal
+    entry exactly zero they are the sorted real diagonal: the values eigvalsh
+    returns for such a matrix, bit for bit up to the sign of a zero, without
+    calling LAPACK."""
+    diagonal = mat.diagonal()
+    if np.count_nonzero(mat) == np.count_nonzero(diagonal):
+        return np.sort(diagonal.real)
+    return np.linalg.eigvalsh(mat)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A quantum state: Hermitian, unit-trace, positive semidefinite.
 
     Marginally negative spectra (down to -PSD_TOL) are repaired by clipping;
-    anything worse is rejected. The stored array is immutable. Equality and
+    anything worse is rejected. The stored array and its ascending spectrum
+    `eigenvalues`, computed once by validation, are immutable. Equality and
     hashing are by identity: compare `.matrix` to compare entries.
     """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix).copy()
         defect = hermiticity_defect(mat)
         if defect > HERMITIAN_TOL:
             raise ValidationError(f"not Hermitian: defect {defect:.3e}")
-        trace_defect = abs(complex(np.trace(mat)) - 1.0)
+        trace_defect = abs(complex(mat.trace()) - 1.0)
         if trace_defect > TRACE_TOL:
             raise ValidationError(f"trace differs from 1 by {trace_defect:.3e}")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
+        eigenvalues = _spectrum(mat)
+        smallest = float(eigenvalues[0])
         if smallest < -PSD_TOL:
             raise ValidationError(
                 f"not positive semidefinite: smallest eigenvalue {smallest:.3e}"
@@ -87,8 +101,11 @@ class DensityMatrix:
             vals = np.clip(vals, 0.0, None)
             mat = (vecs * vals) @ vecs.conj().T
             mat /= np.trace(mat).real
+            eigenvalues = _spectrum(mat)
         mat.setflags(write=False)
+        eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def dim(self) -> int:
@@ -191,6 +208,11 @@ class MixedFamilySpec:
 
 def mixed_family(spec: MixedFamilySpec) -> DensityMatrix:
     """sum_l w_l (p |phi_l+><phi_l+| + (1-p) |phi_l-><phi_l-|)."""
+    return DensityMatrix(_mixed_family_matrix(spec))
+
+
+def _mixed_family_matrix(spec: MixedFamilySpec) -> np.ndarray:
+    """mixed_family(spec)'s matrix, built without validating it."""
     dim = 2**spec.num_qubits
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for bits, w in spec.weights.items():
@@ -202,7 +224,7 @@ def mixed_family(spec: MixedFamilySpec) -> DensityMatrix:
         off = 0.5 * w * (2.0 * spec.p - 1.0)
         mat[i, j] += off
         mat[j, i] += off
-    return DensityMatrix(mat)
+    return mat
 
 
 def _random_weights(num_qubits: int, rng: np.random.Generator) -> dict[str, float]:

@@ -28,6 +28,8 @@ from cohfreeze import (
     reproduce_pure_family,
     run_sweep,
 )
+from cohfreeze import experiments, states
+from cohfreeze.channels import CHANNEL_FACTORIES
 
 from oracles import (
     bitflip_weight,
@@ -92,6 +94,34 @@ class TestSweepSpec:
         assert points == [(0.0,), (0.5,)]
         channel = spec.channel_at((0.5,))
         assert channel.dim == 4
+
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_channels_are_channel_at_each_grid_point(self, tie):
+        spec = make_spec(
+            state=phi_state("01", "-"),
+            factors=("bitflip", "amplitudedamping"),
+            grids=((0.0, 0.3, 1.0),) if tie else ((0.0, 0.3, 1.0), (0.2, 0.6)),
+            tie_parameters=tie,
+        )
+        pairs = list(spec.channels())
+        assert [point for point, _ in pairs] == list(spec.grid_points())
+        for point, channel in pairs:
+            expected = spec.channel_at(point)
+            np.testing.assert_array_equal(channel.operators, expected.operators)
+            assert channel.label == expected.label
+
+    def test_channels_build_each_factor_once_per_grid_value(self, monkeypatch):
+        built = []
+        label, factory = CHANNEL_FACTORIES["bitflip"]
+
+        def counted(q):
+            built.append(q)
+            return factory(q)
+
+        monkeypatch.setitem(CHANNEL_FACTORIES, "bitflip", (label, counted))
+        spec = make_spec()
+        assert len(list(spec.channels())) == 6 * 3
+        assert sorted(built) == sorted(spec.grids[0] + spec.grids[1])
 
 
 class TestRunSweep:
@@ -236,6 +266,41 @@ class TestReproducePureFamily:
         with pytest.raises(ValidationError):
             reproduce_pure_family(3, "00", "+")
 
+    def test_transfer_check_validates_no_state(self, monkeypatch):
+        """The analytic mixture is compared as a raw matrix: the family run
+        validates exactly the states its sweep alone does."""
+        calls = []
+        validate = states.DensityMatrix.__post_init__
+
+        def counted(self):
+            calls.append(1)
+            validate(self)
+
+        monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted)
+        report = reproduce_pure_family(2, "00", "+")
+        family_calls = len(calls)
+        calls.clear()
+        run_sweep(
+            SweepSpec(
+                state=phi_state("00", "+"),
+                factors=("bitflip", "bitflip"),
+                grids=default_heterogeneous_grids(2),
+            )
+        )
+        assert len(report.table.rows) == 36
+        assert family_calls == len(calls)
+
+    def test_transfer_check_catches_a_wrong_mixture(self, monkeypatch):
+        transfer = experiments.bitflip_transfer_weights
+
+        def swapped(bits, qs):
+            weights = transfer(bits, qs)
+            return {"00": weights["01"], "01": weights["00"]}
+
+        monkeypatch.setattr(experiments, "bitflip_transfer_weights", swapped)
+        with pytest.raises(NumericalInconsistencyError, match="analytic mixture"):
+            reproduce_pure_family(2, "00", "+")
+
     def test_rejects_invalid_sign(self):
         with pytest.raises(ValidationError, match="sign"):
             reproduce_pure_family(2, "00", "x")
@@ -341,12 +406,12 @@ class TestNegativeControls:
 
 class TestCsvOutput:
     def test_metadata_header_and_precision(self):
-        table = run_sweep(make_spec(seed=123))
+        table = run_sweep(make_spec())
         csv = table.to_csv()
         lines = csv.strip().splitlines()
         comments = [line for line in lines if line.startswith("#")]
         assert "# state = phi N=2 l=00 sign=+" in comments
-        assert "# seed = 123" in comments
+        assert "# seed = none" in comments
         header = next(line for line in lines if not line.startswith("#"))
         assert header.split(",")[:4] == ["q1", "q2", "c_l1", "c_rel_ent"]
         # 12 significant digits

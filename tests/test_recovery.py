@@ -30,6 +30,7 @@ from cohfreeze import (
     random_sio_channel,
     tensor,
 )
+from cohfreeze import recovery
 from cohfreeze.linalg import max_abs
 from cohfreeze.recovery import _recovery_weights
 
@@ -199,6 +200,32 @@ class TestCertifyFreezing:
             io_only, plus_state(), enforce_hypothesis=False
         )
         assert certificate.verdict in ("Frozen", "NotFrozen")
+
+    def test_dense_certificate_classifies_channel_once(self, monkeypatch):
+        calls = []
+        original = recovery.classify
+
+        def counted(channel, *args):
+            calls.append(channel)
+            return original(channel, *args)
+
+        monkeypatch.setattr(recovery, "classify", counted)
+        channel = random_sio_channel(4, 3, seed=71)
+        certify_freezing(channel, random_density(4, 3, seed=72))
+        # the channel once, its recovery once
+        assert len(calls) == 2
+        assert calls[0] is channel and calls[1] is not channel
+
+    def test_not_incoherent_channel_still_refused_without_hypothesis(self):
+        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        channel = KrausChannel((hadamard,))
+        message = "channel is not incoherent: " + classify(channel).witness.describe()
+        with pytest.raises(NotIncoherentChannelError) as raised:
+            certify_freezing(channel, plus_state(), enforce_hypothesis=False)
+        assert str(raised.value) == message
+        with pytest.raises(NotIncoherentChannelError) as raised:
+            petz_recovery(channel, dephase(plus_state()))
+        assert str(raised.value) == message
 
     def test_certificate_serialization_round_trip_keys(self):
         certificate = certify_freezing(bit_flip(0.4), plus_state())

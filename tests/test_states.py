@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from cohfreeze import (
     ValidationError,
     basis_state,
     bit_index,
+    bromley_report,
     bromley_spec,
     canonical_bitstrings,
     complement,
@@ -21,7 +24,9 @@ from cohfreeze import (
     phi_state,
     random_density,
     random_pure,
+    reproduce_pure_family,
 )
+from cohfreeze import experiments
 from cohfreeze.channels import random_sio_channel, apply_channel
 from cohfreeze.linalg import max_abs
 
@@ -73,6 +78,105 @@ class TestDensityMatrix:
         assert phi_state("000", "+").num_qubits == 3
         with pytest.raises(ValidationError):
             DensityMatrix(np.eye(3, dtype=complex) / 3).num_qubits
+
+
+def _count_calls(monkeypatch, owner, *names):
+    """Wrap each owner.<name> so that every call appends its name to the
+    returned list."""
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return calls
+
+
+class TestStoredSpectrum:
+    """rho.eigenvalues is validation's ascending spectrum of rho.matrix,
+    equal entry for entry to what numpy.linalg.eigvalsh returns for it."""
+
+    @pytest.mark.parametrize("dim", range(1, 65))
+    def test_random_densities(self, dim):
+        for rank in sorted({1, (dim + 1) // 2, dim}):
+            rho = random_density(dim, rank, seed=1000 * dim + rank)
+            np.testing.assert_array_equal(
+                rho.eigenvalues, np.linalg.eigvalsh(rho.matrix)
+            )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 8, 16, 33, 64])
+    def test_exactly_diagonal_matrices_skip_lapack(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            probs = rng.random(dim) * (rng.random(dim) < 0.6)
+            top = int(np.argmax(probs))
+            probs[top] += 1.0
+            probs /= probs.sum()
+            negative = rng.random(dim) < 0.2
+            negative[top] = False
+            probs[negative] = -1e-14
+            probs[top] += 1.0 - probs.sum()
+            mat = np.diag(probs).astype(complex)
+            expected = np.linalg.eigvalsh(mat)
+            calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+            rho = DensityMatrix(mat)
+            monkeypatch.undo()
+            assert calls == []
+            np.testing.assert_array_equal(rho.eigenvalues, expected)
+            np.testing.assert_array_equal(
+                rho.eigenvalues, np.linalg.eigvalsh(rho.matrix)
+            )
+
+    def test_repaired_matrix(self):
+        eps = 5e-11
+        raw = np.array([[0.5, 0.5 + eps], [0.5 + eps, 0.5]], dtype=complex)
+        assert np.linalg.eigvalsh(raw)[0] < -1e-13  # takes the repair
+        rho = DensityMatrix(raw)
+        assert not np.array_equal(rho.matrix, raw)
+        np.testing.assert_array_equal(
+            rho.eigenvalues, np.linalg.eigvalsh(rho.matrix)
+        )
+        assert rho.eigenvalues[0] >= -1e-15
+
+    def test_every_final_state_of_a_pure_family_sweep(self, monkeypatch):
+        certificates = []
+        certify = experiments.certify_freezing
+
+        def recording(*args, **kwargs):
+            certificates.append(certify(*args, **kwargs))
+            return certificates[-1]
+
+        monkeypatch.setattr(experiments, "certify_freezing", recording)
+        reproduce_pure_family(3, "010", "-")
+        assert len(certificates) == 6**3
+        for certificate in certificates:
+            rho = certificate.final_state
+            np.testing.assert_array_equal(
+                rho.eigenvalues, np.linalg.eigvalsh(rho.matrix)
+            )
+
+    def test_read_only_and_not_in_repr(self):
+        rho = random_density(3, 2, seed=5)
+        with pytest.raises(ValueError):
+            rho.eigenvalues[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.eigenvalues = np.zeros(3)
+        with pytest.raises(TypeError):
+            DensityMatrix(rho.matrix, eigenvalues=rho.eigenvalues)
+        assert "eigenvalues" not in repr(rho)
+
+    def test_bromley_sweep_decomposes_at_most_twice_per_point(self, monkeypatch):
+        calls = _count_calls(monkeypatch, np.linalg, "eigvalsh", "eigh")
+        report = bromley_report(0.5, 0.2)
+        assert len(report.table.rows) == 11
+        # Two per point (the evolved and the recovered state) and one for the
+        # initial state; every dephased or diagonal state skips LAPACK.
+        assert len(calls) <= 2 * len(report.table.rows) + 1
 
 
 class TestFromPure:
