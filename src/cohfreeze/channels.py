@@ -11,6 +11,21 @@ A KrausChannel holds its operators as one read-only complex (n, d, d)
 array, validated once, so tensor products, the classifier, the completeness
 check and channel application each work on the whole stack at once.
 
+An incoherent Kraus operator sends each basis vector to one basis vector,
+K|j> = g_j |t_j>, so it maps a diagonal state to a diagonal state without a
+matrix product. A KrausChannel of dimension at least STRUCTURED_MIN_DIM
+records, once, whether its stack has this monomial structure: column form
+(every column of every operator holds at most one exactly nonzero entry, as
+in an incoherent channel) or row form (every row does, as in the recovery
+d0^(1/2) K^dag dt^(-1/2) of an incoherent channel). apply_channel then
+evolves an exactly diagonal input in O(n d) (column form, diagonal output)
+or O(n d^2) (row form) work instead of the batched O(n d^3) product. The
+structure is read from exact zeros, not ZERO_TOL: a tiny entry is still an
+entry, and dropping it would change the output. Below the cutoff numpy's
+fixed cost per call outweighs the saved arithmetic, so small channels
+record nothing. The batched product stays the only path for them and for
+every other stack or input.
+
 A local channel is kept as its factors (LocalChannel): it is applied, its
 adjoint applied and it is classified one factor at a time, so its
 tensor-product Kraus list is never stored.
@@ -22,7 +37,7 @@ import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -31,16 +46,62 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .linalg import as_complex_matrix, max_abs
+from .linalg import as_complex_matrix, is_exactly_diagonal, max_abs
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
 ZERO_TOL = 1e-12
+# Smallest dimension whose channels record their monomial structure.
+# Median time of one apply_channel call on a diagonal state, structured /
+# batched, in microseconds (2 vCPU host, numpy 2.4): SIO channels with 4
+# operators 48/42 at d=4, 49/46 at d=8, 52/55 at d=12, 43/49 at d=16; the
+# recovery of an incoherent-only channel (d+1 operators) 69/73 at d=8,
+# 99/106 at d=12, 135/169 at d=16, 252/388 at d=24.
+STRUCTURED_MIN_DIM = 16
 
 _I = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
+def _monomial_form(ops: np.ndarray):
+    """(axis, index, gain) when every column (axis 1) or else every row
+    (axis 2) of every operator holds at most one exactly nonzero entry:
+    line j of operator n holds gain[n, j] at position index[n, j] along
+    that axis (gain 0 for an empty line). None for any other stack."""
+    n, d, _ = ops.shape
+    flat = np.flatnonzero(ops != 0)  # ascending (operator, row, column)
+    if len(flat) > n * d:  # more entries than lines
+        return None
+    operator, rest = np.divmod(flat, d * d)
+    row, column = np.divmod(rest, d)
+    for axis, line, position in ((1, column, row), (2, row, column)):
+        key = operator * d + line
+        if np.bincount(key, minlength=n * d).max() <= 1:
+            index = np.zeros(n * d, np.min_scalar_type(d - 1))
+            index[key] = position
+            gain = np.zeros(n * d, np.complex128)
+            gain[key] = ops.ravel()[flat]
+            return axis, index.reshape(n, d), gain.reshape(n, d)
+    return None
+
+
+def _apply_monomial(axis: int, index: np.ndarray, gain: np.ndarray, p: np.ndarray):
+    """sum_n K_n diag(p) K_n^dag for a stack in _monomial_form."""
+    if axis == 1:
+        # K_n[t, j] = gain[n, j] at t = index[n, j]: the output is diagonal.
+        weights = (gain * p) * gain.conj()
+        targets = index.ravel()
+        return np.diag(
+            np.bincount(targets, weights.real.ravel(), len(p))
+            + 1j * np.bincount(targets, weights.imag.ravel(), len(p))
+        )
+    # K_n[a, s] = gain[n, a] at s = index[n, a]: rows a and b of operator n
+    # meet at (a, b) only when they read the same column s.
+    terms = (gain * p[index])[:, :, None] * gain.conj()[:, None, :]
+    terms[index[:, :, None] != index[:, None, :]] = 0
+    return terms.sum(axis=0)
 
 
 def _operator_stack(operators) -> np.ndarray:
@@ -97,6 +158,14 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.operators.shape[1]
+
+    @cached_property
+    def _monomial(self):
+        """_monomial_form of the stack from STRUCTURED_MIN_DIM on, else
+        None; found on first use, so building a channel costs nothing more."""
+        if self.dim < STRUCTURED_MIN_DIM:
+            return None
+        return _monomial_form(self.operators)
 
 
 class _KroneckerOperators(Sequence):
@@ -264,13 +333,18 @@ def classify(
 def apply_channel(
     channel: KrausChannel | LocalChannel, rho: DensityMatrix
 ) -> DensityMatrix:
-    """sum_n K_n rho K_n^dag as a validated density matrix."""
+    """sum_n K_n rho K_n^dag as a validated density matrix; an exactly
+    diagonal rho under a monomial stack skips the batched product."""
     if channel.dim != rho.dim:
         raise DimensionMismatchError(
             f"channel dim {channel.dim} does not match state dim {rho.dim}"
         )
     if isinstance(channel, LocalChannel):
         return DensityMatrix(channel.contract(rho.matrix))
+    if channel._monomial is not None and is_exactly_diagonal(rho.matrix):
+        return DensityMatrix(
+            _apply_monomial(*channel._monomial, rho.matrix.diagonal())
+        )
     ops = channel.operators
     out = (ops @ rho.matrix @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
     return DensityMatrix(out)

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalInconsistencyError
-from .linalg import NEGATIVE_FLOOR, entropy_bits, relative_entropy
+from .linalg import (
+    NEGATIVE_FLOOR,
+    entropy_bits,
+    is_exactly_diagonal,
+    relative_entropy,
+)
 from .states import DensityMatrix, dephase
 
 CROSS_CHECK_TOL = 1e-8
@@ -37,7 +42,7 @@ def c_l1(rho: DensityMatrix) -> float:
 def c_rel_ent(rho: DensityMatrix) -> float:
     """S(diag(rho)) - S(rho), in bits; S(rho) from the spectrum that
     validation stored on rho."""
-    if c_l1(rho) == 0.0:
+    if is_exactly_diagonal(rho.matrix):
         return 0.0
     diag_entropy = entropy_bits(rho.matrix.diagonal().real)
     value = diag_entropy - entropy_bits(rho.eigenvalues)

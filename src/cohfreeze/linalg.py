@@ -46,6 +46,11 @@ def max_abs(array) -> float:
     return float(np.abs(array).max())
 
 
+def is_exactly_diagonal(matrix: np.ndarray) -> bool:
+    """Every off-diagonal entry is exactly zero (-0.0 counts as zero)."""
+    return np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal())
+
+
 def hermiticity_defect(matrix: np.ndarray) -> float:
     return max_abs(matrix - matrix.conj().T)
 

@@ -19,7 +19,12 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .linalg import as_complex_matrix, hermiticity_defect, max_abs
+from .linalg import (
+    as_complex_matrix,
+    hermiticity_defect,
+    is_exactly_diagonal,
+    max_abs,
+)
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -63,9 +68,8 @@ def _spectrum(mat: np.ndarray) -> np.ndarray:
     entry exactly zero they are the sorted real diagonal: the values eigvalsh
     returns for such a matrix, bit for bit up to the sign of a zero, without
     calling LAPACK."""
-    diagonal = mat.diagonal()
-    if np.count_nonzero(mat) == np.count_nonzero(diagonal):
-        return np.sort(diagonal.real)
+    if is_exactly_diagonal(mat):
+        return np.sort(mat.diagonal().real)
     return np.linalg.eigvalsh(mat)
 
 

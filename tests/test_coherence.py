@@ -78,6 +78,25 @@ class TestCRelEnt:
         for seed in range(10):
             assert c_rel_ent(random_density(6, 3, seed=seed)) >= 0.0
 
+    @pytest.mark.parametrize("off_diagonal", [0.0, -0.0, 1e-300, None])
+    def test_same_value_as_the_sum_of_moduli_test(self, off_diagonal):
+        """The value the sum-of-moduli test gave: 0 when c_l1 is exactly 0,
+        else the clipped entropy difference."""
+        if off_diagonal is None:
+            rho = random_density(5, 3, seed=17)
+        else:
+            rho = DensityMatrix(
+                np.array([[0.3, off_diagonal], [off_diagonal, 0.7]], dtype=complex)
+            )
+        expected = 0.0
+        if c_l1(rho) != 0.0:
+            expected = max(
+                shannon_bits(rho.matrix.diagonal().real)
+                - shannon_bits(rho.eigenvalues),
+                0.0,
+            )
+        assert c_rel_ent(rho) == pytest.approx(expected, abs=1e-15)
+
 
 class TestMeasurePanel:
     def test_ground_state(self):

@@ -30,7 +30,7 @@ from cohfreeze import (
     random_sio_channel,
     tensor,
 )
-from cohfreeze import recovery
+from cohfreeze import coherence, recovery
 from cohfreeze.linalg import max_abs
 from cohfreeze.recovery import _recovery_weights
 
@@ -215,6 +215,21 @@ class TestCertifyFreezing:
         # the channel once, its recovery once
         assert len(calls) == 2
         assert calls[0] is channel and calls[1] is not channel
+
+    def test_dense_certificate_sums_moduli_twice(self, monkeypatch):
+        calls = []
+        original = coherence.c_l1
+
+        def counted(rho):
+            calls.append(rho)
+            return original(rho)
+
+        monkeypatch.setattr(coherence, "c_l1", counted)
+        monkeypatch.setattr(recovery, "c_l1", counted)
+        channel = random_sio_channel(4, 3, seed=73)
+        certify_freezing(channel, random_density(4, 3, seed=74))
+        # c_l1_initial and c_l1_final; c_rel_ent needs no sum of moduli
+        assert len(calls) == 2
 
     def test_not_incoherent_channel_still_refused_without_hypothesis(self):
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
