@@ -183,9 +183,8 @@ class _KroneckerOperators(Sequence):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(len(self))[index])
         digits = np.unravel_index(range(len(self))[index], self._counts)
-        op = reduce(
-            np.kron, (f.operators[int(i)] for f, i in zip(self._factors, digits))
-        )
+        stacks = (f.operators[i : i + 1] for f, i in zip(self._factors, digits))
+        op = reduce(_kron, stacks)[0]
         op.setflags(write=False)
         return op
 
@@ -362,23 +361,21 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
     return KrausChannel(ops, label=f"compose({second.label},{first.label})")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every Kronecker product of an operator of stack a with one of stack
+    b, a slowest, as one broadcast product: a[m, i, j] * b[n, k, l] lands
+    at [m, n, i, k, j, l], entry (i k, j l) of product (m n)."""
+    (n1, d1, _), (n2, d2, _) = a.shape, b.shape
+    outer = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return outer.reshape(n1 * n2, d1 * d2, d1 * d2)
+
+
 def tensor(channels: Sequence[KrausChannel]) -> KrausChannel:
     """Tensor product channel; operators are all Kronecker products, in
-    itertools.product order (first factor slowest).
-
-    Each factor takes one broadcast product, acc[m, i, j] * b[n, k, l] at
-    [m, n, i, k, j, l]: the products np.kron forms, in its order.
-    """
+    itertools.product order (first factor slowest)."""
     if not channels:
         raise ValidationError("tensor needs at least one channel")
-    first, *rest = channels
-    ops = first.operators
-    for channel in rest:
-        b = channel.operators
-        (n1, d1, _), (n2, d2, _) = ops.shape, b.shape
-        ops = (ops[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(
-            n1 * n2, d1 * d2, d1 * d2
-        )
+    ops = reduce(_kron, (c.operators for c in channels))
     label = " x ".join(c.label or "?" for c in channels)
     return KrausChannel(ops, label=label)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .experiments import (
     reproduce_pure_family,
     run_sweep,
 )
+from .records import render
 from .recovery import CERTIFICATE_TOL, certify_freezing
 from .specs import parse_channel_spec, parse_state_spec, parse_sweep_file
 from .states import _random_weights, canonical_bitstrings
@@ -114,18 +116,14 @@ def _write_csv(path: Path, csv: str, timestamp: bool) -> None:
 def cmd_measure(args) -> int:
     state = parse_state_spec(args.state)
     report = measure_panel(state)
-    print(f"c_l1 = {report.c_l1:.12g}")
-    print(f"c_rel_ent = {report.c_rel_ent:.12g}")
-    print(f"cross_check_residual = {report.cross_check_residual:.12g}")
+    print(render((f.name, getattr(report, f.name)) for f in fields(report)))
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     channel = parse_channel_spec(args.channel)
     result = classify(channel, zero_tol=args.zero_tol)
-    print(f"class = {result.channel_class.value}")
-    witness = result.witness.describe() if result.witness else "none"
-    print(f"witness = {witness}")
+    print(render([("class", result.channel_class.value), ("witness", result.witness)]))
     return EXIT_OK
 
 

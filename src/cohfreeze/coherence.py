@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NumericalInconsistencyError
 from .linalg import (
-    NEGATIVE_FLOOR,
+    clamp_negative,
     entropy_bits,
     is_exactly_diagonal,
     relative_entropy,
@@ -25,7 +25,7 @@ CROSS_CHECK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Panel values for one state; both measures are clipped at zero."""
+    """Panel values for one state; both measures are non-negative."""
 
     c_l1: float
     c_rel_ent: float
@@ -46,13 +46,7 @@ def c_rel_ent(rho: DensityMatrix) -> float:
         return 0.0
     diag_entropy = entropy_bits(rho.matrix.diagonal().real)
     value = diag_entropy - entropy_bits(rho.eigenvalues)
-    if value < 0.0:
-        if value < -NEGATIVE_FLOOR:
-            raise NumericalInconsistencyError(
-                f"relative entropy of coherence came out {value:.3e}"
-            )
-        value = 0.0
-    return value
+    return clamp_negative(value, "relative entropy of coherence")
 
 
 def measure_panel(rho: DensityMatrix) -> CoherenceReport:
@@ -65,7 +59,7 @@ def measure_panel(rho: DensityMatrix) -> CoherenceReport:
             f"closed-form vs definitional mismatch: {residual:.3e}"
         )
     return CoherenceReport(
-        c_l1=max(c_l1(rho), 0.0),
+        c_l1=c_l1(rho),
         c_rel_ent=closed_form,
         cross_check_residual=residual,
     )

@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import binary_entropy, max_abs
+from .records import format_number
 from .recovery import CERTIFICATE_TOL, certify_freezing
 from .states import (
     DensityMatrix,
@@ -38,6 +39,7 @@ MAX_DIM = 64
 MAX_GRID_POINTS = 10_000
 DEFAULT_GRID_POINTS = 11
 FREEZING_TOL = 1e-8
+FAMILY_TOL = 1e-9  # a reproduction's measures against their closed forms
 TRANSFER_TOL = 1e-10  # evolved pure-family state against its analytic mixture
 # Every table records this panel: one certificate decides all measures at once.
 MEASURE_NAMES = ("c_l1", "c_rel_ent")
@@ -201,18 +203,14 @@ class TrajectoryTable:
         return "\n".join(lines) + "\n"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def _header_and_rows(table: TrajectoryTable) -> list[str]:
     """The CSV header line followed by one line per row, without metadata."""
     lines = [",".join((*table.parameter_names, *_CSV_COLUMNS))]
     for row in table.rows:
-        cells = [_fmt(v) for v in row.params]
+        cells = [format_number(v) for v in row.params]
         for name in _CSV_COLUMNS:
             value = getattr(row, name)
-            cells.append(value if isinstance(value, str) else _fmt(value))
+            cells.append(value if isinstance(value, str) else format_number(value))
         lines.append(",".join(cells))
     return lines
 
@@ -251,8 +249,8 @@ def _metadata(spec: SweepSpec):
         ("state", spec.state_label or f"dim={spec.state.dim}"),
         ("channel", " x ".join(spec.factors)),
         ("tie_parameters", "true" if spec.tie_parameters else "false"),
-        ("freezing_tol", _fmt(spec.freezing_tol)),
-        ("certificate_tol", _fmt(spec.certificate_tol)),
+        ("freezing_tol", format_number(spec.freezing_tol)),
+        ("certificate_tol", format_number(spec.certificate_tol)),
         # No sweep draws random numbers; the line keeps the CSV layout.
         ("seed", "none"),
     )
@@ -330,7 +328,7 @@ def reproduce_pure_family(
     sign,
     grids: tuple[tuple[float, ...], ...] | None = None,
     *,
-    tol: float = 1e-9,
+    tol: float = FAMILY_TOL,
 ) -> FamilyReport:
     """Check that both panel measures stay at 1 for (|l> +/- |l~>)/sqrt(2),
     the mixed family's one-weight case with p = 1 or 0, under heterogeneous
@@ -363,7 +361,7 @@ def reproduce_mixed_family(
     weights: dict[str, float],
     grids: tuple[tuple[float, ...], ...] | None = None,
     *,
-    tol: float = 1e-9,
+    tol: float = FAMILY_TOL,
 ) -> FamilyReport:
     """Check that c_rel_ent stays at 1 - H(p) for the +/- mixture family
     under heterogeneous local bit flips, with Frozen certificates."""
@@ -385,7 +383,7 @@ def bromley_report(
     c3: float,
     *,
     grid_points: int = DEFAULT_GRID_POINTS,
-    tol: float = 1e-9,
+    tol: float = FAMILY_TOL,
 ) -> FamilyReport:
     """The two-qubit Bromley-Cianciaruso-Adesso state under identical local
     bit flips (tied q)."""

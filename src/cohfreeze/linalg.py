@@ -55,6 +55,17 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return max_abs(matrix - matrix.conj().T)
 
 
+def clamp_negative(value: float, quantity: str) -> float:
+    """A non-negative quantity computed as value: 0.0 in place of a
+    rounding-level negative value, NumericalInconsistencyError below
+    -NEGATIVE_FLOOR, and value itself otherwise (-0.0 included)."""
+    if value < 0.0:
+        if value < -NEGATIVE_FLOOR:
+            raise NumericalInconsistencyError(f"{quantity} came out {value:.3e}")
+        return 0.0
+    return value
+
+
 def entropy_bits(probabilities) -> float:
     """Shannon entropy of a (sub)distribution in bits, ignoring p <= 0."""
     p = np.asarray(probabilities, dtype=np.float64)
@@ -62,11 +73,7 @@ def entropy_bits(probabilities) -> float:
     if p.size == 0:
         return 0.0
     value = float(-np.sum(p * np.log2(p)))
-    if value < 0.0:
-        if value < -NEGATIVE_FLOOR:
-            raise NumericalInconsistencyError(f"entropy came out {value:.3e}")
-        value = 0.0
-    return value + 0.0  # normalizes -0.0
+    return clamp_negative(value, "entropy") + 0.0  # normalizes -0.0
 
 
 def von_neumann_entropy(rho) -> float:
@@ -99,13 +106,7 @@ def relative_entropy(rho, sigma) -> float:
     rpos = rvals[rvals > rcutoff]
     value = float(np.sum(rpos * np.log2(rpos)))
     value -= float(np.sum(weights[support] * np.log2(svals[support])))
-    if value < 0.0:
-        if value < -NEGATIVE_FLOOR:
-            raise NumericalInconsistencyError(
-                f"relative entropy came out {value:.3e}"
-            )
-        value = 0.0
-    return value
+    return clamp_negative(value, "relative entropy")
 
 
 def binary_entropy(p: float) -> float:

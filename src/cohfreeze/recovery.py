@@ -23,7 +23,7 @@ the Kraus list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .linalg import max_abs
+from .records import render
 from .states import DensityMatrix, dephase
 
 KERNEL_CUTOFF = 1e-12  # relative to the largest diagonal entry
@@ -140,15 +141,17 @@ def _exactly_strict(channel: LocalChannel) -> bool:
 class FreezingCertificate:
     """Outcome of the freezing check for one (state, channel) pair.
 
-    verdict is "Frozen" only if the relative-entropy deviation, both recovery
-    residuals, and the incoherence of the recovery operators all pass at tol;
-    otherwise failed_checks names every check that failed.
+    failed_checks names every check that failed at tol: the relative-entropy
+    deviation, the two recovery residuals and the incoherence of the
+    recovery operators. The verdict is "Frozen" when it is empty.
 
-    final_state is the evolved state channel(rho0) that the final measures
-    and the round trip were computed from. It takes no part in equality,
-    repr or to_text().
+    The fields are declared in report order: to_text() prints the verdict,
+    then every field but final_state. final_state is the evolved state
+    channel(rho0) that the final measures and the round trip were computed
+    from; it takes no part in equality, repr or to_text().
     """
 
+    failed_checks: tuple[str, ...]
     cr_initial: float
     cr_final: float
     cr_deviation: float
@@ -159,43 +162,21 @@ class FreezingCertificate:
     recovery_residual_diag: float
     recovery_incoherent: bool
     recovery_witness: ClassificationWitness | None
-    verdict: str
-    failed_checks: tuple[str, ...]
     tol: float
     final_state: DensityMatrix = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.verdict == "NotFrozen" and not self.failed_checks:
-            raise NumericalInconsistencyError(
-                "NotFrozen verdict without a named failing check"
-            )
-
     @property
     def frozen(self) -> bool:
-        return self.verdict == "Frozen"
+        return not self.failed_checks
+
+    @property
+    def verdict(self) -> str:
+        return "Frozen" if self.frozen else "NotFrozen"
 
     def to_text(self) -> str:
         """Flat key = value serialization, one metric per line."""
-        witness = (
-            self.recovery_witness.describe() if self.recovery_witness else "none"
-        )
-        failed = ",".join(self.failed_checks) if self.failed_checks else "none"
-        lines = [
-            f"verdict = {self.verdict}",
-            f"failed_checks = {failed}",
-            f"cr_initial = {self.cr_initial:.12g}",
-            f"cr_final = {self.cr_final:.12g}",
-            f"cr_deviation = {self.cr_deviation:.12g}",
-            f"c_l1_initial = {self.c_l1_initial:.12g}",
-            f"c_l1_final = {self.c_l1_final:.12g}",
-            f"c_l1_deviation = {self.c_l1_deviation:.12g}",
-            f"recovery_residual_state = {self.recovery_residual_state:.12g}",
-            f"recovery_residual_diag = {self.recovery_residual_diag:.12g}",
-            f"recovery_incoherent = {'true' if self.recovery_incoherent else 'false'}",
-            f"recovery_witness = {witness}",
-            f"tol = {self.tol:.12g}",
-        ]
-        return "\n".join(lines)
+        shown = [(f.name, getattr(self, f.name)) for f in fields(self) if f.repr]
+        return render([("verdict", self.verdict), *shown])
 
 
 def certify_freezing(
@@ -255,7 +236,8 @@ def certify_freezing(
         recovered_state = apply_channel(recovery, rho_t)
         recovered_diag = apply_channel(recovery, delta_t)
         recovery_classification = classify(recovery)
-    residual_state = max_abs(recovered_state.matrix - rho0.matrix)
+    state_error = recovered_state.matrix - rho0.matrix
+    residual_state = max_abs(state_error)
     residual_diag = max_abs(recovered_diag.matrix - delta0.matrix)
     recovery_incoherent = (
         recovery_classification.channel_class is not ChannelClass.NOT_INCOHERENT
@@ -268,13 +250,19 @@ def certify_freezing(
         ("recovery_incoherent", recovery_incoherent),
     )
     failed = tuple(name for name, ok in checks if not ok)
-    verdict = "Frozen" if not failed else "NotFrozen"
-    if verdict == "Frozen" and l1_deviation > tol:
-        # A frozen relative entropy with an unfrozen l1 norm would contradict
-        # the round-trip monotonicity argument; treat as numerical failure.
-        raise NumericalInconsistencyError(
-            f"frozen verdict but l1 deviation {l1_deviation:.3e} exceeds {tol:.3e}"
-        )
+    if not failed and l1_deviation > tol:
+        # l1 is monotone under the channel and under the incoherent recovery,
+        # so |l1(rho_t) - l1(rho0)| <= l1(rho0 - R(rho_t)), the off-diagonal
+        # moduli of the round-trip error. Past that bound a Frozen verdict
+        # contradicts its own arithmetic.
+        moduli = np.abs(state_error)
+        np.fill_diagonal(moduli, 0.0)
+        bound = float(moduli.sum())
+        if l1_deviation > tol + bound:
+            raise NumericalInconsistencyError(
+                f"frozen verdict but l1 deviation {l1_deviation:.3e} exceeds "
+                f"{tol:.3e} plus the round-trip bound {bound:.3e}"
+            )
     return FreezingCertificate(
         cr_initial=cr0,
         cr_final=crt,
@@ -286,7 +274,6 @@ def certify_freezing(
         recovery_residual_diag=residual_diag,
         recovery_incoherent=recovery_incoherent,
         recovery_witness=recovery_classification.witness,
-        verdict=verdict,
         failed_checks=failed,
         tol=tol,
         final_state=rho_t,

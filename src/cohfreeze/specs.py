@@ -58,12 +58,6 @@ def parse_complex(token: str) -> complex:
         raise SpecParseError(f"bad complex number {token!r}") from None
 
 
-def format_complex(z: complex) -> str:
-    real = f"{z.real:.12g}"
-    imag = f"{z.imag:+.12g}"
-    return f"{real}{imag}i"
-
-
 def _split_top_level(text: str, separator: str | None = None) -> list[str]:
     """Split at bracket depth zero: on separator, keeping empty parts, or by
     default on whitespace, dropping empty parts."""

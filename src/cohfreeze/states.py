@@ -34,6 +34,7 @@ PSD_TOL = 1e-10
 # constructor outputs keep their exact entries.
 REPAIR_TRIGGER = 1e-13
 WEIGHT_SUM_TOL = 1e-12
+NORM_TOL = 1e-10  # |norm - 1| that from_pure accepts without normalize
 DIAGONAL_TOL = 1e-12
 
 
@@ -115,16 +116,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def num_qubits(self) -> int:
-        n = self.dim.bit_length() - 1
-        if 2**n != self.dim:
-            raise ValidationError(f"dimension {self.dim} is not a power of two")
-        return n
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().copy()
-
     def is_diagonal(self) -> bool:
         off = self.matrix - np.diag(self.matrix.diagonal())
         return max_abs(off) <= DIAGONAL_TOL
@@ -138,7 +129,7 @@ def from_pure(amplitudes, *, normalize: bool = False) -> DensityMatrix:
         if norm == 0.0:
             raise NotNormalizedError("cannot normalize the zero vector")
         psi = psi / norm
-    elif abs(norm - 1.0) > 1e-10:
+    elif abs(norm - 1.0) > NORM_TOL:
         raise NotNormalizedError(f"vector norm {norm} is not 1")
     return DensityMatrix(np.outer(psi, psi.conj()))
 

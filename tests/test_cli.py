@@ -360,6 +360,78 @@ class TestReproduce:
         assert "generated_at" not in (tmp_path / "bromley.csv").read_text()
 
 
+RAW_IO = "raw dim=2 ops=[[0.6,0.8,0,0],[0,0,0.8,-0.6]]"
+
+
+def certificate_text(verdict, failed, values, incoherent, witness):
+    """The certify stdout for the given record; values lists the eight
+    numeric fields from cr_initial to recovery_residual_diag."""
+    names = (
+        "cr_initial", "cr_final", "cr_deviation",
+        "c_l1_initial", "c_l1_final", "c_l1_deviation",
+        "recovery_residual_state", "recovery_residual_diag",
+    )
+    lines = [f"verdict = {verdict}", f"failed_checks = {failed}"]
+    lines += [f"{name} = {value}" for name, value in zip(names, values)]
+    lines += [
+        f"recovery_incoherent = {incoherent}",
+        f"recovery_witness = {witness}",
+        "tol = 1e-08",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestGoldenStdout:
+    """Exact stdout and exit code of commands whose every printed number is
+    exact."""
+
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            (
+                ("certify", "--state", "phi N=1 l=0 sign=+",
+                 "--channel", "phasedamping l=1"),
+                1,
+                certificate_text(
+                    "NotFrozen", "cr_deviation,recovery_residual_state",
+                    ("1", "0", "1", "1", "0", "1", "0.5", "0"), "true", "none",
+                ),
+            ),
+            (
+                ("certify", "--state", "mixed N=1 p=0.5 weights=[0:1]",
+                 "--channel", RAW_IO, "--allow-non-strict"),
+                1,
+                certificate_text(
+                    "NotFrozen", "recovery_incoherent", ("0",) * 8, "false",
+                    "operator 0, column 0, rows (0, 1)",
+                ),
+            ),
+            (
+                ("certify", "--state", "basis N=1 i=0",
+                 "--channel", RAW_IO, "--allow-non-strict"),
+                0,
+                certificate_text("Frozen", "none", ("0",) * 8, "true", "none"),
+            ),
+            (
+                ("measure", "--state", "phi N=2 l=00 sign=+"),
+                0,
+                "c_l1 = 1\nc_rel_ent = 1\ncross_check_residual = 0\n",
+            ),
+            (
+                ("classify", "--channel", RAW_IO),
+                0,
+                "class = IncoherentOnly\n"
+                "witness = operator 0, row 0, columns (0, 1)\n",
+            ),
+        ],
+        ids=["certify-not-frozen", "certify-witness", "certify-frozen",
+             "measure", "classify"],
+    )
+    def test_exact_stdout(self, capsys, argv, code, expected):
+        assert run_cli(*argv) == code
+        assert capsys.readouterr().out == expected
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(

@@ -4,6 +4,9 @@ Every factored step of a certificate (apply, adjoint, classify, closed-form
 recovery) is compared with tensor(factors) and with the loop oracle.
 """
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +181,23 @@ class TestEdges:
     def test_empty_is_rejected(self):
         with pytest.raises(ValidationError):
             local_channel([])
+
+    def test_operators_are_kronecker_products_bit_for_bit(self):
+        local = local_channel(
+            [
+                ("bitflip", 0.1),
+                ("depolarizing", 0.3),
+                ("phasedamping", 0.45),
+                ("amplitudedamping", 0.7),
+            ]
+        )
+        expected = [
+            reduce(np.kron, combo)
+            for combo in itertools.product(*(f.operators for f in local.factors))
+        ]
+        assert len(local.operators) == len(expected) == 48
+        for got, want in zip(local.operators, expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_operators_are_lazy_and_read_only(self):
         local = local_channel([("depolarizing", 0.3)] * 3)

@@ -10,6 +10,7 @@ from cohfreeze import (
     NotDiagonalError,
     NotIncoherentChannelError,
     NotStrictlyIncoherentError,
+    NumericalInconsistencyError,
     SweepSpec,
     amplitude_damping,
     apply_channel,
@@ -230,6 +231,37 @@ class TestCertifyFreezing:
         certify_freezing(channel, random_density(4, 3, seed=74))
         # c_l1_initial and c_l1_final; c_rel_ent needs no sum of moduli
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("path", ["local", "tensor"])
+    def test_l1_deviation_within_round_trip_bound_is_frozen(self, path):
+        # Delta l1 about 1.008e-8 exceeds tol, but not tol plus the round
+        # trip's off-diagonal error (about 2.2e-8).
+        channel = local_channel(
+            [
+                ("amplitudedamping", 1e-9),
+                ("bitflip", 1e-9),
+                ("bitflip", 1e-9),
+                ("amplitudedamping", 1e-9),
+            ]
+        )
+        if path == "tensor":
+            channel = tensor(channel.factors)
+        certificate = certify_freezing(
+            channel, random_density(16, 16, seed=508607136)
+        )
+        assert certificate.verdict == "Frozen"
+        assert certificate.c_l1_deviation > certificate.tol
+
+    def test_l1_deviation_past_round_trip_bound_raises(self, monkeypatch):
+        rho0 = random_density(4, 4, seed=75)
+        original = coherence.c_l1
+
+        def shifted(rho):
+            return original(rho) + (0.0 if rho is rho0 else 0.5)
+
+        monkeypatch.setattr(recovery, "c_l1", shifted)
+        with pytest.raises(NumericalInconsistencyError, match="l1 deviation 5.000e-01"):
+            certify_freezing(identity_channel(4), rho0)
 
     def test_not_incoherent_channel_still_refused_without_hypothesis(self):
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

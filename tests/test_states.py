@@ -74,11 +74,6 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
 
-    def test_num_qubits(self):
-        assert phi_state("000", "+").num_qubits == 3
-        with pytest.raises(ValidationError):
-            DensityMatrix(np.eye(3, dtype=complex) / 3).num_qubits
-
 
 def _count_calls(monkeypatch, owner, *names):
     """Wrap each owner.<name> so that every call appends its name to the

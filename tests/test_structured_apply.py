@@ -64,12 +64,16 @@ def build(kind, dim, count, seed):
 
 def singular_diagonal(dim, seed, imaginary=0.0):
     """A diagonal state with about 40% of its entries exactly zero; the
-    others carry imaginary parts of size `imaginary`, which validation
-    accepts as rounding noise."""
+    others carry imaginary parts of size at most `imaginary`, which
+    validation accepts as rounding noise. The noise sums to zero, so the
+    trace stays real."""
     rng = np.random.default_rng(seed)
     p = rng.random(dim) * (rng.random(dim) < 0.6)
     p[rng.integers(dim)] += 0.5
-    p = p / p.sum() + 1j * imaginary * rng.standard_normal(dim) * (p != 0)
+    support = p != 0
+    noise = rng.uniform(-0.5, 0.5, dim)[support]
+    p = p / p.sum() + 0j
+    p[support] += 1j * imaginary * (noise - noise.mean())
     return DensityMatrix(np.diag(p))
 
 
