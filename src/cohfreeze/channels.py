@@ -26,9 +26,9 @@ fixed cost per call outweighs the saved arithmetic, so small channels
 record nothing. The batched product stays the only path for them and for
 every other stack or input.
 
-A local channel is kept as its factors (LocalChannel): it is applied, its
-adjoint applied and it is classified one factor at a time, so its
-tensor-product Kraus list is never stored.
+A local channel whose factors are strictly incoherent entry by entry is kept
+as its factors (LocalChannel) and applied, adjoint-applied and classified one
+factor at a time; local_channel builds any other as the dense tensor product.
 """
 
 from __future__ import annotations
@@ -201,10 +201,10 @@ def _superoperator(channel: KrausChannel) -> np.ndarray:
 class LocalChannel:
     """The tensor product of its factors, stored as the factors alone.
 
-    Each factor is a validated KrausChannel of any dimension; dim is the
-    product of theirs. `operators` is a read-only sequence whose items are
-    the Kronecker products tensor() would store, built on demand. Equality
-    and hashing are by identity.
+    Each factor is a validated KrausChannel of any dimension that is strictly
+    incoherent entry by entry; dim is the product of theirs. `operators` is
+    a read-only sequence whose items are the Kronecker products tensor()
+    would store, built on demand. Equality and hashing are by identity.
     """
 
     factors: tuple[KrausChannel, ...]
@@ -216,6 +216,10 @@ class LocalChannel:
             raise ValidationError("local channel needs at least one factor")
         if not all(isinstance(f, KrausChannel) for f in factors):
             raise ValidationError("local channel factors must be KrausChannels")
+        if not all(_exactly_strict(f) for f in factors):
+            raise ValidationError(
+                "local channel factors must be strictly incoherent entry by entry"
+            )
         object.__setattr__(self, "factors", factors)
         object.__setattr__(
             self, "_superoperators", tuple(_superoperator(f) for f in factors)
@@ -292,24 +296,16 @@ def classify(
     The witness points at the first violating column (NotIncoherent) or
     row (IncoherentOnly). zero_tol must be finite and non-negative.
 
-    A LocalChannel whose factors all classify strictly incoherent is
-    strictly incoherent: completeness bounds every Kraus entry's modulus by
-    1, so a product entry above zero_tol has every factor entry above it,
-    and the nonzero counts per row and column multiply across factors. Any
-    other LocalChannel is scanned as tensor(factors), for the same class
-    and witness.
+    A LocalChannel is strictly incoherent at every zero_tol: its factors
+    are strictly incoherent entry by entry, so every Kronecker product of
+    their operators is too, and a larger zero_tol only shrinks the mask.
     """
     if not 0.0 <= zero_tol < math.inf:
         raise OutOfRangeError(
             f"zero_tol must be finite and non-negative, got {zero_tol}"
         )
     if isinstance(channel, LocalChannel):
-        if all(
-            classify(f, zero_tol).channel_class is ChannelClass.STRICTLY_INCOHERENT
-            for f in channel.factors
-        ):
-            return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
-        channel = tensor(channel.factors)
+        return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
     mask = np.abs(channel.operators) > zero_tol
     bad_columns = mask.sum(axis=1) > 1  # [n, column]
     if bad_columns.any():
@@ -327,6 +323,11 @@ def classify(
             ChannelClass.INCOHERENT_ONLY, ClassificationWitness(n, "row", row, cols)
         )
     return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
+
+
+def _exactly_strict(channel: KrausChannel) -> bool:
+    """Strictly incoherent counting every nonzero entry, however small."""
+    return classify(channel, 0.0).channel_class is ChannelClass.STRICTLY_INCOHERENT
 
 
 def apply_channel(
@@ -453,28 +454,26 @@ CHANNEL_FACTORIES = {
 }
 
 
-def local_channel(factors) -> LocalChannel:
-    """Tensor product of per-qubit channels, kept factor by factor.
+def local_channel(factors) -> LocalChannel | KrausChannel:
+    """Tensor product of per-qubit channels: a LocalChannel when every factor
+    is strictly incoherent entry by entry, else the dense tensor(factors).
 
-    Factors may be KrausChannel instances, LocalChannel instances (which
-    contribute their own factors) or (kind, parameter) pairs using the
-    CHANNEL_FACTORIES names; the factors need not be identical.
+    Factors may be KrausChannel instances or (kind, parameter) pairs using
+    the CHANNEL_FACTORIES names; the factors need not be identical.
     """
     built = []
     for factor in factors:
-        if isinstance(factor, LocalChannel):
-            built.extend(factor.factors)
-            continue
-        if isinstance(factor, KrausChannel):
-            built.append(factor)
-            continue
-        kind, param = factor
-        try:
-            _, factory = CHANNEL_FACTORIES[kind]
-        except KeyError:
-            raise ValidationError(f"unknown channel kind {kind!r}") from None
-        built.append(factory(param))
-    return LocalChannel(tuple(built))
+        if not isinstance(factor, KrausChannel):
+            kind, param = factor
+            try:
+                _, factory = CHANNEL_FACTORIES[kind]
+            except KeyError:
+                raise ValidationError(f"unknown channel kind {kind!r}") from None
+            factor = factory(param)
+        built.append(factor)
+    if all(_exactly_strict(f) for f in built):
+        return LocalChannel(tuple(built))
+    return tensor(built)
 
 
 def random_sio_channel(dim: int, num_operators: int, seed: int) -> KrausChannel:

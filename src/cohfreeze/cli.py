@@ -13,24 +13,19 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .channels import ZERO_TOL, classify
 from .coherence import measure_panel
 from .errors import CohfreezeError, SpecParseError, ValidationError
 from .experiments import (
+    PRESETS,
     _labelled_csv,
-    bromley_report,
-    default_heterogeneous_grids,
     detect_freezing,
-    reproduce_mixed_family,
-    reproduce_pure_family,
+    preset_files,
     run_sweep,
 )
 from .records import render
 from .recovery import CERTIFICATE_TOL, certify_freezing
 from .specs import parse_channel_spec, parse_state_spec, parse_sweep_file
-from .states import _random_weights, canonical_bitstrings
 
 EXIT_OK = 0
 EXIT_NOT_FROZEN = 1
@@ -39,12 +34,6 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 OUTDIR_ENV = "COHFREEZE_OUTDIR"
-
-# Fixed draw seeds for the mixed-family preset; each row's case label names
-# its seed.
-_MIXED_PRESET_SEEDS = (11, 12, 13, 14, 15)
-_BROMLEY_C1 = (-0.8, 0.0, 0.6)
-_BROMLEY_C3 = (-0.5, 0.0, 0.9)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,9 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--no-timestamp", action="store_true")
 
     p_repro = sub.add_parser("reproduce", help="run a named preset and report pass/fail")
-    p_repro.add_argument(
-        "name", choices=["pure-family", "mixed-family", "bromley"]
-    )
+    p_repro.add_argument("name", choices=PRESETS)
     p_repro.add_argument("--out", help="output directory for preset CSV files")
     p_repro.add_argument("--no-timestamp", action="store_true")
 
@@ -159,76 +146,18 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _write_preset(path: Path, cases, timestamp: bool) -> tuple[float, float]:
-    """Write a preset's (case label, FamilyReport) pairs as one labelled CSV
-    and return the worst c_rel_ent and c_l1 deviations over its cases."""
-    _write_csv(path, _labelled_csv([(label, r.table) for label, r in cases]), timestamp)
-    return (
-        max(r.max_cr_deviation for _, r in cases),
-        max(r.max_cl1_deviation for _, r in cases),
-    )
-
-
-def _preset_pure(out_dir: Path, timestamp: bool) -> list[str]:
-    lines = []
-    for n in (2, 3):
-        cases = [
-            (f"l={bits} sign={sign}", reproduce_pure_family(n, bits, sign))
-            for bits in canonical_bitstrings(n)
-            for sign in ("+", "-")
-        ]
-        path = out_dir / f"pure-family-N{n}.csv"
-        worst_cr, worst_l1 = _write_preset(path, cases, timestamp)
-        lines.append(
-            f"PASS pure-family N={n}: max |c_rel_ent - 1| {worst_cr:.3e}, "
-            f"max |c_l1 - 1| {worst_l1:.3e} -> {path}"
-        )
-    return lines
-
-
-def _preset_mixed(out_dir: Path, timestamp: bool) -> list[str]:
-    lines = []
-    for n in (2, 3):
-        grids = default_heterogeneous_grids(n, points=4)
-        cases = []
-        for seed in _MIXED_PRESET_SEEDS:
-            rng = np.random.default_rng(seed)
-            p = float(rng.uniform(0.0, 1.0))
-            report = reproduce_mixed_family(n, p, _random_weights(n, rng), grids)
-            cases.append((f"seed={seed} p={p:.6g}", report))
-        path = out_dir / f"mixed-family-N{n}.csv"
-        worst, _ = _write_preset(path, cases, timestamp)
-        lines.append(
-            f"PASS mixed-family N={n}: max |c_rel_ent - (1 - H(p))| {worst:.3e} "
-            f"-> {path}"
-        )
-    return lines
-
-
-def _preset_bromley(out_dir: Path, timestamp: bool) -> list[str]:
-    cases = [
-        (f"c1={c1:g} c3={c3:g}", bromley_report(c1, c3))
-        for c1 in _BROMLEY_C1
-        for c3 in _BROMLEY_C3
-    ]
-    path = out_dir / "bromley.csv"
-    worst, _ = _write_preset(path, cases, timestamp)
-    return [
-        f"PASS bromley: max |c_rel_ent - (1 - H(p))| {worst:.3e} -> {path}"
-    ]
-
-
 def cmd_reproduce(args) -> int:
     out_dir = _out_dir(args.out)
-    timestamp = not args.no_timestamp
-    if args.name == "pure-family":
-        lines = _preset_pure(out_dir, timestamp)
-    elif args.name == "mixed-family":
-        lines = _preset_mixed(out_dir, timestamp)
-    else:
-        lines = _preset_bromley(out_dir, timestamp)
-    for line in lines:
-        print(line)
+    for title, name, cases in preset_files(args.name):
+        path = out_dir / name
+        csv = _labelled_csv([(label, report.table) for label, report in cases])
+        _write_csv(path, csv, not args.no_timestamp)
+        worst_cr = max(report.max_cr_deviation for _, report in cases)
+        worst_l1 = max(report.max_cl1_deviation for _, report in cases)
+        print(
+            f"PASS {title}: max |c_rel_ent - (1 - H(p))| {worst_cr:.3e}, "
+            f"max |c_l1 - c_l1(rho0)| {worst_l1:.3e} -> {path}"
+        )
     return EXIT_OK
 
 

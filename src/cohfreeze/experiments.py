@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CHANNEL_FACTORIES, KrausChannel, tensor
+from .channels import CHANNEL_FACTORIES, tensor
 from .coherence import c_l1
 from .errors import (
     DimensionTooLargeError,
@@ -29,6 +29,7 @@ from .states import (
     MixedFamilySpec,
     _mixed_family_matrix,
     _parse_sign,
+    _random_weights,
     bromley_spec,
     canonical_bitstrings,
     mixed_family,
@@ -143,40 +144,25 @@ class SweepSpec:
             return ("q",)
         return tuple(f"q{i + 1}" for i in range(len(self.factors)))
 
-    def grid_points(self):
-        yield from itertools.product(*self.grids)
-
     def _per_factor(self, values: tuple) -> tuple:
         """A grid point, index or grid tuple spread to one entry per factor."""
         return values * len(self.factors) if self.tie_parameters else values
 
-    def channel_at(self, point: tuple[float, ...]) -> KrausChannel:
-        return _dense(
-            [
-                CHANNEL_FACTORIES[kind][1](q)
-                for kind, q in zip(self.factors, self._per_factor(point))
-            ]
-        )
-
     def channels(self):
-        """Yield (point, channel_at(point)) over grid_points(), building each
-        factor channel once per grid value instead of once per point."""
+        """Yield (point, channel) at every point of itertools.product(*grids),
+        building each factor channel once per grid value instead of once per
+        point. The channel is the dense tensor product, not local_channel:
+        the sweep and preset CSVs are pinned byte for byte, and
+        factor-by-factor arithmetic moves their last digits."""
         built = [
             [CHANNEL_FACTORIES[kind][1](q) for q in grid]
             for kind, grid in zip(self.factors, self._per_factor(self.grids))
         ]
         indices = itertools.product(*(range(len(g)) for g in self.grids))
-        for point, index in zip(self.grid_points(), indices):
-            yield point, _dense(
+        for point, index in zip(itertools.product(*self.grids), indices):
+            yield point, tensor(
                 [column[i] for column, i in zip(built, self._per_factor(index))]
             )
-
-
-def _dense(factor_channels: list[KrausChannel]) -> KrausChannel:
-    """A sweep point's channel. Dense, not local_channel: the sweep and
-    preset CSVs are pinned byte for byte, and factor-by-factor arithmetic
-    moves their last digits."""
-    return tensor(factor_channels)
 
 
 @dataclass(frozen=True)
@@ -447,3 +433,44 @@ def _reproduce(
         max_transfer_residual=max_transfer,
         table=_table(spec, rows),
     )
+
+
+# Fixed draw seeds of the mixed-family preset, named in each case label.
+_MIXED_PRESET_SEEDS = (11, 12, 13, 14, 15)
+# The Bromley-Cianciaruso-Adesso states (PRL 114, 210401 (2015)) of the
+# bromley preset.
+_BROMLEY_C1 = (-0.8, 0.0, 0.6)
+_BROMLEY_C3 = (-0.5, 0.0, 0.9)
+PRESETS = ("pure-family", "mixed-family", "bromley")
+
+
+def preset_files(name: str):
+    """Yield (title, file name, [(case label, FamilyReport)]) for each CSV
+    file of the named paper preset, running its reproductions when the file
+    is reached."""
+    if name not in PRESETS:
+        raise ValidationError(f"unknown preset {name!r}")
+    if name == "bromley":
+        cases = [
+            (f"c1={c1:g} c3={c3:g}", bromley_report(c1, c3))
+            for c1 in _BROMLEY_C1
+            for c3 in _BROMLEY_C3
+        ]
+        yield "bromley", "bromley.csv", cases
+        return
+    for n in (2, 3):
+        if name == "pure-family":
+            cases = [
+                (f"l={bits} sign={sign}", reproduce_pure_family(n, bits, sign))
+                for bits in canonical_bitstrings(n)
+                for sign in ("+", "-")
+            ]
+        else:
+            grids = default_heterogeneous_grids(n, points=4)
+            cases = []
+            for seed in _MIXED_PRESET_SEEDS:
+                rng = np.random.default_rng(seed)
+                p = float(rng.uniform(0.0, 1.0))
+                report = reproduce_mixed_family(n, p, _random_weights(n, rng), grids)
+                cases.append((f"seed={seed} p={p:.6g}", report))
+        yield f"{name} N={n}", f"{name}-N{n}.csv", cases

@@ -11,7 +11,7 @@ preservation. Reversing the evolution with such a map, itself incoherent,
 pins every coherence measure between its initial and final values, so a
 successful round trip certifies freezing of all measures at once.
 
-For a LocalChannel whose factors are strictly incoherent entry by entry,
+For a LocalChannel, whose factors are strictly incoherent entry by entry,
 the certificate applies the same recovery in closed form,
 
     R(X) = d0^(1/2) L^dag(dt^(-1/2) X dt^(-1/2)) d0^(1/2) + P_ker X P_ker,
@@ -35,7 +35,6 @@ from .channels import (
     LocalChannel,
     apply_channel,
     classify,
-    tensor,
 )
 from .coherence import c_l1, c_rel_ent
 from .errors import (
@@ -109,10 +108,10 @@ def _closed_form_recovery(
     """The action of petz_recovery(channel, delta0), as a function from a
     state to its validated image, without the recovery's Kraus list.
 
-    For factors that pass _exactly_strict, channel(delta0) is exactly
-    diagonal, so sum R_n^dag R_n = dt^(-1/2) channel(delta0) dt^(-1/2) +
-    P_ker = I: the completeness that KrausChannel checks on the Kraus list
-    holds by construction.
+    A LocalChannel's factors are strictly incoherent entry by entry, so
+    channel(delta0) is exactly diagonal and sum R_n^dag R_n = dt^(-1/2)
+    channel(delta0) dt^(-1/2) + P_ker = I: the completeness that
+    KrausChannel checks on the Kraus list holds by construction.
     """
     sqrt0, inv_sqrt, kernel = _recovery_weights(delta0, delta_t)
     outer0 = np.outer(sqrt0, sqrt0)
@@ -125,16 +124,6 @@ def _closed_form_recovery(
         return DensityMatrix(outer0 * back + projector * x)
 
     return recover
-
-
-def _exactly_strict(channel: LocalChannel) -> bool:
-    """Every factor operator has at most one nonzero entry per row and
-    column, counting any nonzero. Each recovery operator d0^(1/2) K^dag
-    dt^(-1/2) then has too, however its entries are scaled."""
-    return all(
-        classify(f, 0.0).channel_class is ChannelClass.STRICTLY_INCOHERENT
-        for f in channel.factors
-    )
 
 
 @dataclass(frozen=True)
@@ -191,25 +180,18 @@ def certify_freezing(
     The channel must classify strictly incoherent unless
     enforce_hypothesis=False, in which case any incoherent representation is
     accepted and the outcome is reported as-is. A LocalChannel takes the
-    closed-form recovery when its factors are strictly incoherent entry by
-    entry; otherwise it is certified as tensor(factors).
+    closed-form recovery.
     """
     if not 0.0 < tol < math.inf:
         raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
-    if isinstance(channel, LocalChannel) and not _exactly_strict(channel):
-        channel = tensor(channel.factors)
     classification = classify(channel)
     if (
         enforce_hypothesis
         and classification.channel_class is not ChannelClass.STRICTLY_INCOHERENT
     ):
-        detail = (
-            classification.witness.describe()
-            if classification.witness
-            else "no witness"
-        )
         raise NotStrictlyIncoherentError(
-            f"channel classifies {classification.channel_class.value} ({detail}); "
+            f"channel classifies {classification.channel_class.value} "
+            f"({classification.witness.describe()}); "
             "pass enforce_hypothesis=False to explore anyway"
         )
     rho_t = apply_channel(channel, rho0)
@@ -226,7 +208,7 @@ def certify_freezing(
     if isinstance(channel, LocalChannel):
         recover = _closed_form_recovery(channel, delta0, delta_t)
         recovered_state, recovered_diag = recover(rho_t), recover(delta_t)
-        # Strictly incoherent by _exactly_strict; the kernel projector is diagonal.
+        # Strictly incoherent as the factors are; the kernel projector is diagonal.
         recovery_classification = ChannelClassification(
             ChannelClass.STRICTLY_INCOHERENT, None
         )

@@ -246,15 +246,7 @@ def parse_channel_spec(text: str) -> KrausChannel | LocalChannel:
     """Build a channel from its inline constructor specification."""
     name, kwargs, positional = _parse_tokens(text)
     if name == "local":
-        if kwargs or len(positional) != 1:
-            raise SpecParseError("local takes one bracketed factor list")
-        items = _bracket_items(positional[0])
-        if not items:
-            raise SpecParseError("local requires at least one factor")
-        _require_supported_qubits(len(items))
-        factors = [parse_channel_spec(item) for item in items]
-        _require_supported_dim(math.prod(factor.dim for factor in factors))
-        return local_channel(factors)
+        return local_channel(_local_factors(kwargs, positional))
     if positional:
         raise SpecParseError(f"unexpected bracket argument for {name!r}")
     if name == "identity":
@@ -283,6 +275,26 @@ def parse_channel_spec(text: str) -> KrausChannel | LocalChannel:
         _reject_unknown(kwargs, name)
         return factory(value)
     raise SpecParseError(f"unknown channel constructor {name!r}")
+
+
+def _local_factors(kwargs: dict[str, str], positional: list[str]) -> list:
+    """The factors of a local spec. A nested local contributes its own, so a
+    dense local is one tensor product over all of them, whatever the nesting."""
+    if kwargs or len(positional) != 1:
+        raise SpecParseError("local takes one bracketed factor list")
+    items = _bracket_items(positional[0])
+    if not items:
+        raise SpecParseError("local requires at least one factor")
+    _require_supported_qubits(len(items))
+    factors = []
+    for item in items:
+        name, kwargs, positional = _parse_tokens(item)
+        if name == "local":
+            factors += _local_factors(kwargs, positional)
+        else:
+            factors.append(parse_channel_spec(item))
+    _require_supported_dim(math.prod(factor.dim for factor in factors))
+    return factors
 
 
 _SWEEP_SECTIONS = {"state", "channel", "sweep", "tolerances", "output"}

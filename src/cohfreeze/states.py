@@ -189,10 +189,10 @@ class MixedFamilySpec:
                 raise InvalidCanonicalFormError(
                     f"weight key {bits!r} must start with 0"
                 )
-            if w < 0.0:
-                raise OutOfRangeError(f"weight for {bits!r} is negative: {w}")
+            if not w >= 0.0:  # NaN fails too
+                raise OutOfRangeError(f"weight for {bits!r} must be >= 0, got {w}")
         total = float(sum(self.weights.values()))
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValidationError(f"weights sum to {total}, expected 1")
         object.__setattr__(self, "weights", dict(self.weights))
 

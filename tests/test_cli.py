@@ -1,4 +1,5 @@
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,15 @@ class TestMeasure:
         assert run_cli("measure", "--state", "raw dim=2 entries=[1,0,0,1]") == 3
         assert "validation error" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "weights, named", [("[00:nan]", "'00'"), ("[00:1,01:nan]", "'01'")]
+    )
+    def test_nan_weight_exits_3_naming_it(self, weights, named, capsys):
+        spec = f"mixed N=2 p=0.5 weights={weights}"
+        assert run_cli("measure", "--state", spec) == 3
+        err = capsys.readouterr().err
+        assert f"weight for {named} must be >= 0, got nan" in err
 
     def test_negative_seed_exits_3(self, capsys):
         spec = "mixed N=2 p=0.5 weights=random seed=-1"
@@ -302,22 +312,37 @@ class TestSweep:
         assert lines[1:] == plain
 
 
+def assert_pass_lines(out, preset, out_dir):
+    """One PASS line per N in the one format every preset prints."""
+    lines = out.splitlines()
+    assert len(lines) == 2
+    number = r"\d\.\d{3}e[+-]\d\d"
+    for n, line in zip((2, 3), lines):
+        path = re.escape(str(out_dir / f"{preset}-N{n}.csv"))
+        assert re.fullmatch(
+            rf"PASS {preset} N={n}: max \|c_rel_ent - \(1 - H\(p\)\)\| {number}, "
+            rf"max \|c_l1 - c_l1\(rho0\)\| {number} -> {path}",
+            line,
+        ), line
+
+
 class TestReproduce:
     def test_bromley(self, tmp_path, capsys):
         code = run_cli("reproduce", "bromley", "--out", str(tmp_path),
                        "--no-timestamp")
         assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("PASS bromley")
+        # The figures come from the same arithmetic as the pinned CSV bytes.
+        assert capsys.readouterr().out == (
+            "PASS bromley: max |c_rel_ent - (1 - H(p))| 6.661e-16, "
+            f"max |c_l1 - c_l1(rho0)| 4.441e-16 -> {tmp_path / 'bromley.csv'}\n"
+        )
         assert_matches_reference(tmp_path, "bromley.csv")
 
     def test_pure_family(self, tmp_path, capsys):
         code = run_cli("reproduce", "pure-family", "--out", str(tmp_path),
                        "--no-timestamp")
         assert code == 0
-        out = capsys.readouterr().out
-        assert "PASS pure-family N=2" in out
-        assert "PASS pure-family N=3" in out
+        assert_pass_lines(capsys.readouterr().out, "pure-family", tmp_path)
         assert_matches_reference(tmp_path, "pure-family-N2.csv")
         assert_matches_reference(tmp_path, "pure-family-N3.csv")
 
@@ -325,9 +350,7 @@ class TestReproduce:
         code = run_cli("reproduce", "mixed-family", "--out", str(tmp_path),
                        "--no-timestamp")
         assert code == 0
-        out = capsys.readouterr().out
-        assert "PASS mixed-family N=2" in out
-        assert "PASS mixed-family N=3" in out
+        assert_pass_lines(capsys.readouterr().out, "mixed-family", tmp_path)
         assert_matches_reference(tmp_path, "mixed-family-N2.csv")
         assert_matches_reference(tmp_path, "mixed-family-N3.csv")
 
@@ -361,6 +384,10 @@ class TestReproduce:
 
 
 RAW_IO = "raw dim=2 ops=[[0.6,0.8,0,0],[0,0,0.8,-0.6]]"
+H = "0.7071067811865476"
+IO_ONLY = f"raw dim=2 ops=[[{H},{H},0,0],[{H},-{H},0,0]]"
+# Strictly incoherent at the default zero_tol, not entry by entry.
+NEAR_STRICT = "local [raw dim=2 ops=[[1,-1e-13,1e-13,1]], bitflip q=0.2]"
 
 
 def certificate_text(verdict, failed, values, incoherent, witness):
@@ -423,13 +450,54 @@ class TestGoldenStdout:
                 "class = IncoherentOnly\n"
                 "witness = operator 0, row 0, columns (0, 1)\n",
             ),
+            (
+                ("classify", "--channel", NEAR_STRICT, "--zero-tol", "1e-12"),
+                0,
+                "class = StrictlyIncoherent\nwitness = none\n",
+            ),
+            (
+                ("classify", "--channel", NEAR_STRICT, "--zero-tol", "0"),
+                0,
+                "class = NotIncoherent\n"
+                "witness = operator 0, column 0, rows (0, 2)\n",
+            ),
+            (
+                ("classify", "--channel", f"local [bitflip q=0.5, {RAW_IO}]"),
+                0,
+                "class = IncoherentOnly\n"
+                "witness = operator 0, row 0, columns (0, 1)\n",
+            ),
+            (
+                ("certify", "--state", "phi N=2 l=00 sign=+",
+                 "--channel", f"local [local [bitflip q=0.2], {IO_ONLY}]",
+                 "--allow-non-strict"),
+                1,
+                certificate_text(
+                    "NotFrozen", "cr_deviation,recovery_residual_state",
+                    ("1", "0", "1", "1", "0", "1", "0.5", "0"), "true", "none",
+                ),
+            ),
         ],
         ids=["certify-not-frozen", "certify-witness", "certify-frozen",
-             "measure", "classify"],
+             "measure", "classify", "classify-local-near-strict",
+             "classify-local-near-strict-zero-tol-0", "classify-local-io",
+             "certify-local-nested-io"],
     )
     def test_exact_stdout(self, capsys, argv, code, expected):
         assert run_cli(*argv) == code
         assert capsys.readouterr().out == expected
+
+    def test_local_io_refusal_stderr(self, capsys):
+        argv = ("certify", "--state", "basis N=2 i=1",
+                "--channel", f"local [bitflip q=0.5, {RAW_IO}]")
+        assert run_cli(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "validation error: channel classifies IncoherentOnly "
+            "(operator 0, row 0, columns (0, 1)); "
+            "pass enforce_hypothesis=False to explore anyway\n"
+        )
 
 
 class TestEntryPoint:

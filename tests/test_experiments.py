@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from cohfreeze import (
     reproduce_mixed_family,
     reproduce_pure_family,
     run_sweep,
+    tensor,
 )
 from cohfreeze import experiments, states
 from cohfreeze.channels import CHANNEL_FACTORIES
@@ -90,9 +93,9 @@ class TestSweepSpec:
     def test_tied_parameters_use_single_grid(self):
         spec = make_spec(grids=((0.0, 0.5),), tie_parameters=True)
         assert spec.parameter_names == ("q",)
-        points = list(spec.grid_points())
+        points = list(itertools.product(*spec.grids))
         assert points == [(0.0,), (0.5,)]
-        channel = spec.channel_at((0.5,))
+        channel = dict(spec.channels())[(0.5,)]
         assert channel.dim == 4
 
     @pytest.mark.parametrize("tie", [False, True])
@@ -104,9 +107,12 @@ class TestSweepSpec:
             tie_parameters=tie,
         )
         pairs = list(spec.channels())
-        assert [point for point, _ in pairs] == list(spec.grid_points())
+        assert [point for point, _ in pairs] == list(itertools.product(*spec.grids))
         for point, channel in pairs:
-            expected = spec.channel_at(point)
+            qs = point * 2 if tie else point
+            expected = tensor(
+                [CHANNEL_FACTORIES[k][1](q) for k, q in zip(spec.factors, qs)]
+            )
             np.testing.assert_array_equal(channel.operators, expected.operators)
             assert channel.label == expected.label
 
@@ -429,3 +435,8 @@ class TestCsvOutput:
         table = TrajectoryTable(("q",), (row,))
         body = table.to_csv().strip().splitlines()[-1]
         assert body.startswith("0.333333333333,0.142857142857,0.666666666667")
+
+
+def test_unknown_preset_is_refused():
+    with pytest.raises(ValidationError, match="unknown preset"):
+        next(experiments.preset_files("pure"))

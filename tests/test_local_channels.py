@@ -18,8 +18,12 @@ from cohfreeze import (
     ChannelClass,
     CohfreezeError,
     DensityMatrix,
+    KrausChannel,
     LocalChannel,
+    OutOfRangeError,
     ValidationError,
+    amplitude_damping,
+    bit_flip,
     apply_channel,
     certify_freezing,
     classify,
@@ -219,7 +223,9 @@ class TestEdges:
         ],
     )
     def test_classify_non_strict_factor_prints_dense_witness(self, spec, capsys):
-        expected = classify(tensor(parse_channel_spec(spec).factors))
+        dense = parse_channel_spec(spec)
+        assert isinstance(dense, KrausChannel)
+        expected = classify(dense)
         assert expected.channel_class is not ChannelClass.STRICTLY_INCOHERENT
         assert main(["classify", "--channel", spec]) == 0
         assert capsys.readouterr().out == (
@@ -230,7 +236,8 @@ class TestEdges:
     def test_certify_allow_non_strict_prints_dense_text(self, capsys):
         state_spec = "phi N=2 l=01 sign=-"
         channel_spec = f"local [{IO_ONLY}, amplitudedamping g=0.3]"
-        dense = tensor(parse_channel_spec(channel_spec).factors)
+        dense = parse_channel_spec(channel_spec)
+        assert isinstance(dense, KrausChannel)
         expected = certify_freezing(
             dense, parse_state_spec(state_spec), enforce_hypothesis=False
         )
@@ -246,17 +253,65 @@ class TestEdges:
         assert capsys.readouterr().out == expected.to_text() + "\n"
         assert main(["certify", "--state", state_spec, "--channel", channel_spec]) == 3
 
-    def test_exactly_strict_factors_only_take_the_closed_form(self):
+    def test_near_strict_factor_parses_dense_and_refuses_its_recovery(self):
         # A rotation by 1e-13 classifies strictly incoherent at the default
-        # zero_tol, but the recovery scales its small entries up by
-        # (d0/dt)^(1/2) ~ 3e5 here; the certificate runs the dense path and
-        # refuses that recovery's Kraus list as the dense channel does.
-        local = parse_channel_spec("local [raw dim=2 ops=[[1,-1e-13,1e-13,1]]]")
-        assert classify(local).channel_class is ChannelClass.STRICTLY_INCOHERENT
+        # zero_tol but not entry by entry, so the local spec parses to the
+        # dense channel. The recovery scales its small entries up by
+        # (d0/dt)^(1/2) ~ 3e5 here, and the certificate refuses that
+        # recovery's Kraus list.
+        raw = "raw dim=2 ops=[[1,-1e-13,1e-13,1]]"
+        channel = parse_channel_spec(f"local [{raw}]")
+        assert isinstance(channel, KrausChannel)
+        np.testing.assert_array_equal(
+            channel.operators, parse_channel_spec(raw).operators
+        )
+        assert classify(channel).channel_class is ChannelClass.STRICTLY_INCOHERENT
         rho0 = DensityMatrix(np.diag([1.0 - 1e-11, 1e-11]).astype(complex))
-        for channel in (local, tensor(local.factors)):
-            with pytest.raises(ValidationError, match="completeness fails"):
-                certify_freezing(channel, rho0)
+        with pytest.raises(ValidationError, match="completeness fails"):
+            certify_freezing(channel, rho0)
+
+
+class TestFactoredOrDense:
+    def test_non_strict_factor_builds_the_dense_tensor_product(self):
+        factors = [bit_flip(0.3), parse_channel_spec(IO_ONLY), bit_flip(0.6)]
+        built = local_channel(factors)
+        expected = tensor(factors)
+        assert type(built) is KrausChannel
+        assert built.label == expected.label
+        np.testing.assert_array_equal(built.operators, expected.operators)
+
+    @pytest.mark.parametrize("inner_first", [False, True])
+    def test_nested_non_strict_spec_is_one_flat_tensor_product(self, inner_first):
+        # kron(C, kron(A, B)) and kron(kron(C, A), B) round differently; a
+        # nested local contributes its factors, so the spec builds the flat one.
+        inner = f"local [{IO_ONLY}, amplitudedamping g=0.37]"
+        items = [inner, "bitflip q=0.3"] if inner_first else ["bitflip q=0.3", inner]
+        flat = [parse_channel_spec(IO_ONLY), amplitude_damping(0.37)]
+        flat = flat + [bit_flip(0.3)] if inner_first else [bit_flip(0.3), *flat]
+        channel = parse_channel_spec(f"local [{', '.join(items)}]")
+        np.testing.assert_array_equal(channel.operators, tensor(flat).operators)
+
+    @pytest.mark.parametrize("spec", [HADAMARD, IO_ONLY])
+    def test_local_channel_refuses_a_non_strict_factor(self, spec):
+        with pytest.raises(ValidationError, match="entry by entry"):
+            LocalChannel((bit_flip(0.3), parse_channel_spec(spec)))
+
+    def test_type_check_comes_first(self):
+        with pytest.raises(ValidationError, match="must be KrausChannels"):
+            LocalChannel((bit_flip(0.3), "bitflip"))
+
+    @pytest.mark.parametrize("zero_tol", [0.0, 1e-12, 0.3, 1.0, 1e6])
+    def test_classify_is_strict_at_every_zero_tol(self, zero_tol):
+        local = local_channel([("amplitudedamping", 0.4), ("depolarizing", 1e-15)])
+        assert isinstance(local, LocalChannel)
+        result = classify(local, zero_tol)
+        assert result.channel_class is ChannelClass.STRICTLY_INCOHERENT
+        assert result.witness is None
+
+    @pytest.mark.parametrize("zero_tol", [-1e-12, float("nan"), float("inf")])
+    def test_classify_still_checks_zero_tol(self, zero_tol):
+        with pytest.raises(OutOfRangeError):
+            classify(local_channel([("bitflip", 0.2)]), zero_tol)
 
 
 def test_certify_local_never_builds_the_kraus_list(monkeypatch, capsys):
@@ -267,7 +322,7 @@ def test_certify_local_never_builds_the_kraus_list(monkeypatch, capsys):
     for module in (cohfreeze, *vars(cohfreeze).values()):
         if getattr(module, "tensor", None) is dense_tensor:
             monkeypatch.setattr(module, "tensor", refuse)
-    assert cohfreeze.recovery.tensor is refuse
+    assert cohfreeze.channels.tensor is refuse
     monkeypatch.setattr(np, "kron", refuse)
     factors = ", ".join(f"depolarizing q={0.1 * (i + 1)}" for i in range(6))
     code = main(

@@ -11,14 +11,12 @@ from cohfreeze import (
     NotIncoherentChannelError,
     NotStrictlyIncoherentError,
     NumericalInconsistencyError,
-    SweepSpec,
     amplitude_damping,
     apply_channel,
     bit_flip,
     certify_freezing,
     classify,
     depolarizing,
-    default_heterogeneous_grids,
     dephase,
     from_pure,
     identity_channel,
@@ -292,12 +290,8 @@ class TestCertifyFreezing:
             rho0 = random_density(4, 2, seed=61)
             channel = random_sio_channel(4, 3, seed=62)
         elif case == "sweep-tensor":
-            spec = SweepSpec(
-                state=phi_state("010", "-"),
-                factors=("bitflip",) * 3,
-                grids=default_heterogeneous_grids(3),
-            )
-            rho0, channel = spec.state, spec.channel_at((0.2, 0.5, 0.7))
+            rho0 = phi_state("010", "-")
+            channel = tensor([bit_flip(0.2), bit_flip(0.5), bit_flip(0.7)])
         else:
             rho0 = phi_state("01", "+")
             channel = local_channel([("bitflip", 0.3), ("bitflip", 0.85)])

@@ -314,6 +314,23 @@ class TestMixedFamily:
         with pytest.raises(OutOfRangeError):
             MixedFamilySpec(p=1.5, weights={"00": 1.0})
 
+    @pytest.mark.parametrize(
+        "weights, named",
+        [
+            ({"00": float("nan")}, "'00'"),
+            ({"00": 1.0, "01": float("nan")}, "'01'"),
+            ({"00": -0.5, "01": 1.5}, "'00'"),
+        ],
+    )
+    def test_nan_or_negative_weight_is_named(self, weights, named):
+        with pytest.raises(OutOfRangeError, match=f"weight for {named}"):
+            MixedFamilySpec(p=0.5, weights=weights)
+
+    @pytest.mark.parametrize("bad", [float("inf"), 1e300])
+    def test_weight_sum_check_fails_on_non_finite_sums(self, bad):
+        with pytest.raises(ValidationError, match="weights sum to"):
+            MixedFamilySpec(p=0.5, weights={"00": 1.0, "01": bad})
+
 
 class TestRandomStates:
     def test_rank_one_purity(self):
