@@ -7,20 +7,25 @@ retained only as a cross-check, since the dephased state attains the minimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInconsistencyError
+from .errors import (
+    DimensionMismatchError,
+    NumericalInconsistencyError,
+)
 from .linalg import (
     clamp_negative,
     entropy_bits,
     is_exactly_diagonal,
-    relative_entropy,
 )
 from .states import DensityMatrix, dephase
 
 CROSS_CHECK_TOL = 1e-8
+SUPPORT_CUTOFF = 1e-12  # eigenvalues below it times the largest count as zero
+SUPPORT_LEAK_TOL = 1e-9  # rho's weight on sigma's kernel that keeps D finite
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,28 @@ def c_rel_ent(rho: DensityMatrix) -> float:
     diag_entropy = entropy_bits(rho.matrix.diagonal().real)
     value = diag_entropy - entropy_bits(rho.eigenvalues)
     return clamp_negative(value, "relative entropy of coherence")
+
+
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Tr rho (log2 rho - log2 sigma) in bits, from rho's stored spectrum,
+    or +inf when rho places more than SUPPORT_LEAK_TOL weight on sigma's
+    kernel (eigenvalues below SUPPORT_CUTOFF times the largest one)."""
+    if rho.dim != sigma.dim:
+        raise DimensionMismatchError(
+            f"state dimensions differ: {rho.dim} vs {sigma.dim}"
+        )
+    svals, svecs = np.linalg.eigh(sigma.matrix)
+    cutoff = SUPPORT_CUTOFF * max(float(svals[-1]), 0.0)
+    support = svals > cutoff
+    weights = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rho.matrix, svecs))
+    if float(weights[~support].sum()) > SUPPORT_LEAK_TOL:
+        return math.inf
+    rvals = rho.eigenvalues
+    rcutoff = SUPPORT_CUTOFF * max(float(rvals[-1]), 0.0)
+    rpos = rvals[rvals > rcutoff]
+    value = float(np.sum(rpos * np.log2(rpos)))
+    value -= float(np.sum(weights[support] * np.log2(svals[support])))
+    return clamp_negative(value, "relative entropy")
 
 
 def measure_panel(rho: DensityMatrix) -> CoherenceReport:

@@ -1,7 +1,7 @@
 """The printed record: one `key = value` line per field.
 
-Every number the package prints, on stdout or in a CSV cell, goes through
-format_number.
+Every number in a `key = value` record or a CSV cell goes through
+format_number; the sweep and reproduce summary lines print theirs as .3e.
 """
 
 NUMBER_FORMAT = ".12g"  # 12 significant digits

@@ -28,12 +28,10 @@ from .channels import (
 )
 from .errors import CohfreezeError, OutOfRangeError, SpecParseError
 from .experiments import (
-    FREEZING_TOL,
     SweepSpec,
     _require_supported_dim,
     _require_supported_qubits,
 )
-from .recovery import CERTIFICATE_TOL
 from .states import (
     DensityMatrix,
     MixedFamilySpec,
@@ -278,14 +276,14 @@ def parse_channel_spec(text: str) -> KrausChannel | LocalChannel:
 
 
 def _local_factors(kwargs: dict[str, str], positional: list[str]) -> list:
-    """The factors of a local spec. A nested local contributes its own, so a
-    dense local is one tensor product over all of them, whatever the nesting."""
+    """The factors of a local spec, refused as soon as their running
+    dimension passes the cap. A nested local contributes its own, so a dense
+    local is one tensor product over all of them, whatever the nesting."""
     if kwargs or len(positional) != 1:
         raise SpecParseError("local takes one bracketed factor list")
     items = _bracket_items(positional[0])
     if not items:
         raise SpecParseError("local requires at least one factor")
-    _require_supported_qubits(len(items))
     factors = []
     for item in items:
         name, kwargs, positional = _parse_tokens(item)
@@ -293,7 +291,7 @@ def _local_factors(kwargs: dict[str, str], positional: list[str]) -> list:
             factors += _local_factors(kwargs, positional)
         else:
             factors.append(parse_channel_spec(item))
-    _require_supported_dim(math.prod(factor.dim for factor in factors))
+        _require_supported_dim(math.prod(factor.dim for factor in factors))
     return factors
 
 
@@ -366,14 +364,12 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
                 raise SpecParseError(f"missing sweep.q{i + 1}")
             grids.append(_parse_grid(grid_entry[0], grid_entry[1]))
 
-    freezing_tol = FREEZING_TOL
-    certificate_tol = CERTIFICATE_TOL
-    entry = take("tolerances.freezing")
-    if entry is not None:
-        freezing_tol = _parse_float(entry[0], "tolerances.freezing")
-    entry = take("tolerances.certificate")
-    if entry is not None:
-        certificate_tol = _parse_float(entry[0], "tolerances.certificate")
+    # An unset tolerance keeps SweepSpec's default.
+    tolerances = {}
+    for name in ("freezing", "certificate"):
+        entry = take(f"tolerances.{name}")
+        if entry is not None:
+            tolerances[f"{name}_tol"] = _parse_float(entry[0], f"tolerances.{name}")
 
     output_path = None
     entry = take("output.path")
@@ -390,9 +386,8 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
             factors=factors,
             grids=tuple(grids),
             tie_parameters=tie,
-            freezing_tol=freezing_tol,
-            certificate_tol=certificate_tol,
             state_label=state_entry[0],
+            **tolerances,
         )
     except CohfreezeError as exc:
         raise SpecParseError(f"invalid sweep: {exc}") from None

@@ -7,6 +7,7 @@ a bit string l is sum(l_i * 2**(N-i)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -124,13 +125,19 @@ class DensityMatrix:
 def from_pure(amplitudes, *, normalize: bool = False) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| from a state vector."""
     psi = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    norm = float(np.linalg.norm(psi))
+    if not np.isfinite(psi).all():
+        raise ValidationError("matrix entries must be finite")
+    # Dividing by the power of two at its largest part, a normal number, is
+    # exact: the squares stay in range, and psi / |psi| keeps its bits.
+    largest = float(np.abs(np.stack([psi.real, psi.imag])).max(initial=0.0))
+    scale = max(math.ldexp(0.5, math.frexp(largest)[1]), np.finfo(float).tiny)
+    norm = float(np.linalg.norm(psi / scale))
     if normalize:
         if norm == 0.0:
             raise NotNormalizedError("cannot normalize the zero vector")
-        psi = psi / norm
-    elif abs(norm - 1.0) > NORM_TOL:
-        raise NotNormalizedError(f"vector norm {norm} is not 1")
+        psi = psi / scale / norm
+    elif abs(scale * norm - 1.0) > NORM_TOL:
+        raise NotNormalizedError(f"vector norm {scale * norm} is not 1")
     return DensityMatrix(np.outer(psi, psi.conj()))
 
 
@@ -252,9 +259,3 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     mat = g @ g.conj().T
     return DensityMatrix(mat / np.trace(mat).real)
-
-
-def random_pure(dim: int, seed: int) -> DensityMatrix:
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return from_pure(psi / np.linalg.norm(psi))

@@ -1,11 +1,16 @@
 import hashlib
+import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cohfreeze
+from cohfreeze import coherence, recovery
 from cohfreeze.cli import main
 
 EQ16_SPEC = """\
@@ -27,6 +32,9 @@ output.path = eq18.csv
 
 # The committed --no-timestamp preset outputs; the CSV bytes are a contract.
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+# The directory that holds the cohfreeze package, for subprocesses.
+PACKAGE_ROOT = str(Path(cohfreeze.__file__).resolve().parents[1])
 
 EQ16_CSV_SHA256 = "60376d62f8369b7b3f796241cc0d679976b2715a0fa2d57461ac3da728811c2b"
 
@@ -60,6 +68,43 @@ class TestMeasure:
         assert run_cli("measure", "--state", "raw dim=2 entries=[1,0,0,1]") == 3
         assert "validation error" in capsys.readouterr().err
 
+    def test_one_spectrum_per_state(self, monkeypatch, capsys):
+        # The state's validation decomposes it once, and the cross-check
+        # reads that spectrum; eigh decomposes the dephased reference.
+        calls = {"eigvalsh": 0, "eigh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        spec = "mixed N=3 p=0.8 weights=random seed=4"
+        assert run_cli("measure", "--state", spec) == 0
+        assert calls == {"eigvalsh": 1, "eigh": 1}
+        assert "c_rel_ent = 0.278071905113" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("amps", ["[1e-170,1e-170]", "[1e200,1e200]"])
+    def test_tiny_or_huge_amplitudes_normalize_to_plus(self, amps, capsys):
+        assert run_cli("measure", "--state", f"pure amps={amps} normalize=true") == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("c_l1 = 1\nc_rel_ent = 1\n")
+        assert captured.err == ""
+
+    def test_huge_unnormalized_amplitudes_name_a_finite_norm(self, capsys):
+        assert run_cli("measure", "--state", "pure amps=[1e200,1e200]") == 3
+        err = capsys.readouterr().err
+        norm = re.search(r"vector norm (\S+) is not 1", err).group(1)
+        assert float(norm) == pytest.approx(2**0.5 * 1e200, rel=1e-15)
+
+    @pytest.mark.parametrize("normalize", ["true", "false"])
+    def test_infinite_amplitude_exits_3(self, normalize, capsys):
+        spec = f"pure amps=[inf,1] normalize={normalize}"
+        assert run_cli("measure", "--state", spec) == 3
+        assert capsys.readouterr().err == (
+            "validation error: matrix entries must be finite\n"
+        )
 
     @pytest.mark.parametrize(
         "weights, named", [("[00:nan]", "'00'"), ("[00:1,01:nan]", "'01'")]
@@ -93,11 +138,29 @@ class TestDimensionCap:
             ("classify", "--channel", "identity dim=65"),
             ("classify", "--channel", "local [" + ", ".join(["bitflip q=0.1"] * 7) + "]"),
             ("classify", "--channel", "local [identity dim=16, identity dim=8]"),
+            # the seventh factor passes the cap: the eighth, unknown, is never parsed
+            ("classify", "--channel",
+             "local [" + ", ".join(["bitflip q=0.1"] * 7 + ["warp q=1"]) + "]"),
         ],
     )
     def test_checked_before_building_exits_3(self, argv, capsys):
         assert run_cli(*argv) == 3
         assert "exceeds the supported maximum 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "local [" + ", ".join(["identity dim=1"] * 7) + "]",
+            "local [local [" + ", ".join(["identity dim=1"] * 4) + "], "
+            "local [" + ", ".join(["identity dim=1"] * 4) + "]]",
+        ],
+    )
+    def test_counts_dimension_not_factors(self, spec, capsys):
+        # seven dimension-1 factors make dimension 1, flat or nested
+        assert run_cli("classify", "--channel", spec) == 0
+        assert capsys.readouterr().out == (
+            "class = StrictlyIncoherent\nwitness = none\n"
+        )
 
 
 class TestClassify:
@@ -501,6 +564,54 @@ class TestGoldenStdout:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("argv, code", [([], 2), (["frobnicate"], 2), (["--help"], 0)])
+    def test_argparse_exits(self, argv, code, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert ("usage: cohfreeze" in captured.out) == (code == 0)
+        assert ("usage: cohfreeze" in captured.err) == (code == 2)
+
+    def test_numerical_failure_exits_4(self, monkeypatch, capsys):
+        # c_l1 shifted by 0.5 on every state but the first it measures, the
+        # initial one: past the round-trip bound of a Frozen verdict
+        original = coherence.c_l1
+        initial = {}
+
+        def shifted(rho):
+            initial.setdefault("rho", rho)
+            return original(rho) + (0.0 if rho is initial["rho"] else 0.5)
+
+        monkeypatch.setattr(recovery, "c_l1", shifted)
+        code = run_cli(
+            "certify", "--state", "phi N=2 l=00 sign=+", "--channel", "identity dim=4"
+        )
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: frozen verdict but l1 deviation"
+        )
+
+    def test_entry_exits_with_main_status(self, monkeypatch, capsys):
+        # python -m cohfreeze runs __main__.py, which calls cli.entry
+        argv = ["cohfreeze", "certify", "--state", "phi N=1 l=0 sign=+",
+                "--channel", "amplitudedamping g=0.5"]
+        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.delitem(sys.modules, "cohfreeze.__main__", raising=False)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("cohfreeze", run_name="__main__")
+        assert exited.value.code == 1
+        assert "verdict = NotFrozen" in capsys.readouterr().out
+
+    def test_module_certify_exit_status(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "cohfreeze", "certify",
+             "--state", "phi N=1 l=0 sign=+", "--channel", "amplitudedamping g=0.5"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+        )
+        assert result.returncode == 1
+        assert "verdict = NotFrozen" in result.stdout
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "cohfreeze", "measure",

@@ -14,9 +14,8 @@ from cohfreeze import (
     random_density,
     relative_entropy,
     tensor,
-    von_neumann_entropy,
 )
-from cohfreeze.linalg import as_complex_matrix
+from cohfreeze.linalg import as_complex_matrix, entropy_bits
 from cohfreeze.errors import ValidationError
 
 from oracles import brute_apply, jacobi_eigh, shannon_bits
@@ -44,21 +43,29 @@ class TestKron:
             as_complex_matrix(np.ones((2, 3)))
 
 
+def stored_entropy(rho: DensityMatrix) -> float:
+    """S(rho) in bits as c_rel_ent subtracts it: from the stored spectrum."""
+    return entropy_bits(rho.eigenvalues)
+
+
 class TestVonNeumannEntropy:
+    """S(rho), the von Neumann entropy, read from validation's spectrum."""
+
     def test_pure_state_is_zero(self):
-        assert von_neumann_entropy(from_pure([1.0, 0.0])) == 0.0
-        assert von_neumann_entropy(random_density(5, 1, seed=1)) <= 1e-12
+        assert stored_entropy(from_pure([1.0, 0.0])) == 0.0
+        assert stored_entropy(random_density(5, 1, seed=1)) <= 1e-12
 
     def test_maximally_mixed_qubit(self):
-        assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
+        rho = DensityMatrix(np.eye(2) / 2)
+        assert stored_entropy(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_three_quarter(self):
-        value = von_neumann_entropy(np.diag([0.25, 0.75]).astype(complex))
+        value = stored_entropy(DensityMatrix(np.diag([0.25, 0.75]).astype(complex)))
         assert value == pytest.approx(0.8112781244591328, abs=1e-12)
 
     def test_range(self):
         rho = random_density(8, 8, seed=5)
-        s = von_neumann_entropy(rho)
+        s = stored_entropy(rho)
         assert 0.0 <= s <= 3.0
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
@@ -66,7 +73,7 @@ class TestVonNeumannEntropy:
         rho = random_density(dim, dim, seed=dim)
         oracle_vals, _ = jacobi_eigh(rho.matrix)
         entropy = shannon_bits(oracle_vals)
-        assert von_neumann_entropy(rho) == pytest.approx(entropy, abs=1e-9)
+        assert stored_entropy(rho) == pytest.approx(entropy, abs=1e-9)
         coherence = shannon_bits(rho.matrix.diagonal().real) - entropy
         assert c_rel_ent(rho) == pytest.approx(coherence, abs=1e-9)
 
@@ -89,17 +96,31 @@ class TestRelativeEntropy:
     def test_matches_jacobi_oracle(self):
         # Tr rho log2 rho - sum_i <v_i|rho|v_i> log2 s_i over sigma's Jacobi
         # eigenpairs (s_i, v_i)
-        rho = random_density(8, 8, seed=7).matrix
-        sigma = random_density(8, 8, seed=8).matrix
-        rho_vals, _ = jacobi_eigh(rho)
-        sigma_vals, sigma_vecs = jacobi_eigh(sigma)
-        weights = np.einsum("ji,jk,ki->i", sigma_vecs.conj(), rho, sigma_vecs).real
+        rho = random_density(8, 8, seed=7)
+        sigma = random_density(8, 8, seed=8)
+        rho_vals, _ = jacobi_eigh(rho.matrix)
+        sigma_vals, sigma_vecs = jacobi_eigh(sigma.matrix)
+        weights = np.einsum(
+            "ji,jk,ki->i", sigma_vecs.conj(), rho.matrix, sigma_vecs
+        ).real
         expected = -shannon_bits(rho_vals) - float(np.sum(weights * np.log2(sigma_vals)))
         assert relative_entropy(rho, sigma) == pytest.approx(expected, abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            relative_entropy(np.eye(2) / 2, np.eye(4) / 4)
+            relative_entropy(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(4) / 4))
+
+    def test_reads_the_stored_spectrum(self, monkeypatch):
+        # rho's spectrum is validation's; only sigma is decomposed here
+        rho = random_density(6, 6, seed=11)
+        sigma = random_density(6, 6, seed=12)
+        expected = relative_entropy(rho, sigma)
+
+        def refused(matrix):
+            raise AssertionError("relative_entropy called eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        assert relative_entropy(rho, sigma) == expected
 
 
 class TestBinaryEntropy:

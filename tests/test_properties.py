@@ -20,9 +20,8 @@ from cohfreeze import (
     random_density,
     random_sio_channel,
     relative_entropy,
-    von_neumann_entropy,
 )
-from cohfreeze.linalg import max_abs
+from cohfreeze.linalg import entropy_bits, max_abs
 
 
 def random_full_rank(dim, seed):
@@ -42,8 +41,9 @@ class TestEntropyInequalities:
             rho = random_full_rank(4, seed)
             sigma = random_full_rank(4, seed + 1000)
             mix = DensityMatrix((rho.matrix + sigma.matrix) / 2)
-            lhs = von_neumann_entropy(mix)
-            rhs = (von_neumann_entropy(rho) + von_neumann_entropy(sigma)) / 2
+            # S(rho) as c_rel_ent subtracts it, from the stored spectrum
+            lhs = entropy_bits(mix.eigenvalues)
+            rhs = (entropy_bits(rho.eigenvalues) + entropy_bits(sigma.eigenvalues)) / 2
             assert lhs >= rhs - 1e-9
 
     def test_klein_inequality(self):

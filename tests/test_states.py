@@ -15,6 +15,7 @@ from cohfreeze import (
     bit_index,
     bromley_report,
     bromley_spec,
+    c_l1,
     canonical_bitstrings,
     complement,
     dephase,
@@ -23,7 +24,6 @@ from cohfreeze import (
     mixed_family,
     phi_state,
     random_density,
-    random_pure,
     reproduce_pure_family,
 )
 from cohfreeze import experiments
@@ -196,6 +196,40 @@ class TestFromPure:
         rho = from_pure([3.0, 4.0], normalize=True)
         np.testing.assert_allclose(np.diag(rho.matrix).real, [0.36, 0.64])
 
+    @pytest.mark.parametrize("magnitude", [1e-170, 1e200, 5e-324, 1e308])
+    def test_tiny_or_huge_amplitudes_normalize(self, magnitude):
+        # their squared norm under- or overflows; the result is |+>
+        rho = from_pure([magnitude, magnitude], normalize=True)
+        plus = from_pure([1.0, 1.0], normalize=True)
+        np.testing.assert_array_equal(rho.matrix, plus.matrix)
+        assert c_l1(rho) == pytest.approx(1.0, abs=1e-15)
+
+    def test_huge_unnormalized_amplitudes_report_a_finite_norm(self):
+        with pytest.raises(NotNormalizedError, match=r"vector norm 1\.41421356\d*e\+200 is"):
+            from_pure([1e200, 1e200])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf)])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_non_finite_amplitudes_refused_first(self, bad, normalize):
+        with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+            from_pure([bad, 1.0], normalize=normalize)
+
+    def test_zero_vector_keeps_its_message(self):
+        with pytest.raises(NotNormalizedError, match="cannot normalize the zero vector"):
+            from_pure([0.0, 0.0], normalize=True)
+        with pytest.raises(NotNormalizedError, match="vector norm 0.0 is not 1"):
+            from_pure([0.0, 0.0])
+
+    def test_ordinary_vectors_normalize_to_the_same_bits(self):
+        # the scale is a power of two, so psi / |psi| is unchanged
+        rng = np.random.default_rng(17)
+        for dim in (1, 2, 3, 5, 8, 64):
+            for spread in (1e-3, 1.0, 1e3):
+                psi = spread * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+                unit = psi / np.linalg.norm(psi)
+                rho = from_pure(psi, normalize=True)
+                np.testing.assert_array_equal(rho.matrix, np.outer(unit, unit.conj()))
+
 
 class TestDephase:
     def test_fixed_point_on_diagonal_states(self):
@@ -360,10 +394,6 @@ class TestRandomStates:
             mean += random_density(2, 2, seed=seed).matrix
         mean /= 1000
         assert max_abs(mean - np.eye(2) / 2) <= 5e-2
-
-    def test_random_pure_is_pure(self):
-        rho = random_pure(8, seed=3)
-        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0, abs=1e-10)
 
     def test_all_constructors_pass_invariants(self):
         # invariants re-checked by reconstructing through the validator
