@@ -62,10 +62,17 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DimensionMismatchError(
             f"state dimensions differ: {rho.dim} vs {sigma.dim}"
         )
-    svals, svecs = np.linalg.eigh(sigma.matrix)
+    if is_exactly_diagonal(sigma.matrix):
+        # The eigenvectors are basis vectors, in eigh's ascending order; equal
+        # entries may come in another order, which moves only the last bits.
+        svals = sigma.eigenvalues
+        order = np.argsort(sigma.matrix.diagonal().real, kind="stable")
+        weights = rho.matrix.diagonal().real[order]
+    else:
+        svals, svecs = np.linalg.eigh(sigma.matrix)
+        weights = np.einsum("ij,jk,ki->i", svecs.conj().T, rho.matrix, svecs).real
     cutoff = SUPPORT_CUTOFF * max(float(svals[-1]), 0.0)
     support = svals > cutoff
-    weights = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rho.matrix, svecs))
     if float(weights[~support].sum()) > SUPPORT_LEAK_TOL:
         return math.inf
     rvals = rho.eigenvalues

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .states import (
     bromley_spec,
     canonical_bitstrings,
     mixed_family,
-    phi_state,
 )
 
 MAX_DIM = 64
@@ -40,7 +40,7 @@ MAX_GRID_POINTS = 10_000
 DEFAULT_GRID_POINTS = 11
 FREEZING_TOL = 1e-8
 FAMILY_TOL = 1e-9  # a reproduction's measures against their closed forms
-TRANSFER_TOL = 1e-10  # evolved pure-family state against its analytic mixture
+TRANSFER_TOL = 1e-10  # evolved family state against its analytic mixture
 # Every table records this panel: one certificate decides all measures at once.
 MEASURE_NAMES = ("c_l1", "c_rel_ent")
 _CSV_COLUMNS = MEASURE_NAMES + (
@@ -274,26 +274,30 @@ def detect_freezing(
     return result
 
 
-def bitflip_transfer_weights(bits: str, qs) -> dict[str, float]:
+def bitflip_transfer_weights(weights: Mapping[str, float], qs) -> dict[str, float]:
     """Mixture weights over canonical bit strings after local bit flips.
 
-    For each canonical target string m, the weight is the probability that
-    the flip pattern maps |bits> to |m> or to its complement:
-    prod_i(q_i + (1-2 q_i) [m_i == bits_i]) plus the complementary product.
+    For each canonical target string m, the weight sums, over the sources l
+    of weights, w_l times the probability that the flip pattern maps |l> to
+    |m> or to its complement: prod_i(q_i + (1-2 q_i) [m_i == l_i]) plus the
+    complementary product.
     """
-    n = len(bits)
-    if len(qs) != n:
+    if any(len(bits) != len(qs) for bits in weights):
         raise ValidationError("need one flip probability per qubit")
-    weights = {}
-    for target in canonical_bitstrings(n):
-        keep = 1.0
-        flip = 1.0
-        for ti, bi, q in zip(target, bits, qs):
-            same = 1.0 if ti == bi else 0.0
-            keep *= q + (1.0 - 2.0 * q) * same
-            flip *= 1.0 - q - (1.0 - 2.0 * q) * same
-        weights[target] = keep + flip
-    return weights
+    # Both products per pattern m ^ l of differing bits, built in qubit order.
+    products = [(1.0, 1.0)]
+    for q in qs:
+        same = (q + (1.0 - 2.0 * q), 1.0 - q - (1.0 - 2.0 * q))
+        products = [(k * a, f * b) for k, f in products for a, b in (same, (q, 1.0 - q))]
+    moved = [keep + flip for keep, flip in products]
+    sources = [(int(bits, 2), w) for bits, w in weights.items()]
+    transferred = {}
+    for m, target in enumerate(canonical_bitstrings(len(qs))):
+        total = 0.0
+        for l, w in sources:
+            total += w * moved[m ^ l]
+        transferred[target] = total
+    return transferred
 
 
 @dataclass(frozen=True)
@@ -317,27 +321,13 @@ def reproduce_pure_family(
 ) -> FamilyReport:
     """Check that both panel measures stay at 1 for (|l> +/- |l~>)/sqrt(2),
     the mixed family's one-weight case with p = 1 or 0, under heterogeneous
-    local bit flips, with Frozen certificates throughout, and cross-check the
-    evolved state against its analytic mixture form.
-    """
+    local bit flips."""
     if len(bits) != num_qubits:
         raise ValidationError("bit string length must match the qubit count")
-    _require_supported_qubits(num_qubits)
     sign_value = _parse_sign(sign)
     family = MixedFamilySpec(p=(1 + sign_value) / 2, weights={bits: 1.0})
-    sign_text = "+" if sign_value > 0 else "-"
-    spec = SweepSpec(
-        state=phi_state(bits, sign_value),
-        factors=("bitflip",) * num_qubits,
-        grids=default_heterogeneous_grids(num_qubits) if grids is None else grids,
-        state_label=f"phi N={num_qubits} l={bits} sign={sign_text}",
-    )
-
-    def analytic(point):
-        weights = bitflip_transfer_weights(bits, point)
-        return _mixed_family_matrix(MixedFamilySpec(p=family.p, weights=weights))
-
-    return _reproduce(spec, family, tol, analytic)
+    label = f"phi N={num_qubits} l={bits} sign={'+' if sign_value > 0 else '-'}"
+    return _reproduce(family, grids, label, tol)
 
 
 def reproduce_mixed_family(
@@ -349,18 +339,11 @@ def reproduce_mixed_family(
     tol: float = FAMILY_TOL,
 ) -> FamilyReport:
     """Check that c_rel_ent stays at 1 - H(p) for the +/- mixture family
-    under heterogeneous local bit flips, with Frozen certificates."""
+    under heterogeneous local bit flips."""
     family = MixedFamilySpec(p=p, weights=weights)
     if family.num_qubits != num_qubits:
         raise ValidationError("weights do not match the qubit count")
-    _require_supported_qubits(num_qubits)
-    spec = SweepSpec(
-        state=mixed_family(family),
-        factors=("bitflip",) * num_qubits,
-        grids=default_heterogeneous_grids(num_qubits) if grids is None else grids,
-        state_label=f"mixed N={num_qubits} p={p:g}",
-    )
-    return _reproduce(spec, family, tol)
+    return _reproduce(family, grids, f"mixed N={num_qubits} p={p:g}", tol)
 
 
 def bromley_report(
@@ -372,41 +355,52 @@ def bromley_report(
 ) -> FamilyReport:
     """The two-qubit Bromley-Cianciaruso-Adesso state under identical local
     bit flips (tied q)."""
-    family = bromley_spec(2, c1, c3)
-    spec = SweepSpec(
-        state=mixed_family(family),
-        factors=("bitflip", "bitflip"),
-        grids=(tuple(np.linspace(0.0, 1.0, grid_points)),),
-        tie_parameters=True,
-        state_label=f"bromley N=2 c1={c1:g} c3={c3:g}",
-    )
-    return _reproduce(spec, family, tol)
+    grids = (tuple(np.linspace(0.0, 1.0, grid_points)),)
+    label = f"bromley N=2 c1={c1:g} c3={c3:g}"
+    return _reproduce(bromley_spec(2, c1, c3), grids, label, tol, tie_parameters=True)
 
 
 def _reproduce(
-    spec: SweepSpec,
     family: MixedFamilySpec,
+    grids: tuple[tuple[float, ...], ...] | None,
+    label: str,
     tol: float,
-    analytic=None,
+    *,
+    tie_parameters: bool = False,
 ) -> FamilyReport:
-    """Run a sweep whose state, spec.state, is mixed_family(family), asserting
-    at every grid point that c_rel_ent == 1 - H(family.p), c_l1 ==
-    c_l1(spec.state) and the certificate is Frozen; with analytic (grid point
-    -> the analytic mixture's unvalidated matrix), also that the certificate's
-    evolved state matches it."""
-    label = spec.state_label
+    """Sweep mixed_family(family) under local bit flips, asserting at every
+    grid point that c_rel_ent == 1 - H(family.p), c_l1 is unchanged, the
+    certificate is Frozen and its evolved state is the family's analytic
+    transferred mixture. grids=None means default_heterogeneous_grids."""
+    num_qubits = family.num_qubits
+    _require_supported_qubits(num_qubits)
+    if grids is None:
+        grids = default_heterogeneous_grids(num_qubits)
+    spec = SweepSpec(
+        state=mixed_family(family),
+        factors=("bitflip",) * num_qubits,
+        grids=grids,
+        tie_parameters=tie_parameters,
+        state_label=label,
+    )
     expected = 1.0 - binary_entropy(family.p)
     rows = []
-    max_cr = 0.0
-    max_l1 = 0.0
-    max_transfer = 0.0
+    max_cr = max_l1 = max_transfer = 0.0
     for point, certificate, row in _evaluate_grid(spec):
+        weights = bitflip_transfer_weights(family.weights, spec._per_factor(point))
+        analytic = _mixed_family_matrix(family.p, weights)
         cr_error = abs(row.c_rel_ent - expected)
         l1_error = certificate.c_l1_deviation
+        residual = max_abs(certificate.final_state.matrix - analytic)
         max_cr = max(max_cr, cr_error)
         max_l1 = max(max_l1, l1_error)
-        for name, error in (("c_rel_ent", cr_error), ("c_l1", l1_error)):
-            if error > tol:
+        max_transfer = max(max_transfer, residual)
+        for name, error, bound in (
+            ("c_rel_ent", cr_error, tol),
+            ("c_l1", l1_error, tol),
+            ("analytic mixture", residual, TRANSFER_TOL),
+        ):
+            if error > bound:
                 raise NumericalInconsistencyError(
                     f"{label}: {name} off by {error:.3e} at grid point {point}"
                 )
@@ -415,22 +409,8 @@ def _reproduce(
                 f"{label}: certificate NotFrozen at grid point {point} "
                 f"({','.join(certificate.failed_checks)})"
             )
-        if analytic is not None:
-            residual = max_abs(certificate.final_state.matrix - analytic(point))
-            max_transfer = max(max_transfer, residual)
-            if residual > TRANSFER_TOL:
-                raise NumericalInconsistencyError(
-                    f"{label}: analytic mixture residual {residual:.3e} "
-                    f"at grid point {point}"
-                )
         rows.append(row)
-    return FamilyReport(
-        expected_c_rel_ent=expected,
-        max_cr_deviation=max_cr,
-        max_cl1_deviation=max_l1,
-        max_transfer_residual=max_transfer,
-        table=_table(spec, rows),
-    )
+    return FamilyReport(expected, max_cr, max_l1, max_transfer, _table(spec, rows))
 
 
 # Fixed draw seeds of the mixed-family preset, named in each case label.

@@ -45,15 +45,6 @@ def check_bits(bits: str) -> str:
     return bits
 
 
-def bit_index(bits: str) -> int:
-    """Basis index of |bits> with the first bit most significant."""
-    return int(check_bits(bits), 2)
-
-
-def complement(bits: str) -> str:
-    return "".join("1" if c == "0" else "0" for c in check_bits(bits))
-
-
 def hamming_weight(bits: str) -> int:
     return check_bits(bits).count("1")
 
@@ -138,7 +129,10 @@ def from_pure(amplitudes, *, normalize: bool = False) -> DensityMatrix:
         psi = psi / scale / norm
     elif abs(scale * norm - 1.0) > NORM_TOL:
         raise NotNormalizedError(f"vector norm {scale * norm} is not 1")
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    mat = np.outer(psi, psi.conj())
+    # psi_i * conj(psi_i) is real; the complex product may round it otherwise.
+    np.fill_diagonal(mat, mat.diagonal().real)
+    return DensityMatrix(mat)
 
 
 def dephase(rho: DensityMatrix) -> DensityMatrix:
@@ -210,20 +204,21 @@ class MixedFamilySpec:
 
 def mixed_family(spec: MixedFamilySpec) -> DensityMatrix:
     """sum_l w_l (p |phi_l+><phi_l+| + (1-p) |phi_l-><phi_l-|)."""
-    return DensityMatrix(_mixed_family_matrix(spec))
+    return DensityMatrix(_mixed_family_matrix(spec.p, spec.weights))
 
 
-def _mixed_family_matrix(spec: MixedFamilySpec) -> np.ndarray:
-    """mixed_family(spec)'s matrix, built without validating it."""
-    dim = 2**spec.num_qubits
+def _mixed_family_matrix(p: float, weights: Mapping[str, float]) -> np.ndarray:
+    """mixed_family's matrix for p and weights, built without validating it."""
+    dim = 2 ** len(next(iter(weights)))
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    for bits, w in spec.weights.items():
+    for bits, w in weights.items():
         if w == 0.0:
             continue
-        i, j = bit_index(bits), bit_index(complement(bits))
+        i = int(bits, 2)
+        j = dim - 1 - i  # the complement's index
         mat[i, i] += 0.5 * w
         mat[j, j] += 0.5 * w
-        off = 0.5 * w * (2.0 * spec.p - 1.0)
+        off = 0.5 * w * (2.0 * p - 1.0)
         mat[i, j] += off
         mat[j, i] += off
     return mat

@@ -47,6 +47,31 @@ def bell():
     return phi_state("00", "+")
 
 
+def swap_transfer(monkeypatch):
+    """Make the reproductions expect the two-qubit transfer with the weights
+    of 00 and 01 swapped."""
+    transfer = experiments.bitflip_transfer_weights
+
+    def swapped(weights, qs):
+        moved = transfer(weights, qs)
+        return {"00": moved["01"], "01": moved["00"]}
+
+    monkeypatch.setattr(experiments, "bitflip_transfer_weights", swapped)
+
+
+def spy_transfer(monkeypatch):
+    """Record the (weights, flip probabilities) of every transfer computed."""
+    transfer = experiments.bitflip_transfer_weights
+    calls = []
+
+    def recorded(weights, qs):
+        calls.append((dict(weights), tuple(qs)))
+        return transfer(weights, qs)
+
+    monkeypatch.setattr(experiments, "bitflip_transfer_weights", recorded)
+    return calls
+
+
 def make_spec(**overrides):
     defaults = dict(
         state=bell(),
@@ -224,20 +249,30 @@ class TestDetectFreezing:
 
 class TestTransferWeights:
     def test_matches_oracle(self):
+        # a mixture transfers as the weighted sum of its one-string transfers
         qs = (0.2, 0.7, 0.4)
-        weights = bitflip_transfer_weights("010", qs)
-        for target in canonical_bitstrings(3):
-            assert weights[target] == pytest.approx(
-                bitflip_weight(target, "010", qs), abs=1e-15
-            )
+        for sources in ({"010": 1.0}, {"000": 0.2, "010": 0.5, "011": 0.3}):
+            weights = bitflip_transfer_weights(sources, qs)
+            for target in canonical_bitstrings(3):
+                expected = sum(
+                    w * bitflip_weight(target, bits, qs) for bits, w in sources.items()
+                )
+                assert weights[target] == pytest.approx(expected, abs=1e-15)
 
     def test_normalized(self):
-        weights = bitflip_transfer_weights("00", (0.3, 0.8))
-        assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+        for sources in ({"00": 1.0}, {"00": 0.25, "01": 0.75}):
+            weights = bitflip_transfer_weights(sources, (0.3, 0.8))
+            assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_a_length_mismatch(self):
+        with pytest.raises(ValidationError, match="one flip probability per qubit"):
+            bitflip_transfer_weights({"00": 1.0}, (0.3,))
+        with pytest.raises(ValidationError, match="one flip probability per qubit"):
+            bitflip_transfer_weights({"00": 0.5, "011": 0.5}, (0.3, 0.8))
 
     def test_analytic_state_matches_brute_force(self):
         qs = (0.15, 0.6)
-        weights = bitflip_transfer_weights("01", qs)
+        weights = bitflip_transfer_weights({"01": 1.0}, qs)
         analytic = np.zeros((4, 4), dtype=complex)
         for bits, w in weights.items():
             psi = phi_vector(bits, -1)
@@ -297,13 +332,7 @@ class TestReproducePureFamily:
         assert family_calls == len(calls)
 
     def test_transfer_check_catches_a_wrong_mixture(self, monkeypatch):
-        transfer = experiments.bitflip_transfer_weights
-
-        def swapped(bits, qs):
-            weights = transfer(bits, qs)
-            return {"00": weights["01"], "01": weights["00"]}
-
-        monkeypatch.setattr(experiments, "bitflip_transfer_weights", swapped)
+        swap_transfer(monkeypatch)
         with pytest.raises(NumericalInconsistencyError, match="analytic mixture"):
             reproduce_pure_family(2, "00", "+")
 
@@ -338,6 +367,19 @@ class TestReproduceMixedFamily:
         expected = 1.0 - shannon_bits([0.67, 0.33])
         assert report.expected_c_rel_ent == pytest.approx(expected, abs=1e-12)
 
+    def test_every_point_checks_the_analytic_transfer(self, monkeypatch):
+        calls = spy_transfer(monkeypatch)
+        weights = {"000": 0.1, "001": 0.2, "010": 0.3, "011": 0.4}
+        report = reproduce_mixed_family(3, 0.67, weights)
+        assert len(calls) == len(report.table.rows) == 216
+        assert all(sources == weights for sources, _ in calls)
+        assert report.max_transfer_residual <= 1e-10
+
+    def test_transfer_check_catches_a_wrong_mixture(self, monkeypatch):
+        swap_transfer(monkeypatch)
+        with pytest.raises(NumericalInconsistencyError, match="analytic mixture"):
+            reproduce_mixed_family(2, 0.9, {"00": 0.3, "01": 0.7})
+
 
 class TestBromleyPreset:
     @pytest.mark.parametrize("c1", [-0.8, 0.0, 0.6])
@@ -354,6 +396,18 @@ class TestBromleyPreset:
         assert [row.params for row in report.table.rows] == [
             (0.0,), (0.25,), (0.5,), (0.75,), (1.0,)
         ]
+
+    def test_every_point_checks_the_analytic_transfer(self, monkeypatch):
+        # the tied q flips both qubits with the same probability
+        calls = spy_transfer(monkeypatch)
+        report = bromley_report(0.6, 0.2, grid_points=5)
+        assert [qs for _, qs in calls] == [(q, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        assert report.max_transfer_residual <= 1e-10
+
+    def test_transfer_check_catches_a_wrong_mixture(self, monkeypatch):
+        swap_transfer(monkeypatch)
+        with pytest.raises(NumericalInconsistencyError, match="analytic mixture"):
+            bromley_report(0.6, 0.2)
 
 
 class TestNegativeControls:

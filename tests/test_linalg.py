@@ -122,6 +122,39 @@ class TestRelativeEntropy:
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         assert relative_entropy(rho, sigma) == expected
 
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            random_density(4, 4, seed=3),
+            random_density(4, 1, seed=4),
+            from_pure([0.6, 0.0, 0.8, 0.0]),  # inside the zero-padded support
+        ],
+    )
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[0.1, 0.2, 0.2, 0.5], [0.25, 0.25, 0.25, 0.25], [0.4, 0.0, 0.6, 0.0]],
+    )
+    def test_diagonal_sigma_matches_jacobi_oracle_without_eigh(
+        self, rho, diagonal, monkeypatch
+    ):
+        # sigma's eigenpairs are its diagonal entries and the basis vectors
+        s = np.array(diagonal)
+        weights = rho.matrix.diagonal().real
+        if weights[s == 0].sum() > 1e-9:
+            expected = math.inf
+        else:
+            rho_vals, _ = jacobi_eigh(rho.matrix)
+            expected = -shannon_bits(rho_vals) - float(
+                np.sum(weights[s > 0] * np.log2(s[s > 0]))
+            )
+
+        def refused(*args, **kwargs):
+            raise AssertionError("relative_entropy called eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        sigma = DensityMatrix(np.diag(s).astype(complex))
+        assert relative_entropy(rho, sigma) == pytest.approx(expected, abs=1e-12)
+
 
 class TestBinaryEntropy:
     @pytest.mark.parametrize("p,expected", [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)])

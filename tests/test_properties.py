@@ -12,16 +12,20 @@ from cohfreeze import (
     DensityMatrix,
     apply_channel,
     binary_entropy,
-    bit_index,
     c_l1,
     c_rel_ent,
-    complement,
+    canonical_bitstrings,
     dephase,
+    phi_state,
     random_density,
     random_sio_channel,
     relative_entropy,
 )
 from cohfreeze.linalg import entropy_bits, max_abs
+
+
+def flip_bits(bits):
+    return bits.translate(str.maketrans("01", "10"))
 
 
 def random_full_rank(dim, seed):
@@ -140,10 +144,19 @@ class TestScalarProperties:
     @given(st.integers(min_value=1, max_value=6))
     @settings(max_examples=30, deadline=None)
     def test_bit_complement_involution(self, n):
-        for i in range(2**n):
+        # the family matrix pairs |l> at index i with its complement at
+        # dim - 1 - i, and complementing twice gives l back
+        dim = 2**n
+        for i in range(dim):
             bits = format(i, f"0{n}b")
-            assert complement(complement(bits)) == bits
-            assert bit_index(bits) + bit_index(complement(bits)) == 2**n - 1
+            assert flip_bits(flip_bits(bits)) == bits
+            assert int(flip_bits(bits), 2) == dim - 1 - i
+        for bits in canonical_bitstrings(n):
+            i = int(bits, 2)
+            j = dim - 1 - i
+            corners = sorted([(i, i), (i, j), (j, i), (j, j)])
+            nonzero = np.argwhere(phi_state(bits, "-").matrix)
+            assert sorted(map(tuple, nonzero)) == corners
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)

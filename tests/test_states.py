@@ -12,12 +12,10 @@ from cohfreeze import (
     OutOfRangeError,
     ValidationError,
     basis_state,
-    bit_index,
     bromley_report,
     bromley_spec,
     c_l1,
     canonical_bitstrings,
-    complement,
     dephase,
     from_pure,
     hamming_weight,
@@ -29,16 +27,21 @@ from cohfreeze import (
 from cohfreeze import experiments
 from cohfreeze.channels import random_sio_channel, apply_channel
 from cohfreeze.linalg import max_abs
+from cohfreeze.states import check_bits
 
 
 class TestBitStrings:
     def test_index_convention_msb_first(self):
-        assert bit_index("010") == 2
-        assert bit_index("10") == 2
-        assert bit_index("0") == 0
+        # the family matrix places |l1 l2 ...> at index sum(l_i 2^(N-i))
+        assert phi_state("010", "+").matrix[2, 2] == 0.5
+        assert phi_state("01", "+").matrix[2, 2] == 0.5  # |10> of |01> + |10>
+        assert phi_state("0", "+").matrix[0, 0] == 0.5
 
     def test_complement_and_weight(self):
-        assert complement("010") == "101"
+        # |010> pairs with its complement |101>, index 5 = 8 - 1 - 2
+        rho = phi_state("010", "-")
+        assert rho.matrix[2, 5] == rho.matrix[5, 2] == -0.5
+        assert rho.matrix[5, 5] == 0.5
         assert hamming_weight("0110") == 2
 
     def test_canonical_strings(self):
@@ -46,8 +49,10 @@ class TestBitStrings:
         assert len(canonical_bitstrings(4)) == 8
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValidationError):
-            bit_index("01a")
+        with pytest.raises(ValidationError, match="not a bit string"):
+            check_bits("01a")
+        with pytest.raises(ValidationError, match="not a bit string"):
+            MixedFamilySpec(p=1.0, weights={"01a": 1.0})
 
 
 class TestDensityMatrix:
@@ -221,14 +226,20 @@ class TestFromPure:
             from_pure([0.0, 0.0])
 
     def test_ordinary_vectors_normalize_to_the_same_bits(self):
-        # the scale is a power of two, so psi / |psi| is unchanged
+        # the scale is a power of two, so psi / |psi| is unchanged; only the
+        # diagonal's rounded imaginary parts are dropped
         rng = np.random.default_rng(17)
         for dim in (1, 2, 3, 5, 8, 64):
             for spread in (1e-3, 1.0, 1e3):
                 psi = spread * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
                 unit = psi / np.linalg.norm(psi)
                 rho = from_pure(psi, normalize=True)
-                np.testing.assert_array_equal(rho.matrix, np.outer(unit, unit.conj()))
+                outer = np.outer(unit, unit.conj())
+                np.testing.assert_array_equal(rho.matrix.real, outer.real)
+                off = ~np.eye(dim, dtype=bool)
+                np.testing.assert_array_equal(rho.matrix[off], outer[off])
+                assert not rho.matrix.diagonal().imag.any()
+                assert np.trace(rho.matrix).imag == 0.0
 
 
 class TestDephase:
@@ -301,7 +312,8 @@ class TestMixedFamily:
         for n in range(1, 7):
             dim = 2**n
             for bits in canonical_bitstrings(n):
-                i, j = bit_index(bits), bit_index(complement(bits))
+                i = int(bits, 2)
+                j = int(bits.translate(str.maketrans("01", "10")), 2)
                 for sign, p in (("+", 1.0), ("-", 0.0)):
                     spec = MixedFamilySpec(p=p, weights={bits: 1.0})
                     expected = np.zeros((dim, dim), dtype=complex)
