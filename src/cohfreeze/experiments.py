@@ -32,6 +32,7 @@ from .states import (
     _random_weights,
     bromley_spec,
     canonical_bitstrings,
+    check_bits,
     mixed_family,
 )
 
@@ -282,7 +283,7 @@ def bitflip_transfer_weights(weights: Mapping[str, float], qs) -> dict[str, floa
     |m> or to its complement: prod_i(q_i + (1-2 q_i) [m_i == l_i]) plus the
     complementary product.
     """
-    if any(len(bits) != len(qs) for bits in weights):
+    if any(len(check_bits(bits)) != len(qs) for bits in weights):
         raise ValidationError("need one flip probability per qubit")
     # Both products per pattern m ^ l of differing bits, built in qubit order.
     products = [(1.0, 1.0)]

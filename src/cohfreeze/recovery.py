@@ -3,16 +3,20 @@
 For a channel with Kraus operators K_n and a diagonal reference state d0 with
 image dt = channel(d0), the recovery map has operators
 
-    R_n = d0^(1/2) K_n^dag dt^(-1/2)
+    R_n = d0^(1/2) K~_n^dag dt^(-1/2)
 
-where dt^(-1/2) inverts only the nonzero diagonal entries. When dt is
-singular the projector onto its kernel is appended, which restores trace
-preservation. Reversing the evolution with such a map, itself incoherent,
-pins every coherence measure between its initial and final values, so a
-successful round trip certifies freezing of all measures at once.
+where K~_n is K_n with every entry at or below ZERO_TOL set to zero (the
+stack classify judged) and dt^(-1/2) inverts the entries above the kernel
+cutoff. When dt is singular the projector onto its kernel is appended, which
+restores trace preservation. Reversing the evolution with such a map, itself
+incoherent, pins every coherence measure between its initial and final
+values, so a successful round trip certifies freezing of all measures at
+once. Each column of an incoherent K~_n holds at most one nonzero, so
+sum R_n^dag R_n is exactly diagonal; when each row does too, so does each
+R_n, and the recovery is as strictly incoherent as the channel.
 
 For a LocalChannel, whose factors are strictly incoherent entry by entry,
-the certificate applies the same recovery in closed form,
+the certificate applies the recovery of its full Kraus list in closed form,
 
     R(X) = d0^(1/2) L^dag(dt^(-1/2) X dt^(-1/2)) d0^(1/2) + P_ker X P_ker,
 
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channels import (
+    ZERO_TOL,
     ChannelClass,
     ChannelClassification,
     ClassificationWitness,
@@ -56,9 +61,9 @@ def _recovery_weights(
     delta0: DensityMatrix, delta_t: DensityMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """d0^(1/2), dt^(-1/2) on dt's support (zero on its kernel), and the
-    kernel mask, from the clipped diagonals of the two references."""
-    if not delta_t.is_diagonal():
-        raise NotDiagonalError("evolved reference state is not diagonal")
+    kernel mask, from the clipped diagonals of the two references. An
+    incoherent channel's dt has off-diagonal entries only from Kraus entries
+    at or below ZERO_TOL, which the recovery does not read."""
     d0 = np.clip(delta0.matrix.diagonal().real, 0.0, None)
     dt = np.clip(delta_t.matrix.diagonal().real, 0.0, None)
     kernel = dt <= KERNEL_CUTOFF * float(dt.max())
@@ -71,10 +76,9 @@ def petz_recovery(
 ) -> KrausChannel:
     """Recovery channel for an incoherent channel and diagonal reference.
 
-    Requires delta0 diagonal and the channel at least incoherent (so that the
-    evolved reference stays diagonal). The result is trace preserving by
-    construction; when the input channel is strictly incoherent the recovery
-    operators are incoherent as well.
+    Requires delta0 diagonal and the channel at least incoherent at ZERO_TOL.
+    The result is trace preserving by construction; when the input channel
+    is strictly incoherent the recovery is strictly incoherent as well.
     """
     if not delta0.is_diagonal():
         raise NotDiagonalError("reference state must be diagonal")
@@ -96,6 +100,7 @@ def _recovery_channel(
         delta0, apply_channel(channel, delta0)
     )
     kraus_dag = np.asarray(channel.operators).conj().transpose(0, 2, 1)
+    kraus_dag[np.abs(kraus_dag) <= ZERO_TOL] = 0.0  # the stack classify judged
     ops = sqrt0[None, :, None] * kraus_dag * inv_sqrt[None, None, :]
     if kernel.any():
         ops = np.concatenate([ops, np.diag(kernel.astype(np.complex128))[None]])
@@ -208,15 +213,15 @@ def certify_freezing(
     if isinstance(channel, LocalChannel):
         recover = _closed_form_recovery(channel, delta0, delta_t)
         recovered_state, recovered_diag = recover(rho_t), recover(delta_t)
-        # Strictly incoherent as the factors are; the kernel projector is diagonal.
-        recovery_classification = ChannelClassification(
-            ChannelClass.STRICTLY_INCOHERENT, None
-        )
     else:
         # delta0 = dephase(rho0) is diagonal by construction.
         recovery = _recovery_channel(channel, classification, delta0)
         recovered_state = apply_channel(recovery, rho_t)
         recovered_diag = apply_channel(recovery, delta_t)
+    if classification.channel_class is ChannelClass.STRICTLY_INCOHERENT:
+        # Each R_n keeps K~_n's at most one nonzero per row and per column.
+        recovery_classification = classification
+    else:  # incoherent only: scan the recovery for the witness to report
         recovery_classification = classify(recovery)
     state_error = recovered_state.matrix - rho0.matrix
     residual_state = max_abs(state_error)

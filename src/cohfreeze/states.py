@@ -45,10 +45,6 @@ def check_bits(bits: str) -> str:
     return bits
 
 
-def hamming_weight(bits: str) -> int:
-    return check_bits(bits).count("1")
-
-
 def canonical_bitstrings(num_qubits: int) -> list[str]:
     """All length-N bit strings with a leading 0, in ascending index order."""
     if num_qubits < 1:
@@ -240,7 +236,7 @@ def bromley_spec(num_qubits: int, c1: float, c3: float) -> MixedFamilySpec:
         raise OutOfRangeError("c1 and c3 must be in [-1, 1]")
     scale = 2.0 ** (num_qubits - 1)
     weights = {
-        bits: (1.0 + (-1.0) ** hamming_weight(bits) * c3) / scale
+        bits: (1.0 + (-1.0) ** bits.count("1") * c3) / scale
         for bits in canonical_bitstrings(num_qubits)
     }
     return MixedFamilySpec(p=(1.0 + c1) / 2.0, weights=weights)

@@ -246,6 +246,29 @@ class TestCertify:
         assert code == 3
         assert "finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "state, channel",
+        [
+            # A 1e-13 rotation: (d0/dt)^(1/2) ~ 3e5 would scale it up.
+            (
+                "raw dim=2 entries=[0.99999999999,0,0,1e-11]",
+                "raw dim=2 ops=[[1,-1e-13,1e-13,1]]",
+            ),
+            # 1e-12 entries: channel(delta0) is off-diagonal by 2e-12.
+            (
+                "raw dim=2 entries=[0.5,0.2,0.2,0.5]",
+                "raw dim=2 ops=[" + ",".join(["[0.5,1e-12,1e-12,0.5]"] * 4) + "]",
+            ),
+        ],
+    )
+    def test_near_strict_channel_gets_a_verdict(self, state, channel, capsys):
+        # Entries at or below ZERO_TOL classify as zero, and the recovery is
+        # built from that same judged stack.
+        assert run_cli("certify", "--state", state, "--channel", channel) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("verdict = Frozen\n")
+        assert "recovery_witness = none\n" in out
+
     def test_io_only_with_override(self, capsys):
         h = "0.7071067811865476"
         spec = f"raw dim=2 ops=[[{h},{h},0,0],[{h},-{h},0,0]]"

@@ -111,6 +111,19 @@ class TestSweepSpec:
         with pytest.raises(OutOfRangeError):
             make_spec(**{field: value})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(factors=()), "need at least one channel factor"),
+            (dict(factors=("bitflip", "warp")), "unknown channel kind 'warp'"),
+            (dict(grids=((0.0, 0.5),)), "expected 2 grid(s), got 1"),
+        ],
+    )
+    def test_refusal_messages(self, overrides, message):
+        with pytest.raises(ValidationError) as excinfo:
+            make_spec(**overrides)
+        assert str(excinfo.value) == message
+
     def test_rejects_state_channel_mismatch(self):
         with pytest.raises(ValidationError):
             make_spec(state=phi_state("000", "+"))
@@ -269,6 +282,10 @@ class TestTransferWeights:
             bitflip_transfer_weights({"00": 1.0}, (0.3,))
         with pytest.raises(ValidationError, match="one flip probability per qubit"):
             bitflip_transfer_weights({"00": 0.5, "011": 0.5}, (0.3, 0.8))
+
+    def test_rejects_a_key_that_is_not_bits(self):
+        with pytest.raises(ValidationError, match="not a bit string: '0a'"):
+            bitflip_transfer_weights({"0a": 1.0}, (0.1, 0.2))
 
     def test_analytic_state_matches_brute_force(self):
         qs = (0.15, 0.6)

@@ -253,12 +253,12 @@ class TestEdges:
         assert capsys.readouterr().out == expected.to_text() + "\n"
         assert main(["certify", "--state", state_spec, "--channel", channel_spec]) == 3
 
-    def test_near_strict_factor_parses_dense_and_refuses_its_recovery(self):
+    def test_near_strict_factor_parses_dense_and_certifies_its_recovery(self):
         # A rotation by 1e-13 classifies strictly incoherent at the default
         # zero_tol but not entry by entry, so the local spec parses to the
-        # dense channel. The recovery scales its small entries up by
-        # (d0/dt)^(1/2) ~ 3e5 here, and the certificate refuses that
-        # recovery's Kraus list.
+        # dense channel. The recovery is built from the stack classify
+        # judged, without the 1e-13 entries that (d0/dt)^(1/2) ~ 3e5 would
+        # scale up, so its Kraus list is complete and the certificate returns.
         raw = "raw dim=2 ops=[[1,-1e-13,1e-13,1]]"
         channel = parse_channel_spec(f"local [{raw}]")
         assert isinstance(channel, KrausChannel)
@@ -267,8 +267,12 @@ class TestEdges:
         )
         assert classify(channel).channel_class is ChannelClass.STRICTLY_INCOHERENT
         rho0 = DensityMatrix(np.diag([1.0 - 1e-11, 1e-11]).astype(complex))
-        with pytest.raises(ValidationError, match="completeness fails"):
-            certify_freezing(channel, rho0)
+        assert certify_freezing(channel, rho0).verdict == "Frozen"
+        ops = petz_recovery(channel, rho0).operators
+        completeness = np.einsum("nab,nac->bc", ops.conj(), ops)
+        # exact off the diagonal; on it, off by at most ZERO_TOL^2 / dt + rounding
+        assert completeness[0, 1] == completeness[1, 0] == 0
+        np.testing.assert_allclose(completeness.diagonal(), 1.0, rtol=0, atol=1e-12)
 
 
 class TestFactoredOrDense:

@@ -210,10 +210,30 @@ class TestCertifyFreezing:
 
         monkeypatch.setattr(recovery, "classify", counted)
         channel = random_sio_channel(4, 3, seed=71)
-        certify_freezing(channel, random_density(4, 3, seed=72))
-        # the channel once, its recovery once
+        certificate = certify_freezing(channel, random_density(4, 3, seed=72))
+        # the channel once; its recovery takes the channel's classification
+        assert calls == [channel]
+        assert certificate.recovery_incoherent
+        assert certificate.recovery_witness is None
+
+    def test_incoherent_only_certificate_scans_its_recovery_once(self, monkeypatch):
+        calls = []
+        original = recovery.classify
+
+        def counted(channel, *args):
+            calls.append(channel)
+            return original(channel, *args)
+
+        monkeypatch.setattr(recovery, "classify", counted)
+        channel = random_incoherent_channel(4, 3, seed=71)
+        certificate = certify_freezing(
+            channel, random_density(4, 3, seed=72), enforce_hypothesis=False
+        )
         assert len(calls) == 2
         assert calls[0] is channel and calls[1] is not channel
+        # the scan's witness is the one the certificate reports
+        assert certificate.recovery_witness == original(calls[1]).witness
+        assert certificate.recovery_witness is not None
 
     def test_dense_certificate_sums_moduli_twice(self, monkeypatch):
         calls = []

@@ -10,6 +10,7 @@ from cohfreeze import (
     classify,
     phi_state,
 )
+from cohfreeze.cli import main
 from cohfreeze.specs import (
     parse_channel_spec,
     parse_complex,
@@ -183,6 +184,45 @@ class TestChannelSpecs:
             parse_channel_spec("bitflip q=1.5")
 
 
+class TestInlineRefusals:
+    """Each refusal's type and message, through the parser and through the
+    CLI, which exits 2 on a parse error."""
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("measure", "phi N=2 =1 l=00 sign=+", "expected key=value, got '=1'"),
+            ("classify", "bitflip q=0.1 q=0.2", "duplicate key 'q'"),
+            (
+                "classify",
+                "local [bitflip q=0.1",
+                "unbalanced brackets in 'local [bitflip q=0.1'",
+            ),
+            ("measure", "pure amps=1,0", "expected a bracketed list, got '1,0'"),
+            ("measure", "basis N=two i=0", "bad integer for N: 'two'"),
+            ("measure", "pure amps=[1] normalize=no", "bad boolean for normalize: 'no'"),
+            ("measure", "phi [0] N=1 l=0 sign=+", "unexpected bracket argument for 'phi'"),
+            ("classify", "bitflip [q] q=0", "unexpected bracket argument for 'bitflip'"),
+            ("measure", "phi N=2 l=00 sign=x", "sign must be + or -, got 'x'"),
+            (
+                "measure",
+                "mixed N=2 p=0.5 weights=[000:1]",
+                "weight key '000' does not have N=2 bits",
+            ),
+            ("measure", "pure amps=[]", "pure requires at least one amplitude"),
+            ("classify", "raw dim=2 ops=[]", "raw requires at least one operator"),
+        ],
+    )
+    def test_message_and_exit_code(self, command, text, message, capsys):
+        parse = parse_state_spec if command == "measure" else parse_channel_spec
+        with pytest.raises(SpecParseError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == message
+        flag = "--state" if command == "measure" else "--channel"
+        assert main([command, flag, text]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 class TestBracketScanning:
     @pytest.mark.parametrize(
         "text,message",
@@ -268,6 +308,35 @@ class TestSweepFiles:
         text = SWEEP_TEXT + "sweep.q = [0.5]\n"
         with pytest.raises(SpecParseError):
             parse_sweep_file(text)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("out.csv", "out.csv\nstray","line 9: expected section.key = value"),
+            ("output.path", "path", "line 8: key 'path' is missing a section"),
+            ("= out.csv", "=", "line 8: empty value for 'output.path'"),
+            ("channel.factors = [bitflip, bitflip]\n", "", "missing channel.factors"),
+            (
+                "channel.factors = [bitflip, bitflip]",
+                "channel.factors = []",
+                "line 3: channel.factors must not be empty",
+            ),
+            (
+                "channel.factors = [bitflip, bitflip]",
+                "channel.factors = [bitflip, warp]",
+                "line 3: unknown channel kind 'warp'",
+            ),
+        ],
+    )
+    def test_refusal_messages(self, old, new, message, tmp_path, capsys):
+        text = SWEEP_TEXT.replace(old, new)
+        with pytest.raises(SpecParseError) as excinfo:
+            parse_sweep_file(text)
+        assert str(excinfo.value) == message
+        spec_file = tmp_path / "bad.spec"
+        spec_file.write_text(text)
+        assert main(["sweep", "--spec", str(spec_file)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_negative_seed_in_state_spec(self):
         text = SWEEP_TEXT.replace(

@@ -18,7 +18,6 @@ from cohfreeze import (
     canonical_bitstrings,
     dephase,
     from_pure,
-    hamming_weight,
     mixed_family,
     phi_state,
     random_density,
@@ -42,7 +41,6 @@ class TestBitStrings:
         rho = phi_state("010", "-")
         assert rho.matrix[2, 5] == rho.matrix[5, 2] == -0.5
         assert rho.matrix[5, 5] == 0.5
-        assert hamming_weight("0110") == 2
 
     def test_canonical_strings(self):
         assert canonical_bitstrings(2) == ["00", "01"]
@@ -53,6 +51,37 @@ class TestBitStrings:
             check_bits("01a")
         with pytest.raises(ValidationError, match="not a bit string"):
             MixedFamilySpec(p=1.0, weights={"01a": 1.0})
+
+
+BROMLEY_RANGE = "c1 and c3 must be in [-1, 1]"
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: canonical_bitstrings(0), ValidationError, "need at least one qubit"),
+            (lambda: basis_state(4, 4), OutOfRangeError, "basis index 4 outside 0..3"),
+            (
+                lambda: MixedFamilySpec(p=0.5, weights={}),
+                ValidationError,
+                "weights must not be empty",
+            ),
+            (
+                lambda: MixedFamilySpec(p=0.5, weights={"00": 0.5, "011": 0.5}),
+                ValidationError,
+                "weight keys must share one bit length",
+            ),
+            (lambda: bromley_spec(2, 1.5, 0.0), OutOfRangeError, BROMLEY_RANGE),
+            (lambda: bromley_spec(2, 0.0, -1.5), OutOfRangeError, BROMLEY_RANGE),
+        ],
+        ids=["no-qubits", "basis-index", "no-weights", "mixed-lengths", "c1", "c3"],
+    )
+    def test_type_and_message(self, build, error, message):
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
 
 
 class TestDensityMatrix:

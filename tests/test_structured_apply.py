@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 
 from cohfreeze import (
     CHANNEL_FACTORIES,
+    ChannelClass,
+    ChannelClassification,
     CohfreezeError,
     DensityMatrix,
     KrausChannel,
     apply_channel,
     bit_flip,
     certify_freezing,
+    classify,
     compose,
     depolarizing,
     petz_recovery,
@@ -30,7 +33,7 @@ from cohfreeze import (
     random_sio_channel,
     tensor,
 )
-from cohfreeze import channels
+from cohfreeze import channels, recovery
 
 from oracles import brute_apply
 
@@ -179,6 +182,53 @@ class TestDifferential:
     @given(library_tensors, st.integers(0, 2**31))
     def test_tensor_certificate(self, channel, seed):
         assert_same_certificate(channel, seed)
+
+
+def near_strict(kind, dim, count, seed):
+    """An SIO or composed SIO stack with extra real entries of modulus in
+    (0, ZERO_TOL] at about a third of its zeros: it still classifies
+    strictly incoherent, but not entry by entry."""
+    ops = np.array(build(kind, dim, count, seed).operators)
+    rng = np.random.default_rng(seed)
+    extra = (ops == 0) & (rng.random(ops.shape) < 0.3)
+    tiny = channels.ZERO_TOL * (1.0 - rng.random(ops.shape))  # (0, ZERO_TOL]
+    ops[extra] = (rng.choice([-1.0, 1.0], ops.shape) * tiny)[extra]
+    return KrausChannel(ops)
+
+
+strict_kinds = st.sampled_from(("sio", "sio-compose"))
+stack_sizes = (st.sampled_from(DIMS), st.integers(1, 8), st.integers(0, 2**31))
+strict_channels = st.one_of(
+    st.builds(build, strict_kinds, *stack_sizes),
+    library_tensors,
+    st.builds(near_strict, strict_kinds, *stack_sizes),
+)
+
+
+class TestRecoveryOfStrictStacks:
+    @settings(max_examples=60, deadline=None)
+    @given(strict_channels, st.integers(0, 2**31))
+    def test_strictly_incoherent_and_complete(self, channel, seed):
+        assert classify(channel).channel_class is ChannelClass.STRICTLY_INCOHERENT
+        delta0 = singular_diagonal(channel.dim, seed)
+        recovered = petz_recovery(channel, delta0)
+        assert classify(recovered) == ChannelClassification(
+            ChannelClass.STRICTLY_INCOHERENT, None
+        )
+        ops = recovered.operators
+        completeness = np.einsum("nab,nac->bc", ops.conj(), ops)
+        off = completeness - np.diag(completeness.diagonal())
+        assert not off.any()  # each column of the judged stack has one entry at most
+        # A dropped entry leaves row a of the stack short by at most
+        # ZERO_TOL^2 d0_j, so the diagonal misses 1 by n ZERO_TOL^2 / dt_a.
+        dt = apply_channel(channel, delta0).matrix.diagonal().real
+        supported = dt > recovery.KERNEL_CUTOFF * dt.max()
+        n = len(channel.operators)
+        bound = n * channels.ZERO_TOL**2 / dt[supported]
+        slack = 4 * n * channel.dim * np.finfo(float).eps
+        defect = np.abs(completeness.diagonal() - 1.0)
+        assert (defect[~supported] == 0).all()
+        assert (defect[supported] <= bound + slack).all()
 
 
 class TestEdges:
