@@ -112,22 +112,14 @@ def _operator_stack(operators) -> np.ndarray:
     try:
         ops = np.array(operators, dtype=np.complex128)
     except ValueError:  # operators of different shapes
-        ops = None
-    if ops is None or ops.ndim != 3:
-        matrices = [as_complex_matrix(op) for op in operators]
-        if not matrices:
-            raise ValidationError("channel needs at least one Kraus operator")
-        raise DimensionMismatchError("Kraus operators differ in dimension")
-    n, rows, cols = ops.shape
-    if n == 0:
+        ops = np.empty(0)
+    square = ops.ndim == 3 and ops.shape[1] == ops.shape[2]
+    if square and ops.size > 0 and np.isfinite(ops).all():
+        return ops
+    matrices = [as_complex_matrix(op) for op in operators]
+    if not matrices:
         raise ValidationError("channel needs at least one Kraus operator")
-    if rows != cols:
-        raise ValidationError(f"expected a square matrix, got shape {(rows, cols)}")
-    if rows == 0:
-        raise ValidationError("matrix must have positive dimension")
-    if not np.isfinite(ops).all():
-        raise ValidationError("matrix entries must be finite")
-    return ops
+    raise DimensionMismatchError("Kraus operators differ in dimension")
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,12 +28,12 @@ from .states import (
     DensityMatrix,
     MixedFamilySpec,
     _mixed_family_matrix,
-    _parse_sign,
     _random_weights,
     bromley_spec,
     canonical_bitstrings,
     check_bits,
     mixed_family,
+    phi_spec,
 )
 
 MAX_DIM = 64
@@ -278,19 +278,17 @@ def detect_freezing(
 def bitflip_transfer_weights(weights: Mapping[str, float], qs) -> dict[str, float]:
     """Mixture weights over canonical bit strings after local bit flips.
 
-    For each canonical target string m, the weight sums, over the sources l
-    of weights, w_l times the probability that the flip pattern maps |l> to
-    |m> or to its complement: prod_i(q_i + (1-2 q_i) [m_i == l_i]) plus the
-    complementary product.
+    Flip pattern x (bit i set when qubit i flips, the first qubit most
+    significant) has the product probability prod_i (q_i if x_i else 1-q_i).
+    Target m receives w_l times the probability of pattern m ^ l plus that of
+    its complement, the two patterns that send |l> to |m> or m's complement.
     """
     if any(len(check_bits(bits)) != len(qs) for bits in weights):
         raise ValidationError("need one flip probability per qubit")
-    # Both products per pattern m ^ l of differing bits, built in qubit order.
-    products = [(1.0, 1.0)]
+    patterns = [1.0]
     for q in qs:
-        same = (q + (1.0 - 2.0 * q), 1.0 - q - (1.0 - 2.0 * q))
-        products = [(k * a, f * b) for k, f in products for a, b in (same, (q, 1.0 - q))]
-    moved = [keep + flip for keep, flip in products]
+        patterns = [w * f for w in patterns for f in (1.0 - q, q)]
+    moved = [w + c for w, c in zip(patterns, reversed(patterns))]  # ~x is at -1 - x
     sources = [(int(bits, 2), w) for bits, w in weights.items()]
     transferred = {}
     for m, target in enumerate(canonical_bitstrings(len(qs))):
@@ -313,7 +311,6 @@ class FamilyReport:
 
 
 def reproduce_pure_family(
-    num_qubits: int,
     bits: str,
     sign,
     grids: tuple[tuple[float, ...], ...] | None = None,
@@ -322,17 +319,13 @@ def reproduce_pure_family(
 ) -> FamilyReport:
     """Check that both panel measures stay at 1 for (|l> +/- |l~>)/sqrt(2),
     the mixed family's one-weight case with p = 1 or 0, under heterogeneous
-    local bit flips."""
-    if len(bits) != num_qubits:
-        raise ValidationError("bit string length must match the qubit count")
-    sign_value = _parse_sign(sign)
-    family = MixedFamilySpec(p=(1 + sign_value) / 2, weights={bits: 1.0})
-    label = f"phi N={num_qubits} l={bits} sign={'+' if sign_value > 0 else '-'}"
+    local bit flips on len(bits) qubits."""
+    family = phi_spec(bits, sign)
+    label = f"phi N={family.num_qubits} l={bits} sign={'+' if family.p else '-'}"
     return _reproduce(family, grids, label, tol)
 
 
 def reproduce_mixed_family(
-    num_qubits: int,
     p: float,
     weights: dict[str, float],
     grids: tuple[tuple[float, ...], ...] | None = None,
@@ -340,11 +333,9 @@ def reproduce_mixed_family(
     tol: float = FAMILY_TOL,
 ) -> FamilyReport:
     """Check that c_rel_ent stays at 1 - H(p) for the +/- mixture family
-    under heterogeneous local bit flips."""
+    under heterogeneous local bit flips, one qubit per bit of the weight keys."""
     family = MixedFamilySpec(p=p, weights=weights)
-    if family.num_qubits != num_qubits:
-        raise ValidationError("weights do not match the qubit count")
-    return _reproduce(family, grids, f"mixed N={num_qubits} p={p:g}", tol)
+    return _reproduce(family, grids, f"mixed N={family.num_qubits} p={p:g}", tol)
 
 
 def bromley_report(
@@ -440,7 +431,7 @@ def preset_files(name: str):
     for n in (2, 3):
         if name == "pure-family":
             cases = [
-                (f"l={bits} sign={sign}", reproduce_pure_family(n, bits, sign))
+                (f"l={bits} sign={sign}", reproduce_pure_family(bits, sign))
                 for bits in canonical_bitstrings(n)
                 for sign in ("+", "-")
             ]
@@ -450,6 +441,6 @@ def preset_files(name: str):
             for seed in _MIXED_PRESET_SEEDS:
                 rng = np.random.default_rng(seed)
                 p = float(rng.uniform(0.0, 1.0))
-                report = reproduce_mixed_family(n, p, _random_weights(n, rng), grids)
+                report = reproduce_mixed_family(p, _random_weights(n, rng), grids)
                 cases.append((f"seed={seed} p={p:.6g}", report))
         yield f"{name} N={n}", f"{name}-N{n}.csv", cases

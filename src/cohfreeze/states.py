@@ -152,16 +152,17 @@ def _parse_sign(sign) -> int:
     raise ValidationError(f"sign must be + or -, got {sign!r}")
 
 
+def phi_spec(bits: str, sign) -> MixedFamilySpec:
+    """The pure state (|l> + sign*|l-complement>)/sqrt(2), l starting with 0,
+    as the mixed family with the one weight {l: 1} and p = (1 + sign)/2."""
+    if check_bits(bits)[0] != "0":
+        raise InvalidCanonicalFormError(f"bit string must start with 0, got {bits!r}")
+    return MixedFamilySpec(p=(1 + _parse_sign(sign)) / 2, weights={bits: 1.0})
+
+
 def phi_state(bits: str, sign) -> DensityMatrix:
-    """The pure state (|l> + sign*|l-complement>)/sqrt(2), l starting with 0:
-    the mixed family with the one weight {l: 1} and p = (1 + sign)/2."""
-    check_bits(bits)
-    if bits[0] != "0":
-        raise InvalidCanonicalFormError(
-            f"bit string must start with 0, got {bits!r}"
-        )
-    s = _parse_sign(sign)
-    return mixed_family(MixedFamilySpec(p=(1 + s) / 2, weights={bits: 1.0}))
+    """The pure state of phi_spec(bits, sign)."""
+    return mixed_family(phi_spec(bits, sign))
 
 
 @dataclass(frozen=True)

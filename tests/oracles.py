@@ -40,13 +40,16 @@ def jacobi_eigh(matrix, max_sweeps: int = 100, tol: float = 1e-14):
                     t = -1.0 / (-tau + np.hypot(1.0, tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
-                rot = np.eye(n, dtype=np.complex128)
-                rot[p, p] = c
-                rot[p, q] = -phase * s
-                rot[q, p] = np.conj(phase) * s
-                rot[q, q] = c
-                a = rot.conj().T @ a @ rot
-                v = v @ rot
+                # a <- R^dag a R and v <- v R for the rotation R that is the
+                # identity but for R[p, p] = R[q, q] = c, R[p, q] = -phase s
+                # and R[q, p] = conj(phase) s: only lines p and q change.
+                for m in (a, v):
+                    mp, mq = m[:, p].copy(), m[:, q]
+                    m[:, p] = c * mp + np.conj(phase) * s * mq
+                    m[:, q] = c * mq - phase * s * mp
+                ap = a[p, :].copy()
+                a[p, :] = c * ap + phase * s * a[q, :]
+                a[q, :] = c * a[q, :] - np.conj(phase) * s * ap
     vals = np.diag(a).real
     order = np.argsort(vals, kind="stable")
     return vals[order], v[:, order]

@@ -130,6 +130,25 @@ class TestKrausChannel:
         assert excinfo.type is error
 
 
+class TestNothingToBuild:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: tensor([]), "tensor needs at least one channel"),
+            (lambda: random_sio_channel(2, 0, seed=1), "need at least one operator"),
+            (
+                lambda: random_incoherent_channel(2, 0, seed=1),
+                "need at least one operator",
+            ),
+        ],
+    )
+    def test_refusal(self, build, message):
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert excinfo.type is ValidationError
+        assert str(excinfo.value) == message
+
+
 class TestApply:
     def test_identity_channel(self):
         rho = random_density(4, 4, seed=0)

@@ -86,6 +86,16 @@ class TestMeasure:
         assert calls == {"eigvalsh": 1, "eigh": 0}
         assert "c_rel_ent = 0.278071905113" in capsys.readouterr().out
 
+    def test_cross_check_mismatch_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(coherence, "c_rel_ent", lambda rho: 0.5)
+        with pytest.raises(cohfreeze.NumericalInconsistencyError) as excinfo:
+            coherence.measure_panel(cohfreeze.phi_state("00", "+"))
+        assert excinfo.type is cohfreeze.NumericalInconsistencyError
+        message = "closed-form vs definitional mismatch: 5.000e-01"
+        assert str(excinfo.value) == message
+        assert run_cli("measure", "--state", "phi N=2 l=00 sign=+") == 4
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
     @pytest.mark.parametrize("amps", ["[1e-170,1e-170]", "[1e200,1e200]"])
     def test_tiny_or_huge_amplitudes_normalize_to_plus(self, amps, capsys):
         assert run_cli("measure", "--state", f"pure amps={amps} normalize=true") == 0
@@ -624,6 +634,18 @@ class TestEntryPoint:
             runpy.run_module("cohfreeze", run_name="__main__")
         assert exited.value.code == 1
         assert "verdict = NotFrozen" in capsys.readouterr().out
+
+    def test_cli_module_exits_with_main_status(self, monkeypatch, capsys):
+        # python -m cohfreeze.cli runs cli.py as __main__, which calls entry
+        argv = ["cohfreeze", "measure", "--state", "phi N=1 l=0 sign=+"]
+        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.delitem(sys.modules, "cohfreeze.cli")
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("cohfreeze.cli", run_name="__main__")
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == (
+            "c_l1 = 1\nc_rel_ent = 1\ncross_check_residual = 0\n"
+        )
 
     def test_module_certify_exit_status(self):
         result = subprocess.run(

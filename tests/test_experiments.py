@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -303,26 +304,44 @@ class TestReproducePureFamily:
     @pytest.mark.parametrize("bits", ["00", "01"])
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_all_bell_states(self, bits, sign):
-        report = reproduce_pure_family(2, bits, sign)
+        report = reproduce_pure_family(bits, sign)
         assert report.max_cr_deviation <= 1e-9
         assert report.max_cl1_deviation <= 1e-9
         assert report.max_transfer_residual <= 1e-10
 
     def test_ghz(self):
-        report = reproduce_pure_family(3, "000", "+")
+        report = reproduce_pure_family("000", "+")
         assert report.max_cr_deviation <= 1e-9
 
     def test_four_qubit_case(self):
         grids = default_heterogeneous_grids(4, points=3)
-        report = reproduce_pure_family(4, "0101", "-", grids)
+        report = reproduce_pure_family("0101", "-", grids)
 
     def test_assertion_failures_name_grid_point(self):
         with pytest.raises(NumericalInconsistencyError, match="grid point"):
-            reproduce_pure_family(2, "00", "+", tol=1e-18)
+            reproduce_pure_family("00", "+", tol=1e-18)
 
-    def test_rejects_mismatched_bits(self):
-        with pytest.raises(ValidationError):
-            reproduce_pure_family(3, "00", "+")
+    def test_not_frozen_certificate_names_its_grid_point(self, monkeypatch):
+        certify = experiments.certify_freezing
+
+        def failing(*args, **kwargs):
+            certificate = certify(*args, **kwargs)
+            return dataclasses.replace(certificate, failed_checks=("cr_deviation",))
+
+        monkeypatch.setattr(experiments, "certify_freezing", failing)
+        with pytest.raises(NumericalInconsistencyError) as excinfo:
+            reproduce_pure_family("00", "+", ((0.0, 0.5), (0.25,)))
+        assert excinfo.type is NumericalInconsistencyError
+        assert str(excinfo.value) == (
+            "phi N=2 l=00 sign=+: certificate NotFrozen at grid point "
+            "(0.0, 0.25) (cr_deviation)"
+        )
+
+    def test_default_grids_need_two_points(self):
+        with pytest.raises(ValidationError) as excinfo:
+            default_heterogeneous_grids(2, points=1)
+        assert excinfo.type is ValidationError
+        assert str(excinfo.value) == "need at least two grid points"
 
     def test_transfer_check_validates_no_state(self, monkeypatch):
         """The analytic mixture is compared as a raw matrix: the family run
@@ -335,7 +354,7 @@ class TestReproducePureFamily:
             validate(self)
 
         monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted)
-        report = reproduce_pure_family(2, "00", "+")
+        report = reproduce_pure_family("00", "+")
         family_calls = len(calls)
         calls.clear()
         run_sweep(
@@ -351,20 +370,20 @@ class TestReproducePureFamily:
     def test_transfer_check_catches_a_wrong_mixture(self, monkeypatch):
         swap_transfer(monkeypatch)
         with pytest.raises(NumericalInconsistencyError, match="analytic mixture"):
-            reproduce_pure_family(2, "00", "+")
+            reproduce_pure_family("00", "+")
 
     def test_rejects_invalid_sign(self):
         with pytest.raises(ValidationError, match="sign"):
-            reproduce_pure_family(2, "00", "x")
+            reproduce_pure_family("00", "x")
 
     def test_rejects_dimension_above_max_before_building(self):
         with pytest.raises(DimensionTooLargeError):
-            reproduce_pure_family(20, "0" * 20, "+")
+            reproduce_pure_family("0" * 20, "+")
 
 
 class TestReproduceMixedFamily:
     def test_half_p_trivially_frozen(self):
-        report = reproduce_mixed_family(2, 0.5, {"00": 0.4, "01": 0.6})
+        report = reproduce_mixed_family(0.5, {"00": 0.4, "01": 0.6})
         assert report.expected_c_rel_ent == 0.0
         assert report.max_cr_deviation <= 1e-12
 
@@ -373,21 +392,21 @@ class TestReproduceMixedFamily:
         raw = rng.random(2)
         raw /= raw.sum()
         weights = dict(zip(canonical_bitstrings(2), raw.tolist()))
-        report = reproduce_mixed_family(2, 0.9, weights)
+        report = reproduce_mixed_family(0.9, weights)
         assert report.expected_c_rel_ent == pytest.approx(
             0.5310044064107189, abs=1e-12
         )
 
     def test_three_qubits(self):
         weights = {"000": 0.1, "001": 0.2, "010": 0.3, "011": 0.4}
-        report = reproduce_mixed_family(3, 0.67, weights)
+        report = reproduce_mixed_family(0.67, weights)
         expected = 1.0 - shannon_bits([0.67, 0.33])
         assert report.expected_c_rel_ent == pytest.approx(expected, abs=1e-12)
 
     def test_every_point_checks_the_analytic_transfer(self, monkeypatch):
         calls = spy_transfer(monkeypatch)
         weights = {"000": 0.1, "001": 0.2, "010": 0.3, "011": 0.4}
-        report = reproduce_mixed_family(3, 0.67, weights)
+        report = reproduce_mixed_family(0.67, weights)
         assert len(calls) == len(report.table.rows) == 216
         assert all(sources == weights for sources, _ in calls)
         assert report.max_transfer_residual <= 1e-10
@@ -395,7 +414,7 @@ class TestReproduceMixedFamily:
     def test_transfer_check_catches_a_wrong_mixture(self, monkeypatch):
         swap_transfer(monkeypatch)
         with pytest.raises(NumericalInconsistencyError, match="analytic mixture"):
-            reproduce_mixed_family(2, 0.9, {"00": 0.3, "01": 0.7})
+            reproduce_mixed_family(0.9, {"00": 0.3, "01": 0.7})
 
 
 class TestBromleyPreset:

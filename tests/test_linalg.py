@@ -15,8 +15,8 @@ from cohfreeze import (
     relative_entropy,
     tensor,
 )
-from cohfreeze.linalg import as_complex_matrix, entropy_bits
-from cohfreeze.errors import ValidationError
+from cohfreeze.linalg import as_complex_matrix, clamp_negative, entropy_bits
+from cohfreeze.errors import NumericalInconsistencyError, ValidationError
 
 from oracles import brute_apply, jacobi_eigh, shannon_bits
 
@@ -154,6 +154,17 @@ class TestRelativeEntropy:
         monkeypatch.setattr(np.linalg, "eigh", refused)
         sigma = DensityMatrix(np.diag(s).astype(complex))
         assert relative_entropy(rho, sigma) == pytest.approx(expected, abs=1e-12)
+
+
+class TestClampNegative:
+    def test_below_the_floor_raises(self):
+        with pytest.raises(NumericalInconsistencyError) as excinfo:
+            clamp_negative(-1e-6, "entropy")
+        assert excinfo.type is NumericalInconsistencyError
+        assert str(excinfo.value) == "entropy came out -1.000e-06"
+
+    def test_entropy_of_no_weight_is_zero(self):
+        assert entropy_bits([0.0, 0.0]) == 0.0
 
 
 class TestBinaryEntropy:

@@ -72,6 +72,10 @@ class TestStateSpecs:
         state = parse_state_spec("mixed N=2 p=0.8 weights=[00:0.6,01:0.4]")
         assert state.matrix[0, 3] == pytest.approx(0.6 * 0.3)
 
+    def test_mixed_zero_weight_adds_nothing(self):
+        state = parse_state_spec("mixed N=2 p=0.5 weights=[00:1,01:0]")
+        np.testing.assert_array_equal(state.matrix, np.diag([0.5, 0, 0, 0.5]))
+
     def test_mixed_random_weights_deterministic(self):
         a = parse_state_spec("mixed N=2 p=0.9 weights=random seed=11")
         b = parse_state_spec("mixed N=2 p=0.9 weights=random seed=11")

@@ -181,7 +181,7 @@ class TestStoredSpectrum:
             return certificates[-1]
 
         monkeypatch.setattr(experiments, "certify_freezing", recording)
-        reproduce_pure_family(3, "010", "-")
+        reproduce_pure_family("010", "-")
         assert len(certificates) == 6**3
         for certificate in certificates:
             rho = certificate.final_state

@@ -281,6 +281,12 @@ class TestStructureIsRecorded:
         # the recovery of an incoherent-only channel has one dense column
         assert petz_recovery(io, reference)._monomial[0] == 2
 
+    def test_no_form_when_columns_and_rows_both_fail(self):
+        # 4 entries, no more than n * d: operator 0 holds a full row and
+        # operator 1 a full column
+        ops = np.array([[[1, 1], [0, 0]], [[1, 0], [1, 0]]], dtype=complex)
+        assert channels._monomial_form(ops) is None
+
     def test_absent_for_other_stacks_and_below_the_cutoff(self):
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         dense = KrausChannel((np.kron(np.eye(CUTOFF // 2), hadamard),))
