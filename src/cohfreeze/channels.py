@@ -12,19 +12,17 @@ array, validated once, so tensor products, the classifier, the completeness
 check and channel application each work on the whole stack at once.
 
 An incoherent Kraus operator sends each basis vector to one basis vector,
-K|j> = g_j |t_j>, so it maps a diagonal state to a diagonal state without a
-matrix product. A KrausChannel of dimension at least STRUCTURED_MIN_DIM
-records, once, whether its stack has this monomial structure: column form
-(every column of every operator holds at most one exactly nonzero entry, as
-in an incoherent channel) or row form (every row does, as in the recovery
-d0^(1/2) K^dag dt^(-1/2) of an incoherent channel). apply_channel then
-evolves an exactly diagonal input in O(n d) (column form, diagonal output)
-or O(n d^2) (row form) work instead of the batched O(n d^3) product. The
-structure is read from exact zeros, not ZERO_TOL: a tiny entry is still an
-entry, and dropping it would change the output. Below the cutoff numpy's
-fixed cost per call outweighs the saved arithmetic, so small channels
-record nothing. The batched product stays the only path for them and for
-every other stack or input.
+K|j> = g_j |t_j>: it is a gather, not a dense matrix. From STRUCTURED_MIN_DIM
+on, a KrausChannel records when it is built whether its stack has this
+monomial structure: column form (every column of every operator holds at
+most one exactly nonzero entry, as in an incoherent channel) or row form
+(every row does, as in the recovery d0^(1/2) K^dag dt^(-1/2) of an
+incoherent channel). That one (axis, index, gain) record checks
+completeness, classifies the stack and evolves any state in O(n d^2) work
+instead of the batched O(n d^3) product. The structure is read from exact
+zeros, not ZERO_TOL: a tiny entry is still an entry, and dropping it would
+change the output. Small channels (numpy's fixed cost per call outweighs
+the saved arithmetic) and every other stack take the batched product.
 
 A local channel whose factors are strictly incoherent entry by entry is kept
 as its factors (LocalChannel) and applied, adjoint-applied and classified one
@@ -37,7 +35,7 @@ import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -46,17 +44,18 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .linalg import as_complex_matrix, is_exactly_diagonal, max_abs
+from .linalg import as_complex_matrix, max_abs
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
 ZERO_TOL = 1e-12
 # Smallest dimension whose channels record their monomial structure.
-# Median time of one apply_channel call on a diagonal state, structured /
-# batched, in microseconds (2 vCPU host, numpy 2.4): SIO channels with 4
-# operators 48/42 at d=4, 49/46 at d=8, 52/55 at d=12, 43/49 at d=16; the
-# recovery of an incoherent-only channel (d+1 operators) 69/73 at d=8,
-# 99/106 at d=12, 135/169 at d=16, 252/388 at d=24.
+# Median time of one apply_channel call, structured / batched, in
+# microseconds, on a dense full-rank state / on its dephased image (2 vCPU
+# host, numpy 2.4), at d=12, 16 and 24: SIO channels with 4 operators 49/40
+# 30/27, 66/57 32/35, 105/105 41/58; incoherent-only channels (d operators)
+# 53/40 35/42, 65/75 35/74, 149/204 52/194; their recoveries 53/58 51/57,
+# 78/93 69/92, 147/246 157/247.
 STRUCTURED_MIN_DIM = 16
 
 _I = np.eye(2, dtype=np.complex128)
@@ -87,21 +86,42 @@ def _monomial_form(ops: np.ndarray):
     return None
 
 
-def _apply_monomial(axis: int, index: np.ndarray, gain: np.ndarray, p: np.ndarray):
-    """sum_n K_n diag(p) K_n^dag for a stack in _monomial_form."""
-    if axis == 1:
-        # K_n[t, j] = gain[n, j] at t = index[n, j]: the output is diagonal.
-        weights = (gain * p) * gain.conj()
-        targets = index.ravel()
-        return np.diag(
-            np.bincount(targets, weights.real.ravel(), len(p))
-            + 1j * np.bincount(targets, weights.imag.ravel(), len(p))
-        )
-    # K_n[a, s] = gain[n, a] at s = index[n, a]: rows a and b of operator n
-    # meet at (a, b) only when they read the same column s.
-    terms = (gain * p[index])[:, :, None] * gain.conj()[:, None, :]
-    terms[index[:, :, None] != index[:, None, :]] = 0
-    return terms.sum(axis=0)
+def _apply_monomial(axis: int, index: np.ndarray, gain: np.ndarray, rho: np.ndarray):
+    """sum_n K_n rho K_n^dag for a stack in _monomial_form."""
+    d = len(rho)
+    if axis == 2:
+        # K_n[a, s] = gain[n, a] at s = index[n, a]: rows a and b of operator
+        # n read entry (index[n, a], index[n, b]) of rho.
+        lines = index.astype(np.intp)  # the stored uint8/uint16 would wrap
+        picked = rho.ravel().take(lines[:, :, None] * d + lines[:, None, :])
+        return np.einsum("na,nab,nb->ab", gain, picked, gain.conj())
+    # K_n[t, j] = gain[n, j] at t = index[n, j]: each nonzero entry (j, k) of
+    # rho lands at (index[n, j], index[n, k]). Transposed: rows take faster.
+    lines, gains = np.ascontiguousarray(index.T, np.intp), np.ascontiguousarray(gain.T)
+    entries = np.flatnonzero(rho)
+    j, k = np.divmod(entries, d)
+    terms = gains.take(j, axis=0) * rho.ravel().take(entries)[:, None]
+    terms *= gains.conj().take(k, axis=0)
+    keys = (lines.take(j, axis=0) * d + lines.take(k, axis=0)).ravel()
+    terms = terms.ravel()
+    re, im = (np.bincount(keys, part, d * d) for part in (terms.real, terms.imag))
+    return (re + 1j * im).reshape(d, d)
+
+
+def _completeness_defect(ops: np.ndarray, form) -> float:
+    """max |sum K^dag K - I|, from the stack's _monomial_form when it has one."""
+    n, d, _ = ops.shape
+    stacked = ops.reshape(n * d, d)
+    if form is not None:
+        axis, index, gain = form
+        weight = (gain * gain.conj()).real
+        if axis == 2:  # column s collects |gain|^2 of the rows that read it
+            return max_abs(np.bincount(index.ravel(), weight.ravel(), d) - 1)
+        rows = np.unique((np.arange(n)[:, None] * d + index)[gain != 0])  # in use
+        if len(rows) == np.count_nonzero(gain):  # one entry a row: diagonal
+            return max_abs(weight.sum(axis=0) - 1)
+        stacked = stacked[rows]
+    return max_abs(stacked.conj().T @ stacked - np.eye(d))
 
 
 def _operator_stack(operators) -> np.ndarray:
@@ -127,37 +147,30 @@ class KrausChannel:
     """A CPTP map given by its Kraus operators.
 
     `operators` may be a sequence of d x d matrices or an (n, d, d) array; it
-    is stored as one read-only complex (n, d, d) array. Construction verifies
-    completeness: sum K^dag K = I within COMPLETENESS_TOL. Equality and
-    hashing are by identity.
+    is stored as one read-only complex (n, d, d) array, with its _monomial_form
+    from STRUCTURED_MIN_DIM on. Construction verifies completeness: sum K^dag
+    K = I within COMPLETENESS_TOL. Equality and hashing are by identity.
     """
 
     operators: np.ndarray
     label: str = ""
+    _monomial: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = _operator_stack(self.operators)
-        n, dim, _ = ops.shape
-        stacked = ops.reshape(n * dim, dim)
-        defect = max_abs(stacked.conj().T @ stacked - np.eye(dim))
+        form = _monomial_form(ops) if ops.shape[1] >= STRUCTURED_MIN_DIM else None
+        defect = _completeness_defect(ops, form)
         if defect > COMPLETENESS_TOL:
             raise ValidationError(
                 f"completeness fails: max |sum K^dag K - I| = {defect:.3e}"
             )
         ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "_monomial", form)
 
     @property
     def dim(self) -> int:
         return self.operators.shape[1]
-
-    @cached_property
-    def _monomial(self):
-        """_monomial_form of the stack from STRUCTURED_MIN_DIM on, else
-        None; found on first use, so building a channel costs nothing more."""
-        if self.dim < STRUCTURED_MIN_DIM:
-            return None
-        return _monomial_form(self.operators)
 
 
 class _KroneckerOperators(Sequence):
@@ -298,6 +311,8 @@ def classify(
         )
     if isinstance(channel, LocalChannel):
         return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
+    if channel._monomial is not None:
+        return _classify_monomial(channel._monomial, zero_tol)
     mask = np.abs(channel.operators) > zero_tol
     bad_columns = mask.sum(axis=1) > 1  # [n, column]
     if bad_columns.any():
@@ -317,6 +332,23 @@ def classify(
     return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
 
 
+def _classify_monomial(form, zero_tol: float) -> ChannelClassification:
+    """classify's scan of a stack in _monomial_form: only rows of a column
+    form (IncoherentOnly) or columns of a row form (NotIncoherent) can fail."""
+    axis, index, gain = form
+    n, d = index.shape
+    kept = np.abs(gain) > zero_tol
+    keys = np.arange(n)[:, None] * d + index  # intp: index is uint8/uint16
+    crowded = np.bincount(keys[kept], minlength=n * d) > 1
+    if not crowded.any():
+        return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
+    op, line = divmod(int(np.argmax(crowded)), d)
+    positions = tuple(int(i) for i in np.flatnonzero(kept[op] & (index[op] == line)))
+    name = "row" if axis == 1 else "column"
+    kind = ChannelClass.INCOHERENT_ONLY if axis == 1 else ChannelClass.NOT_INCOHERENT
+    return ChannelClassification(kind, ClassificationWitness(op, name, line, positions))
+
+
 def _exactly_strict(channel: KrausChannel) -> bool:
     """Strictly incoherent counting every nonzero entry, however small."""
     return classify(channel, 0.0).channel_class is ChannelClass.STRICTLY_INCOHERENT
@@ -325,18 +357,16 @@ def _exactly_strict(channel: KrausChannel) -> bool:
 def apply_channel(
     channel: KrausChannel | LocalChannel, rho: DensityMatrix
 ) -> DensityMatrix:
-    """sum_n K_n rho K_n^dag as a validated density matrix; an exactly
-    diagonal rho under a monomial stack skips the batched product."""
+    """sum_n K_n rho K_n^dag as a validated density matrix; a monomial
+    stack skips the batched product."""
     if channel.dim != rho.dim:
         raise DimensionMismatchError(
             f"channel dim {channel.dim} does not match state dim {rho.dim}"
         )
     if isinstance(channel, LocalChannel):
         return DensityMatrix(channel.contract(rho.matrix))
-    if channel._monomial is not None and is_exactly_diagonal(rho.matrix):
-        return DensityMatrix(
-            _apply_monomial(*channel._monomial, rho.matrix.diagonal())
-        )
+    if channel._monomial is not None:
+        return DensityMatrix(_apply_monomial(*channel._monomial, rho.matrix))
     ops = channel.operators
     out = (ops @ rho.matrix @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
     return DensityMatrix(out)

@@ -1,10 +1,13 @@
-"""The monomial kernels of apply_channel against the batched product.
+"""The monomial form of a Kraus stack against the dense stack.
 
-Incoherent stacks, their recoveries and tensor products of library channels
-evolve exactly diagonal inputs without the batched product from
-STRUCTURED_MIN_DIM on. Each apply is compared with the loop oracle, and each
-certificate with the one the batched product alone gives (the cutoff raised
-above every dimension here while the reference runs).
+From STRUCTURED_MIN_DIM on, incoherent stacks, their recoveries and tensor
+products of library channels evolve any input, are classified, are checked
+for completeness and build their recoveries from their recorded
+(axis, index, gain) form. Each apply is compared with the loop oracle and
+with the batched product, each classification with the dense scan, each
+completeness verdict and recovery with the dense construction, and each
+certificate with the one the dense path alone gives (the cutoff raised above
+every dimension here while the reference runs).
 """
 
 from unittest import mock
@@ -21,6 +24,7 @@ from cohfreeze import (
     CohfreezeError,
     DensityMatrix,
     KrausChannel,
+    ValidationError,
     apply_channel,
     bit_flip,
     certify_freezing,
@@ -35,7 +39,7 @@ from cohfreeze import (
 )
 from cohfreeze import channels, recovery
 
-from oracles import brute_apply
+from oracles import brute_apply, classify_loop, random_unitary
 
 CUTOFF = channels.STRUCTURED_MIN_DIM
 DIMS = (4, 8, CUTOFF - 1, CUTOFF, CUTOFF + 1, 24, 32)
@@ -52,7 +56,7 @@ CERTIFICATE_FIELDS = (
 
 
 def batched_only():
-    """Channels first used inside this context record no structure."""
+    """Channels built inside this context record no structure."""
     return mock.patch.object(channels, "STRUCTURED_MIN_DIM", 65)
 
 
@@ -295,7 +299,7 @@ class TestStructureIsRecorded:
         assert random_incoherent_channel(CUTOFF - 1, 2, seed=14)._monomial is None
 
     @pytest.mark.parametrize(
-        "kind, forms", [("sio", [1, 1, 1]), ("io", [1, 1, 2, 2])]
+        "kind, forms", [("sio", [1, 1, 1, 1, 1]), ("io", [1, 1, 1, 2, 2])]
     )
     def test_dense_certificate_takes_the_kernel(self, kind, forms):
         calls = []
@@ -308,8 +312,271 @@ class TestStructureIsRecorded:
         channel = build(kind, 24, 4, 15)
         with mock.patch.object(channels, "_apply_monomial", counted):
             certify_freezing(channel, support_state(24, 16), enforce_hypothesis=False)
-        # Of the five applies, all but the one on the dense rho0 and, for an
-        # SIO channel, the recovery's on its dense image: the channel on
-        # delta0 twice (column form), then the recovery (column form for
-        # SIO, row form for IO) on rho_t and delta_t.
+        # All five applies: the channel on the dense rho0 and on delta0
+        # twice (column form), then the recovery (column form for SIO, row
+        # form for IO) on the dense rho_t and on delta_t.
         assert calls == forms
+
+
+seeds = st.integers(0, 2**31)
+
+
+def dense_inputs(dim, seed, imaginary=0.0):
+    """A full-rank state, and a state on a random subset of the basis whose
+    zero entries are written -0.0 + -0.0j and whose diagonal carries
+    imaginary parts of size at most `imaginary` (summing to zero), which
+    validation accepts as rounding noise."""
+    matrix = np.array(support_state(dim, seed).matrix)
+    matrix[matrix == 0] = complex(-0.0, -0.0)
+    noise = np.random.default_rng(seed).uniform(-0.5, 0.5, dim)
+    matrix[np.diag_indices(dim)] += 1j * imaginary * (noise - noise.mean())
+    return random_density(dim, dim, seed), DensityMatrix(matrix)
+
+
+def assert_dense_matches(channel, rho):
+    """The apply against the loop oracle and the batched product."""
+    if channel.dim >= CUTOFF:
+        assert channel._monomial is not None
+    got = apply_channel(channel, rho).matrix
+    np.testing.assert_allclose(
+        got, brute_apply(channel.operators, rho.matrix), rtol=0, atol=1e-13
+    )
+    with batched_only():
+        batched = apply_channel(KrausChannel(channel.operators), rho).matrix
+    np.testing.assert_allclose(got, batched, rtol=0, atol=1e-13)
+
+
+def paired_stack(dim, seed):
+    """A column-form stack of two operators for an even dim. Both columns of
+    each pair (2i, 2i + 1) land on one row: row i in operator 0, row i or
+    dim/2 + i in operator 1, so rows are shared within each operator and
+    across the two. Each pair's gains form a random 2 x 2 unitary, so the
+    two columns of a pair meet in sum K^dag K and cancel there."""
+    rng = np.random.default_rng(seed)
+    half = dim // 2
+    ops = np.zeros((2, dim, dim), dtype=complex)
+    for i in range(half):
+        gains = random_unitary(2, int(rng.integers(2**31)))
+        ops[0, i, 2 * i : 2 * i + 2] = gains[0]
+        ops[1, i + half * int(rng.integers(2)), 2 * i : 2 * i + 2] = gains[1]
+    return ops
+
+
+def partial_permutation(dim, count, seed):
+    """An SIO stack whose operators leave about a third of their columns
+    empty; every column keeps an entry in some operator."""
+    rng = np.random.default_rng(seed)
+    ops = np.array(random_sio_channel(dim, count, seed).operators)
+    empty = rng.random((count, dim)) < 1 / 3
+    empty[rng.integers(count, size=dim), np.arange(dim)] = False
+    ops = np.where(empty[:, None, :], 0.0, ops)
+    return KrausChannel(ops / np.sqrt((np.abs(ops) ** 2).sum(axis=(0, 1))))
+
+
+class TestDenseInputs:
+    """The kernel on inputs that are not diagonal, within 1e-13 of the loop
+    oracle and of the batched product."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_channels, seeds)
+    def test_channel(self, channel, seed):
+        for rho in dense_inputs(channel.dim, seed, imaginary=1e-12):
+            assert_dense_matches(channel, rho)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_channels, seeds)
+    def test_recovery(self, channel, seed):
+        # A recovery scales its input by up to (d0/dt)^(1/2), imaginary
+        # noise included, so its inputs carry none.
+        recovered = petz_recovery(channel, singular_diagonal(channel.dim, seed))
+        for rho in dense_inputs(channel.dim, seed):
+            assert_dense_matches(recovered, rho)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from((CUTOFF, 24, 32)), seeds)
+    def test_targets_shared_within_and_across_operators(self, dim, seed):
+        channel = KrausChannel(paired_stack(dim, seed))
+        assert channel._monomial[0] == 1
+        assert classify(channel).channel_class is ChannelClass.INCOHERENT_ONLY
+        recovered = petz_recovery(channel, singular_diagonal(dim, seed))
+        assert recovered._monomial[0] == 2
+        for rho in dense_inputs(dim, seed, imaginary=1e-12):
+            assert_dense_matches(channel, rho)
+        for rho in dense_inputs(dim, seed):
+            assert_dense_matches(recovered, rho)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from((CUTOFF, CUTOFF + 1, 24, 32)), st.integers(2, 6), seeds)
+    def test_partial_permutations(self, dim, count, seed):
+        channel = partial_permutation(dim, count, seed)
+        assert not channel._monomial[2].all()  # some columns are empty
+        recovered = petz_recovery(channel, singular_diagonal(dim, seed))
+        for rho in dense_inputs(dim, seed, imaginary=1e-12):
+            assert_dense_matches(channel, rho)
+        for rho in dense_inputs(dim, seed):
+            assert_dense_matches(recovered, rho)
+
+    def test_uint16_indices_at_d_300(self):
+        # index * d reaches 299 * 300, past uint16 (as past uint8 from d = 17).
+        dim = 300
+        paired = KrausChannel(paired_stack(dim, 18))
+        cases = (
+            (random_sio_channel(dim, 2, seed=17), 1, 1e-12),
+            (paired, 1, 1e-12),
+            (petz_recovery(paired, singular_diagonal(dim, 19)), 2, 0.0),
+        )
+        for channel, axis, imaginary in cases:
+            assert channel._monomial[0] == axis
+            assert channel._monomial[1].dtype == np.uint16
+            for rho in dense_inputs(dim, 20, imaginary):
+                assert_dense_matches(channel, rho)
+
+
+ZERO_TOLS = (0.0, channels.ZERO_TOL, 1e-3, 0.5)
+
+
+def tiny_crowded(kind, dim, count, seed):
+    """A stack with one more operator that sends every column to row 0 or 1
+    with a gain in (0, ZERO_TOL]: a column-form stack whose class depends on
+    whether zero_tol counts those gains."""
+    ops = np.array(build(kind, dim, count, seed).operators)
+    rng = np.random.default_rng(seed)
+    extra = np.zeros((1, dim, dim), dtype=complex)
+    tiny = channels.ZERO_TOL * (1.0 - rng.random(dim))  # (0, ZERO_TOL]
+    extra[0, rng.integers(2, size=dim), np.arange(dim)] = tiny
+    return KrausChannel(np.concatenate([ops, extra]))
+
+
+def io_recovery(dim, count, seed):
+    channel = random_incoherent_channel(dim, count, seed)
+    return petz_recovery(channel, singular_diagonal(dim, seed))
+
+
+classified_channels = st.one_of(
+    random_channels,
+    st.builds(near_strict, strict_kinds, *stack_sizes),
+    st.builds(tiny_crowded, st.sampled_from(("sio", "io")), *stack_sizes),
+    st.builds(io_recovery, *stack_sizes),
+)
+
+
+class TestClassifyFromForm:
+    @settings(max_examples=80, deadline=None)
+    @given(classified_channels, st.sampled_from(ZERO_TOLS))
+    def test_matches_dense_scan(self, channel, zero_tol):
+        got = classify(channel, zero_tol)
+        with batched_only():
+            assert got == classify(KrausChannel(channel.operators), zero_tol)
+        name, witness = classify_loop(channel.operators, zero_tol)
+        assert got.channel_class.value == name
+        if witness is None:
+            assert got.witness is None
+        else:
+            w = got.witness
+            assert (w.operator_index, w.axis, w.index, w.positions) == witness
+
+    @pytest.mark.parametrize("dim", [CUTOFF, 32])
+    def test_io_recovery_reads_its_row_form(self, dim):
+        recovered = io_recovery(dim, 2, 21)
+        assert recovered._monomial[0] == 2
+        got = classify(recovered)
+        assert got.channel_class is ChannelClass.NOT_INCOHERENT
+        assert got.witness.axis == "column"
+        with batched_only():
+            assert classify(KrausChannel(recovered.operators)) == got
+
+
+def refusal(operators):
+    """The message KrausChannel refuses the operators with, or None."""
+    try:
+        KrausChannel(operators)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+MONOMIAL_STACKS = {
+    "sio": (1, lambda: random_sio_channel(24, 4, seed=23).operators),
+    "io": (1, lambda: random_incoherent_channel(24, 2, seed=24).operators),
+    "shared-rows": (1, lambda: paired_stack(24, 25)),
+    "io-recovery": (2, lambda: io_recovery(24, 2, 26).operators),
+}
+
+
+class TestCompletenessFromForm:
+    @pytest.mark.parametrize("kind", sorted(MONOMIAL_STACKS))
+    @pytest.mark.parametrize("excess, refused", [(1e-9, True), (1e-11, False)])
+    def test_threshold_and_message(self, kind, excess, refused):
+        axis, stack = MONOMIAL_STACKS[kind]
+        ops = np.array(stack()) * np.sqrt(1 + excess)
+        assert channels._monomial_form(ops)[0] == axis
+        message = refusal(ops)
+        with batched_only():
+            assert refusal(ops) == message
+        if refused:
+            assert message == "completeness fails: max |sum K^dag K - I| = 1.000e-09"
+        else:
+            assert message is None
+            assert KrausChannel(ops)._monomial[0] == axis
+
+    def test_columns_that_share_a_row_must_be_orthogonal(self):
+        # Each column keeps its norm, so only the off-diagonal of
+        # sum K^dag K is wrong: the diagonal alone would pass.
+        ops = paired_stack(24, 27)
+        ops[1, :, 1] *= 1j
+        assert channels._monomial_form(ops)[0] == 1
+        message = refusal(ops)
+        assert message.startswith("completeness fails: max |sum K^dag K - I| = ")
+        with batched_only():
+            assert refusal(ops) == message
+
+
+def sylvester_hadamard(dim):
+    h = np.ones((1, 1))
+    while len(h) < dim:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def dyadic_stack(kind, dim, seed):
+    """Stacks in which every weight the recovery reads is exact, so that
+    Lambda(delta0) has the same bits on either path: four permutations with
+    gains +-1/2 or +-i/2 and a fifth with gains 2**-40 (below ZERO_TOL, so
+    judged zero), or an incoherent-only stack |t_n><h_n| / sqrt(dim) over the
+    rows h_n of a Hadamard matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "io":
+        ops = np.zeros((dim, dim, dim), dtype=complex)
+        ops[np.arange(dim), rng.integers(dim, size=dim)] = (
+            sylvester_hadamard(dim) / np.sqrt(dim)
+        )
+        return KrausChannel(ops)
+    gains = np.concatenate(
+        [rng.choice([0.5, -0.5, 0.5j, -0.5j], (4, dim)), np.full((1, dim), 2.0**-40)]
+    )
+    ops = np.zeros((5, dim, dim), dtype=complex)
+    targets = np.stack([rng.permutation(dim) for _ in range(5)])
+    ops[np.arange(5)[:, None], targets, np.arange(dim)] = gains
+    return KrausChannel(ops)
+
+
+def dyadic_reference(dim, seed):
+    """A diagonal state whose weights are multiples of 1/64, some zero."""
+    rng = np.random.default_rng(seed)
+    support = rng.choice(dim, int(rng.integers(1, dim + 1)), replace=False)
+    counts = np.bincount(rng.choice(support, 64), minlength=dim)
+    return DensityMatrix(np.diag(counts / 64).astype(complex))
+
+
+class TestRecoveryFromForm:
+    @pytest.mark.parametrize("kind, axis", [("sio", 1), ("io", 2)])
+    @pytest.mark.parametrize("dim, seed", [(CUTOFF, 28), (32, 29), (64, 30)])
+    def test_same_stack_bit_for_bit(self, kind, axis, dim, seed):
+        channel = dyadic_stack(kind, dim, seed)
+        assert channel._monomial[0] == 1
+        delta0 = dyadic_reference(dim, seed)
+        recovered = petz_recovery(channel, delta0)
+        assert recovered._monomial[0] == axis
+        with batched_only():
+            reference = petz_recovery(KrausChannel(channel.operators), delta0)
+        np.testing.assert_array_equal(recovered.operators, reference.operators)
