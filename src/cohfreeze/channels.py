@@ -78,7 +78,7 @@ def _monomial_form(ops: np.ndarray):
     for axis, line, position in ((1, column, row), (2, row, column)):
         key = operator * d + line
         if np.bincount(key, minlength=n * d).max() <= 1:
-            index = np.zeros(n * d, np.min_scalar_type(d - 1))
+            index = np.zeros(n * d, np.intp)
             index[key] = position
             gain = np.zeros(n * d, np.complex128)
             gain[key] = ops.ravel()[flat]
@@ -92,12 +92,11 @@ def _apply_monomial(axis: int, index: np.ndarray, gain: np.ndarray, rho: np.ndar
     if axis == 2:
         # K_n[a, s] = gain[n, a] at s = index[n, a]: rows a and b of operator
         # n read entry (index[n, a], index[n, b]) of rho.
-        lines = index.astype(np.intp)  # the stored uint8/uint16 would wrap
-        picked = rho.ravel().take(lines[:, :, None] * d + lines[:, None, :])
+        picked = rho.ravel().take(index[:, :, None] * d + index[:, None, :])
         return np.einsum("na,nab,nb->ab", gain, picked, gain.conj())
     # K_n[t, j] = gain[n, j] at t = index[n, j]: each nonzero entry (j, k) of
     # rho lands at (index[n, j], index[n, k]). Transposed: rows take faster.
-    lines, gains = np.ascontiguousarray(index.T, np.intp), np.ascontiguousarray(gain.T)
+    lines, gains = np.ascontiguousarray(index.T), np.ascontiguousarray(gain.T)
     entries = np.flatnonzero(rho)
     j, k = np.divmod(entries, d)
     terms = gains.take(j, axis=0) * rho.ravel().take(entries)[:, None]
@@ -338,7 +337,7 @@ def _classify_monomial(form, zero_tol: float) -> ChannelClassification:
     axis, index, gain = form
     n, d = index.shape
     kept = np.abs(gain) > zero_tol
-    keys = np.arange(n)[:, None] * d + index  # intp: index is uint8/uint16
+    keys = np.arange(n)[:, None] * d + index
     crowded = np.bincount(keys[kept], minlength=n * d) > 1
     if not crowded.any():
         return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)

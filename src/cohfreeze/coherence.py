@@ -16,15 +16,10 @@ from .errors import (
     DimensionMismatchError,
     NumericalInconsistencyError,
 )
-from .linalg import (
-    clamp_negative,
-    entropy_bits,
-    is_exactly_diagonal,
-)
+from .linalg import clamp_negative, entropy_bits, is_exactly_diagonal, offdiagonal_l1, support
 from .states import DensityMatrix, dephase
 
 CROSS_CHECK_TOL = 1e-8
-SUPPORT_CUTOFF = 1e-12  # eigenvalues below it times the largest count as zero
 SUPPORT_LEAK_TOL = 1e-9  # rho's weight on sigma's kernel that keeps D finite
 
 
@@ -39,9 +34,7 @@ class CoherenceReport:
 
 def c_l1(rho: DensityMatrix) -> float:
     """Sum of moduli of the off-diagonal entries."""
-    mods = np.abs(rho.matrix)
-    np.fill_diagonal(mods, 0.0)
-    return float(mods.sum())
+    return offdiagonal_l1(rho.matrix)
 
 
 def c_rel_ent(rho: DensityMatrix) -> float:
@@ -57,7 +50,7 @@ def c_rel_ent(rho: DensityMatrix) -> float:
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho (log2 rho - log2 sigma) in bits, from rho's stored spectrum,
     or +inf when rho places more than SUPPORT_LEAK_TOL weight on sigma's
-    kernel (eigenvalues below SUPPORT_CUTOFF times the largest one)."""
+    kernel (the eigenvalues outside linalg.support)."""
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(
             f"state dimensions differ: {rho.dim} vs {sigma.dim}"
@@ -71,15 +64,12 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     else:
         svals, svecs = np.linalg.eigh(sigma.matrix)
         weights = np.einsum("ij,jk,ki->i", svecs.conj().T, rho.matrix, svecs).real
-    cutoff = SUPPORT_CUTOFF * max(float(svals[-1]), 0.0)
-    support = svals > cutoff
-    if float(weights[~support].sum()) > SUPPORT_LEAK_TOL:
+    kept = support(svals)
+    if float(weights[~kept].sum()) > SUPPORT_LEAK_TOL:
         return math.inf
-    rvals = rho.eigenvalues
-    rcutoff = SUPPORT_CUTOFF * max(float(rvals[-1]), 0.0)
-    rpos = rvals[rvals > rcutoff]
+    rpos = rho.eigenvalues[support(rho.eigenvalues)]
     value = float(np.sum(rpos * np.log2(rpos)))
-    value -= float(np.sum(weights[support] * np.log2(svals[support])))
+    value -= float(np.sum(weights[kept] * np.log2(svals[kept])))
     return clamp_negative(value, "relative entropy")
 
 

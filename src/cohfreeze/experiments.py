@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import CHANNEL_FACTORIES, tensor
+from .channels import CHANNEL_FACTORIES, _check_unit_interval, tensor
 from .errors import (
     DimensionTooLargeError,
     NumericalInconsistencyError,
@@ -265,6 +265,8 @@ def detect_freezing(
     table: TrajectoryTable, tol: float = FREEZING_TOL
 ) -> dict[str, FreezingSummary]:
     """Per-measure max deviation from the first grid point."""
+    if not 0.0 < tol < math.inf:
+        raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
     if not table.rows:
         raise ValidationError("table has no rows")
     result = {}
@@ -285,6 +287,7 @@ def bitflip_transfer_weights(weights: Mapping[str, float], qs) -> dict[str, floa
     """
     if any(len(check_bits(bits)) != len(qs) for bits in weights):
         raise ValidationError("need one flip probability per qubit")
+    qs = [_check_unit_interval("q", q) for q in qs]
     patterns = [1.0]
     for q in qs:
         patterns = [w * f for w in patterns for f in (1.0 - q, q)]

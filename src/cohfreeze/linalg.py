@@ -15,6 +15,7 @@ from .errors import (
 )
 
 NEGATIVE_FLOOR = 1e-9
+SUPPORT_CUTOFF = 1e-12  # values at or below it times the largest count as zero
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -36,6 +37,18 @@ def max_abs(array) -> float:
 def is_exactly_diagonal(matrix: np.ndarray) -> bool:
     """Every off-diagonal entry is exactly zero (-0.0 counts as zero)."""
     return np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal())
+
+
+def support(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries above SUPPORT_CUTOFF times the largest (if > 0)."""
+    return values > SUPPORT_CUTOFF * max(float(values.max()), 0.0)
+
+
+def offdiagonal_l1(matrix: np.ndarray) -> float:
+    """Sum of the moduli of the off-diagonal entries."""
+    moduli = np.abs(matrix)
+    np.fill_diagonal(moduli, 0.0)
+    return float(moduli.sum())
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:

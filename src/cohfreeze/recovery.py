@@ -6,8 +6,8 @@ image dt = channel(d0), the recovery map has operators
     R_n = d0^(1/2) K~_n^dag dt^(-1/2)
 
 where K~_n is K_n with every entry at or below ZERO_TOL set to zero (the
-stack classify judged) and dt^(-1/2) inverts the entries above the kernel
-cutoff. When dt is singular the projector onto its kernel is appended, which
+stack classify judged) and dt^(-1/2) inverts dt on linalg.support(dt), zero
+off it. When dt is singular the projector onto its kernel is appended, which
 restores trace preservation. Reversing the evolution with such a map, itself
 incoherent, pins every coherence measure between its initial and final
 values, so a successful round trip certifies freezing of all measures at
@@ -49,11 +49,10 @@ from .errors import (
     NumericalInconsistencyError,
     OutOfRangeError,
 )
-from .linalg import max_abs
+from .linalg import max_abs, offdiagonal_l1, support
 from .records import render
 from .states import DensityMatrix, dephase
 
-KERNEL_CUTOFF = 1e-12  # relative to the largest diagonal entry
 CERTIFICATE_TOL = 1e-8
 
 
@@ -66,7 +65,7 @@ def _recovery_weights(
     at or below ZERO_TOL, which the recovery does not read."""
     d0 = np.clip(delta0.matrix.diagonal().real, 0.0, None)
     dt = np.clip(delta_t.matrix.diagonal().real, 0.0, None)
-    kernel = dt <= KERNEL_CUTOFF * float(dt.max())
+    kernel = ~support(dt)
     inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, dt)))
     return np.sqrt(d0), inv_sqrt, kernel
 
@@ -252,9 +251,7 @@ def certify_freezing(
         # so |l1(rho_t) - l1(rho0)| <= l1(rho0 - R(rho_t)), the off-diagonal
         # moduli of the round-trip error. Past that bound a Frozen verdict
         # contradicts its own arithmetic.
-        moduli = np.abs(state_error)
-        np.fill_diagonal(moduli, 0.0)
-        bound = float(moduli.sum())
+        bound = offdiagonal_l1(state_error)
         if l1_deviation > tol + bound:
             raise NumericalInconsistencyError(
                 f"frozen verdict but l1 deviation {l1_deviation:.3e} exceeds "

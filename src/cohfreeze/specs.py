@@ -170,6 +170,16 @@ def _parse_bool(text: str, context: str) -> bool:
     raise SpecParseError(f"bad boolean for {context}: {text!r}")
 
 
+def _raw_matrix(text: str, dim: int, needs: str) -> np.ndarray:
+    """The dim x dim matrix of a bracketed list of its entries, row by row."""
+    entries = [parse_complex(item) for item in _bracket_items(text)]
+    if len(entries) != dim * dim:
+        raise SpecParseError(
+            f"raw dim={dim} {needs} {dim * dim} entries, got {len(entries)}"
+        )
+    return np.array(entries, dtype=np.complex128).reshape(dim, dim)
+
+
 def parse_state_spec(text: str) -> DensityMatrix:
     """Build a state from its inline constructor specification."""
     name, kwargs, positional = _parse_tokens(text)
@@ -230,13 +240,7 @@ def parse_state_spec(text: str) -> DensityMatrix:
         dim = _parse_dim(_require(kwargs, "dim", "raw"))
         entries_text = _require(kwargs, "entries", "raw")
         _reject_unknown(kwargs, "raw")
-        entries = [parse_complex(item) for item in _bracket_items(entries_text)]
-        if len(entries) != dim * dim:
-            raise SpecParseError(
-                f"raw dim={dim} needs {dim * dim} entries, got {len(entries)}"
-            )
-        mat = np.array(entries, dtype=np.complex128).reshape(dim, dim)
-        return DensityMatrix(mat)
+        return DensityMatrix(_raw_matrix(entries_text, dim, "needs"))
     raise SpecParseError(f"unknown state constructor {name!r}")
 
 
@@ -255,15 +259,7 @@ def parse_channel_spec(text: str) -> KrausChannel | LocalChannel:
         dim = _parse_dim(_require(kwargs, "dim", "raw"))
         ops_text = _require(kwargs, "ops", "raw")
         _reject_unknown(kwargs, "raw")
-        ops = []
-        for op_text in _bracket_items(ops_text):
-            entries = [parse_complex(item) for item in _bracket_items(op_text)]
-            if len(entries) != dim * dim:
-                raise SpecParseError(
-                    f"raw dim={dim} operators need {dim * dim} entries, "
-                    f"got {len(entries)}"
-                )
-            ops.append(np.array(entries, dtype=np.complex128).reshape(dim, dim))
+        ops = [_raw_matrix(t, dim, "operators need") for t in _bracket_items(ops_text)]
         if not ops:
             raise SpecParseError("raw requires at least one operator")
         return KrausChannel(tuple(ops), label="raw")

@@ -55,6 +55,19 @@ def jacobi_eigh(matrix, max_sweeps: int = 100, tol: float = 1e-14):
     return vals[order], v[:, order]
 
 
+def alpha_coherences(matrix, alpha: float) -> tuple[float, float]:
+    """(Renyi-alpha, Tsallis-alpha) coherence of a density matrix, alpha > 0
+    and alpha != 1, from s = sum_i <i|rho^alpha|i>^(1/alpha):
+    alpha/(alpha-1) log2 s (Chitambar & Gour, PRA 94, 052336 (2016)) and
+    (s^alpha - 1)/(alpha - 1) (Rastegin, PRA 93, 032136 (2016)). rho^alpha
+    comes from the Jacobi spectrum, its negative rounding clipped to 0."""
+    vals, vecs = jacobi_eigh(matrix)
+    powered = np.clip(vals, 0.0, None) ** alpha
+    diagonal = np.einsum("ik,k,ik->i", vecs, powered, vecs.conj()).real
+    s = float(np.sum(np.clip(diagonal, 0.0, None) ** (1.0 / alpha)))
+    return alpha / (alpha - 1.0) * math.log2(s), (s**alpha - 1.0) / (alpha - 1.0)
+
+
 def brute_apply(operators, rho: np.ndarray) -> np.ndarray:
     """sum_n K_n rho K_n^dag as an explicit loop of matrix products."""
     out = np.zeros_like(np.asarray(rho, dtype=np.complex128))

@@ -8,6 +8,7 @@ from cohfreeze import (
     bit_flip,
     c_l1,
     c_rel_ent,
+    canonical_bitstrings,
     dephase,
     from_pure,
     local_channel,
@@ -19,7 +20,9 @@ from cohfreeze import (
     relative_entropy,
 )
 
-from oracles import shannon_bits
+from oracles import alpha_coherences, shannon_bits
+
+ALPHAS = (0.5, 0.8, 1.5, 2.0)
 
 
 def plus_state():
@@ -144,3 +147,32 @@ class TestMeasurePanel:
         assert measure_panel(out).c_l1 == 0.0
         report = measure_panel(bell)
         assert (report.c_l1, report.c_rel_ent) == pytest.approx((1.0, 1.0), abs=1e-12)
+
+
+class TestMeasureIndependence:
+    """The paper's headline: under local bit flips a +/- mixture freezes
+    every coherence measure, not only the two the panel computes. Checked
+    with the Renyi-alpha and Tsallis-alpha coherences of tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mixtures_under_bit_flips_freeze_renyi_and_tsallis(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        bits = canonical_bitstrings(n)
+        weights = dict(zip(bits, rng.dirichlet(np.ones(len(bits)))))
+        rho = mixed_family(MixedFamilySpec(p=float(rng.random()), weights=weights))
+        channel = local_channel([("bitflip", float(q)) for q in rng.random(n)])
+        evolved = apply_channel(channel, rho)
+        for alpha in ALPHAS:
+            before = alpha_coherences(rho.matrix, alpha)
+            after = alpha_coherences(evolved.matrix, alpha)
+            assert after == pytest.approx(before, rel=0, abs=1e-9)
+
+    def test_amplitude_damping_moves_both(self):
+        rho = phi_state("00", "+")
+        channel = local_channel([("amplitudedamping", 0.3), ("bitflip", 0.2)])
+        evolved = apply_channel(channel, rho)
+        renyi_2 = [alpha_coherences(r.matrix, 2.0)[0] for r in (rho, evolved)]
+        tsallis_half = [alpha_coherences(r.matrix, 0.5)[1] for r in (rho, evolved)]
+        assert renyi_2[0] - renyi_2[1] > 0.1
+        assert tsallis_half[0] - tsallis_half[1] > 0.1

@@ -260,6 +260,14 @@ class TestDetectFreezing:
         with pytest.raises(ValidationError):
             detect_freezing(table)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        table = run_sweep(make_spec())
+        with pytest.raises(
+            OutOfRangeError, match=f"tolerance must be finite and positive, got {tol}"
+        ):
+            detect_freezing(table, tol=tol)
+
 
 class TestTransferWeights:
     def test_matches_oracle(self):
@@ -283,6 +291,13 @@ class TestTransferWeights:
             bitflip_transfer_weights({"00": 1.0}, (0.3,))
         with pytest.raises(ValidationError, match="one flip probability per qubit"):
             bitflip_transfer_weights({"00": 0.5, "011": 0.5}, (0.3, 0.8))
+
+    @pytest.mark.parametrize("q", [1.5, -0.1, float("nan")])
+    def test_rejects_a_flip_probability_outside_the_unit_interval(self, q):
+        with pytest.raises(OutOfRangeError, match=rf"q must be in \[0, 1\], got {q}"):
+            bitflip_transfer_weights({"00": 1.0}, (q, 0.2))
+        with pytest.raises(OutOfRangeError, match=rf"q must be in \[0, 1\], got {q}"):
+            bitflip_transfer_weights({"00": 1.0}, (0.2, q))
 
     def test_rejects_a_key_that_is_not_bits(self):
         with pytest.raises(ValidationError, match="not a bit string: '0a'"):

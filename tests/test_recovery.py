@@ -11,6 +11,7 @@ from cohfreeze import (
     NotIncoherentChannelError,
     NotStrictlyIncoherentError,
     NumericalInconsistencyError,
+    ValidationError,
     amplitude_damping,
     apply_channel,
     bit_flip,
@@ -183,6 +184,21 @@ class TestCertifyFreezing:
         assert certificate.verdict == "Frozen"
         assert certificate.cr_initial == 0.0
         assert certificate.cr_final <= 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValidationError,
+        reason="the recovery's weights come from the diagonal of channel(d0), "
+        "not from the judged stack's own image, so many dropped 1e-12 entries "
+        "over a small supported weight fail the recovery's completeness check",
+    )
+    def test_many_dropped_entries_over_a_small_weight(self):
+        ops = np.tile(np.eye(2, dtype=complex) / 20, (400, 1, 1))
+        ops[:, 1, 0] = 1e-12
+        channel = KrausChannel(ops)
+        assert classify(channel).channel_class is ChannelClass.STRICTLY_INCOHERENT
+        rho = diagonal_state([1 - 2e-12, 2e-12])
+        assert certify_freezing(channel, rho).verdict == "Frozen"
 
     def test_refuses_non_sio_channel(self):
         k1 = np.array([[1, 1], [0, 0]], dtype=complex) / np.sqrt(2)
