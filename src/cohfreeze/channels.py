@@ -39,11 +39,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    OutOfRangeError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, OutOfRangeError, ValidationError
 from .linalg import as_complex_matrix, max_abs
 from .states import DensityMatrix
 
@@ -77,13 +73,19 @@ def _monomial_form(ops: np.ndarray):
     row, column = np.divmod(rest, d)
     for axis, line, position in ((1, column, row), (2, row, column)):
         key = operator * d + line
-        if np.bincount(key, minlength=n * d).max() <= 1:
+        if _first_crowded(key, n * d) is None:
             index = np.zeros(n * d, np.intp)
             index[key] = position
             gain = np.zeros(n * d, np.complex128)
             gain[key] = ops.ravel()[flat]
             return axis, index.reshape(n, d), gain.reshape(n, d)
     return None
+
+
+def _first_crowded(key: np.ndarray, lines: int) -> int | None:
+    """The smallest key (operator * d + line < lines) seen twice, or None."""
+    crowded = np.flatnonzero(np.bincount(key, minlength=lines) > 1)
+    return int(crowded[0]) if len(crowded) else None
 
 
 def _apply_monomial(axis: int, index: np.ndarray, gain: np.ndarray, rho: np.ndarray):
@@ -116,10 +118,10 @@ def _completeness_defect(ops: np.ndarray, form) -> float:
         weight = (gain * gain.conj()).real
         if axis == 2:  # column s collects |gain|^2 of the rows that read it
             return max_abs(np.bincount(index.ravel(), weight.ravel(), d) - 1)
-        rows = np.unique((np.arange(n)[:, None] * d + index)[gain != 0])  # in use
-        if len(rows) == np.count_nonzero(gain):  # one entry a row: diagonal
+        keys = (np.arange(n)[:, None] * d + index)[gain != 0]  # rows in use
+        if _first_crowded(keys, n * d) is None:  # one entry a row: diagonal
             return max_abs(weight.sum(axis=0) - 1)
-        stacked = stacked[rows]
+        stacked = stacked[np.unique(keys)]
     return max_abs(stacked.conj().T @ stacked - np.eye(d))
 
 
@@ -310,42 +312,40 @@ def classify(
         )
     if isinstance(channel, LocalChannel):
         return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
-    if channel._monomial is not None:
-        return _classify_monomial(channel._monomial, zero_tol)
-    mask = np.abs(channel.operators) > zero_tol
-    bad_columns = mask.sum(axis=1) > 1  # [n, column]
-    if bad_columns.any():
-        n, col = (int(i) for i in np.argwhere(bad_columns)[0])
-        rows = tuple(int(r) for r in np.nonzero(mask[n, :, col])[0])
-        return ChannelClassification(
-            ChannelClass.NOT_INCOHERENT,
-            ClassificationWitness(n, "column", col, rows),
-        )
-    bad_rows = mask.sum(axis=2) > 1  # [n, row]
-    if bad_rows.any():
-        n, row = (int(i) for i in np.argwhere(bad_rows)[0])
-        cols = tuple(int(c) for c in np.nonzero(mask[n, row, :])[0])
-        return ChannelClassification(
-            ChannelClass.INCOHERENT_ONLY, ClassificationWitness(n, "row", row, cols)
-        )
+    operator, row, column, _ = _judged_entries(channel, zero_tol)
+    n, d, _ = channel.operators.shape
+    for kind, axis, line, position in (
+        (ChannelClass.NOT_INCOHERENT, "column", column, row),
+        (ChannelClass.INCOHERENT_ONLY, "row", row, column),
+    ):
+        key = operator * d + line
+        first = _first_crowded(key, n * d)
+        if first is not None:
+            op, at = divmod(first, d)
+            on_line = tuple(int(i) for i in position[key == first])
+            witness = ClassificationWitness(op, axis, at, on_line)
+            return ChannelClassification(kind, witness)
     return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
 
 
-def _classify_monomial(form, zero_tol: float) -> ChannelClassification:
-    """classify's scan of a stack in _monomial_form: only rows of a column
-    form (IncoherentOnly) or columns of a row form (NotIncoherent) can fail."""
+def _judged_entries(channel: KrausChannel | LocalChannel, zero_tol: float):
+    """(operator, row, column, value) of every Kraus entry with |K| >
+    zero_tol, the stack classify judges and the recovery reads: from the
+    _monomial form if recorded ((operator, line) order), else the stack."""
+    form = None if isinstance(channel, LocalChannel) else channel._monomial
+    if form is None:
+        ops = np.asarray(channel.operators)
+        d = ops.shape[1]
+        flat = np.flatnonzero(np.abs(ops) > zero_tol)
+        operator, rest = np.divmod(flat, d * d)
+        row, column = np.divmod(rest, d)
+        return operator, row, column, ops.ravel()[flat]
     axis, index, gain = form
-    n, d = index.shape
-    kept = np.abs(gain) > zero_tol
-    keys = np.arange(n)[:, None] * d + index
-    crowded = np.bincount(keys[kept], minlength=n * d) > 1
-    if not crowded.any():
-        return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
-    op, line = divmod(int(np.argmax(crowded)), d)
-    positions = tuple(int(i) for i in np.flatnonzero(kept[op] & (index[op] == line)))
-    name = "row" if axis == 1 else "column"
-    kind = ChannelClass.INCOHERENT_ONLY if axis == 1 else ChannelClass.NOT_INCOHERENT
-    return ChannelClassification(kind, ClassificationWitness(op, name, line, positions))
+    flat = np.flatnonzero(np.abs(gain) > zero_tol)
+    operator, line = np.divmod(flat, index.shape[1])
+    position = index.ravel()[flat]
+    row, column = (position, line) if axis == 1 else (line, position)
+    return operator, row, column, gain.ravel()[flat]
 
 
 def _exactly_strict(channel: KrausChannel) -> bool:
@@ -377,9 +377,7 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
         raise DimensionMismatchError(
             f"cannot compose dims {second.dim} and {first.dim}"
         )
-    ops = tuple(
-        b @ a for b in second.operators for a in first.operators
-    )
+    ops = tuple(b @ a for b in second.operators for a in first.operators)
     return KrausChannel(ops, label=f"compose({second.label},{first.label})")
 
 
@@ -392,14 +390,19 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return outer.reshape(n1 * n2, d1 * d2, d1 * d2)
 
 
-def tensor(channels: Sequence[KrausChannel]) -> KrausChannel:
+def _flat_factors(channels) -> list[KrausChannel]:
+    """The channels in order, each LocalChannel as its factors."""
+    return [f for c in channels for f in getattr(c, "factors", (c,))]
+
+
+def tensor(channels: Sequence[KrausChannel | LocalChannel]) -> KrausChannel:
     """Tensor product channel; operators are all Kronecker products, in
-    itertools.product order (first factor slowest)."""
+    itertools.product order (first factor slowest), over the flat factors."""
+    channels = _flat_factors(channels)
     if not channels:
         raise ValidationError("tensor needs at least one channel")
     ops = reduce(_kron, (c.operators for c in channels))
-    label = " x ".join(c.label or "?" for c in channels)
-    return KrausChannel(ops, label=label)
+    return KrausChannel(ops, label=" x ".join(c.label or "?" for c in channels))
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -479,12 +482,12 @@ def local_channel(factors) -> LocalChannel | KrausChannel:
     """Tensor product of per-qubit channels: a LocalChannel when every factor
     is strictly incoherent entry by entry, else the dense tensor(factors).
 
-    Factors may be KrausChannel instances or (kind, parameter) pairs using
-    the CHANNEL_FACTORIES names; the factors need not be identical.
+    Factors may be KrausChannels, LocalChannels (each adds its factors) or
+    (kind, parameter) pairs of CHANNEL_FACTORIES names, not all identical.
     """
     built = []
     for factor in factors:
-        if not isinstance(factor, KrausChannel):
+        if not isinstance(factor, (KrausChannel, LocalChannel)):
             kind, param = factor
             try:
                 _, factory = CHANNEL_FACTORIES[kind]
@@ -492,6 +495,7 @@ def local_channel(factors) -> LocalChannel | KrausChannel:
                 raise ValidationError(f"unknown channel kind {kind!r}") from None
             factor = factory(param)
         built.append(factor)
+    built = _flat_factors(built)
     if all(_exactly_strict(f) for f in built):
         return LocalChannel(tuple(built))
     return tensor(built)

@@ -27,6 +27,7 @@ from .recovery import CERTIFICATE_TOL, certify_freezing
 from .states import (
     DensityMatrix,
     MixedFamilySpec,
+    _check_weight,
     _mixed_family_matrix,
     _random_weights,
     bromley_spec,
@@ -292,7 +293,7 @@ def bitflip_transfer_weights(weights: Mapping[str, float], qs) -> dict[str, floa
     for q in qs:
         patterns = [w * f for w in patterns for f in (1.0 - q, q)]
     moved = [w + c for w, c in zip(patterns, reversed(patterns))]  # ~x is at -1 - x
-    sources = [(int(bits, 2), w) for bits, w in weights.items()]
+    sources = [(int(bits, 2), _check_weight(bits, w)) for bits, w in weights.items()]
     transferred = {}
     for m, target in enumerate(canonical_bitstrings(len(qs))):
         total = 0.0

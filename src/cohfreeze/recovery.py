@@ -38,6 +38,7 @@ from .channels import (
     ClassificationWitness,
     KrausChannel,
     LocalChannel,
+    _judged_entries,
     apply_channel,
     classify,
 )
@@ -95,22 +96,10 @@ def _recovery_channel(
         raise NotIncoherentChannelError(
             "channel is not incoherent: " + classification.witness.describe()
         )
-    sqrt0, inv_sqrt, kernel = _recovery_weights(
-        delta0, apply_channel(channel, delta0)
-    )
-    form = None if isinstance(channel, LocalChannel) else channel._monomial
-    if form is not None and form[0] == 1:  # row j of R_n: R_n[j, index[n, j]]
-        _, index, gain = form
-        judged = np.where(np.abs(gain) <= ZERO_TOL, 0.0, gain.conj())
-        n, d = index.shape
-        ops = np.zeros((n, d, d), np.complex128)
-        ops[np.arange(n)[:, None], np.arange(d), index] = (
-            sqrt0 * judged * inv_sqrt[index]
-        )
-    else:
-        kraus_dag = np.asarray(channel.operators).conj().transpose(0, 2, 1)
-        kraus_dag[np.abs(kraus_dag) <= ZERO_TOL] = 0.0  # the stack classify judged
-        ops = sqrt0[None, :, None] * kraus_dag * inv_sqrt[None, None, :]
+    sqrt0, inv_sqrt, kernel = _recovery_weights(delta0, apply_channel(channel, delta0))
+    operator, row, column, value = _judged_entries(channel, ZERO_TOL)
+    ops = np.zeros((len(channel.operators), *delta0.matrix.shape), np.complex128)
+    ops[operator, column, row] = sqrt0[column] * value.conj() * inv_sqrt[row]
     if kernel.any():
         ops = np.concatenate([ops, np.diag(kernel.astype(np.complex128))[None]])
     return KrausChannel(ops, label=f"recovery({channel.label})")

@@ -165,6 +165,13 @@ def phi_state(bits: str, sign) -> DensityMatrix:
     return mixed_family(phi_spec(bits, sign))
 
 
+def _check_weight(bits: str, w: float) -> float:
+    """The weight of bit string `bits`, refused unless it is >= 0."""
+    if not w >= 0.0:  # NaN fails too
+        raise OutOfRangeError(f"weight for {bits!r} must be >= 0, got {w}")
+    return w
+
+
 @dataclass(frozen=True)
 class MixedFamilySpec:
     """Mixing weight p for the +/- branches and a distribution over canonical
@@ -187,8 +194,7 @@ class MixedFamilySpec:
                 raise InvalidCanonicalFormError(
                     f"weight key {bits!r} must start with 0"
                 )
-            if not w >= 0.0:  # NaN fails too
-                raise OutOfRangeError(f"weight for {bits!r} must be >= 0, got {w}")
+            _check_weight(bits, w)
         total = float(sum(self.weights.values()))
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValidationError(f"weights sum to {total}, expected 1")

@@ -303,6 +303,16 @@ class TestTransferWeights:
         with pytest.raises(ValidationError, match="not a bit string: '0a'"):
             bitflip_transfer_weights({"0a": 1.0}, (0.1, 0.2))
 
+    @pytest.mark.parametrize("w", [-1.0, float("nan")])
+    def test_rejects_a_weight_mixed_family_spec_refuses(self, w):
+        message = f"weight for '00' must be >= 0, got {w}"
+        with pytest.raises(OutOfRangeError) as spec_error:
+            MixedFamilySpec(p=1.0, weights={"00": w, "01": 1.0 - w})
+        assert str(spec_error.value) == message
+        with pytest.raises(OutOfRangeError) as transfer_error:
+            bitflip_transfer_weights({"00": w}, (0.1, 0.2))
+        assert str(transfer_error.value) == message
+
     def test_analytic_state_matches_brute_force(self):
         qs = (0.15, 0.6)
         weights = bitflip_transfer_weights({"01": 1.0}, qs)

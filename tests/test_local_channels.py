@@ -295,6 +295,30 @@ class TestFactoredOrDense:
         channel = parse_channel_spec(f"local [{', '.join(items)}]")
         np.testing.assert_array_equal(channel.operators, tensor(flat).operators)
 
+    def test_tensor_takes_a_local_channel_as_its_factors(self):
+        local = local_channel([bit_flip(0.2), bit_flip(0.3)])
+        assert isinstance(local, LocalChannel)
+        got = tensor([local, bit_flip(0.1)])
+        expected = tensor([bit_flip(0.2), bit_flip(0.3), bit_flip(0.1)])
+        assert got.label == expected.label
+        np.testing.assert_array_equal(got.operators, expected.operators)
+
+    def test_local_channel_takes_a_local_channel_as_its_factors(self):
+        local = local_channel([bit_flip(0.2), bit_flip(0.3)])
+        nested = local_channel([local, bit_flip(0.1)])
+        assert isinstance(nested, LocalChannel)
+        assert len(nested.factors) == 3
+        assert nested.factors[:2] == local.factors
+
+    def test_nested_local_with_a_non_strict_factor_is_the_flat_product(self):
+        local = local_channel([bit_flip(0.2), bit_flip(0.3)])
+        raw = parse_channel_spec(IO_ONLY)
+        built = local_channel([raw, local])
+        expected = tensor([raw, bit_flip(0.2), bit_flip(0.3)])
+        assert type(built) is KrausChannel
+        assert built.label == expected.label
+        np.testing.assert_array_equal(built.operators, expected.operators)
+
     @pytest.mark.parametrize("spec", [HADAMARD, IO_ONLY])
     def test_local_channel_refuses_a_non_strict_factor(self, spec):
         with pytest.raises(ValidationError, match="entry by entry"):

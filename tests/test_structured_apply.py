@@ -587,3 +587,43 @@ class TestRecoveryFromForm:
         with batched_only():
             reference = petz_recovery(KrausChannel(channel.operators), delta0)
         np.testing.assert_array_equal(recovered.operators, reference.operators)
+
+
+def sorted_entries(channel, zero_tol):
+    """_judged_entries as (operator, row, column) keys and their values, in
+    (operator, row, column) order."""
+    operator, row, column, value = channels._judged_entries(channel, zero_tol)
+    order = np.lexsort((column, row, operator))
+    keys = np.stack([operator, row, column])[:, order]
+    return keys, value[order]
+
+
+class TestJudgedEntries:
+    @pytest.mark.parametrize("kind", sorted(MONOMIAL_STACKS))
+    @pytest.mark.parametrize("zero_tol", ZERO_TOLS)
+    def test_form_gives_the_dense_entries(self, kind, zero_tol):
+        axis, stack = MONOMIAL_STACKS[kind]
+        channel = KrausChannel(stack())
+        assert channel._monomial[0] == axis
+        with batched_only():
+            dense = KrausChannel(channel.operators)
+        assert dense._monomial is None
+        keys, values = sorted_entries(channel, zero_tol)
+        dense_keys, dense_values = sorted_entries(dense, zero_tol)
+        np.testing.assert_array_equal(keys, dense_keys)
+        np.testing.assert_array_equal(values, dense_values)
+        kept = np.abs(channel.operators) > zero_tol
+        assert keys.shape[1] == np.count_nonzero(kept)
+
+
+class TestFirstCrowded:
+    def test_none_without_a_crowded_key(self):
+        assert channels._first_crowded(np.array([], np.intp), 0) is None
+        assert channels._first_crowded(np.array([], np.intp), 8) is None
+        assert channels._first_crowded(np.array([5, 0, 3, 7]), 8) is None
+
+    def test_smallest_crowded_key(self):
+        key = np.array([6, 2, 6, 4, 2, 2, 0])
+        assert channels._first_crowded(key, 8) == 2
+        assert channels._first_crowded(key[:3], 8) == 6
+        assert type(channels._first_crowded(key, 8)) is int
