@@ -17,9 +17,14 @@ on, a KrausChannel records when it is built whether its stack has this
 monomial structure: column form (every column of every operator holds at
 most one exactly nonzero entry, as in an incoherent channel) or row form
 (every row does, as in the recovery d0^(1/2) K^dag dt^(-1/2) of an
-incoherent channel). That one (axis, index, gain) record checks
+incoherent channel). That one (axis, index, gain, shared) record checks
 completeness, classifies the stack and evolves any state in O(n d^2) work
-instead of the batched O(n d^3) product. The structure is read from exact
+instead of the batched O(n d^3) product. It marks the rank-one operators,
+whose entries share one position (|t><v| in column form, as in an
+incoherent-only channel, |v><s| in row form, as in its recovery): they take
+one (n x d)(d x d) or (d x n)(n x d) matrix product. A recovery is built
+from the entries classify judged (_Entries), and its record is read from
+them with no rescan of its dense stack. The structure is read from exact
 zeros, not ZERO_TOL: a tiny entry is still an entry, and dropping it would
 change the output. Small channels (numpy's fixed cost per call outweighs
 the saved arithmetic) and every other stack take the batched product.
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
@@ -48,10 +54,11 @@ ZERO_TOL = 1e-12
 # Smallest dimension whose channels record their monomial structure.
 # Median time of one apply_channel call, structured / batched, in
 # microseconds, on a dense full-rank state / on its dephased image (2 vCPU
-# host, numpy 2.4), at d=12, 16 and 24: SIO channels with 4 operators 49/40
-# 30/27, 66/57 32/35, 105/105 41/58; incoherent-only channels (d operators)
-# 53/40 35/42, 65/75 35/74, 149/204 52/194; their recoveries 53/58 51/57,
-# 78/93 69/92, 147/246 157/247.
+# host, numpy 2.4), at d=12, 16, 24 and 64: SIO channels with 4 operators
+# 59/46 60/48, 130/101 38/37, 152/136 49/57, 1104/1226 160/537;
+# incoherent-only channels (d rank-one operators, one matrix product) 62/73
+# 61/73, 38/71 39/73, 65/244 56/205, 404/14456 410/14842; their recoveries
+# 59/62 101/102, 74/100 76/100, 121/282 160/350, 1056/16799 996/16276.
 STRUCTURED_MIN_DIM = 16
 
 _I = np.eye(2, dtype=np.complex128)
@@ -60,25 +67,46 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
+# An (n, d, d) Kraus stack as the (operator, row, column, value) arrays of
+# its listed entries, each position at most once; the rest are zero.
+_Entries = namedtuple("_Entries", "shape operator row column value")
+
+
+def _listed(ops: np.ndarray, mask: np.ndarray) -> _Entries:
+    """The stack's entries where mask holds, in (operator, row, column) order."""
+    flat = np.flatnonzero(mask)
+    return _Entries(ops.shape, *np.unravel_index(flat, ops.shape), ops.ravel()[flat])
+
+
 def _monomial_form(ops: np.ndarray):
-    """(axis, index, gain) when every column (axis 1) or else every row
-    (axis 2) of every operator holds at most one exactly nonzero entry:
-    line j of operator n holds gain[n, j] at position index[n, j] along
-    that axis (gain 0 for an empty line). None for any other stack."""
+    """(axis, index, gain, shared) when every column (axis 1) or else every
+    row (axis 2) of every operator holds at most one exactly nonzero entry:
+    line j of operator n holds gain[n, j] at position index[n, j] along that
+    axis (gain 0 for an empty line). shared[n] is the one position all of
+    operator n's entries sit at (it is rank one), else -1; shared is None
+    when no operator is rank one. None for any other stack."""
     n, d, _ = ops.shape
-    flat = np.flatnonzero(ops != 0)  # ascending (operator, row, column)
-    if len(flat) > n * d:  # more entries than lines
+    nonzero = ops != 0
+    if np.count_nonzero(nonzero) > n * d:  # more entries than lines
         return None
-    operator, rest = np.divmod(flat, d * d)
-    row, column = np.divmod(rest, d)
+    return _entry_form(_listed(ops, nonzero))
+
+
+def _entry_form(entries: _Entries):
+    """_monomial_form of a stack from its listed entries."""
+    (n, d, _), operator, row, column, value = entries
+    if not value.all():  # a listed zero is not an entry
+        kept = value != 0
+        operator, row, column, value = (a[kept] for a in entries[1:])
     for axis, line, position in ((1, column, row), (2, row, column)):
         key = operator * d + line
         if _first_crowded(key, n * d) is None:
-            index = np.zeros(n * d, np.intp)
-            index[key] = position
-            gain = np.zeros(n * d, np.complex128)
-            gain[key] = ops.ravel()[flat]
-            return axis, index.reshape(n, d), gain.reshape(n, d)
+            index, gain = np.zeros((n, d), np.intp), np.zeros((n, d), np.complex128)
+            np.put(index, key, position)
+            np.put(gain, key, value)
+            low = index.min(axis=1, where=gain != 0, initial=d)
+            shared = np.where(low == index.max(axis=1), low, -1)
+            return axis, index, gain, shared if shared.max() >= 0 else None
     return None
 
 
@@ -88,14 +116,35 @@ def _first_crowded(key: np.ndarray, lines: int) -> int | None:
     return int(crowded[0]) if len(crowded) else None
 
 
-def _apply_monomial(axis: int, index: np.ndarray, gain: np.ndarray, rho: np.ndarray):
-    """sum_n K_n rho K_n^dag for a stack in _monomial_form."""
+def _apply_monomial(axis: int, index, gain, shared, rho: np.ndarray):
+    """sum_n K_n rho K_n^dag for a stack in _monomial_form. Its rank-one
+    operators take one matrix product: g_n e_s^T (row form) adds rho[s, s]
+    g_n g_n^dag and e_t g_n^T (column form) adds g_n^T rho conj(g_n) at
+    (t, t), with s or t = shared[n]. The others go line by line."""
+    if shared is None:
+        return _apply_lines(axis, index, gain, rho)
+    one = shared >= 0
+    at, rank_one = shared[one], gain[one]
+    if axis == 2:
+        out = (rank_one.T * rho.diagonal()[at]) @ rank_one.conj()
+    else:
+        weight = np.einsum("nj,nj->n", rank_one @ rho, rank_one.conj())
+        re, im = (np.bincount(at, w, len(rho)) for w in (weight.real, weight.imag))
+        out = np.diag(re + 1j * im)
+    if not one.all():
+        out += _apply_lines(axis, index[~one], gain[~one], rho)
+    return out
+
+
+def _apply_lines(axis: int, index: np.ndarray, gain: np.ndarray, rho: np.ndarray):
+    """_apply_monomial one line at a time: a gather or a scatter."""
     d = len(rho)
     if axis == 2:
         # K_n[a, s] = gain[n, a] at s = index[n, a]: rows a and b of operator
         # n read entry (index[n, a], index[n, b]) of rho.
         picked = rho.ravel().take(index[:, :, None] * d + index[:, None, :])
-        return np.einsum("na,nab,nb->ab", gain, picked, gain.conj())
+        picked *= gain[:, :, None] * gain.conj()[:, None, :]
+        return picked.sum(axis=0)
     # K_n[t, j] = gain[n, j] at t = index[n, j]: each nonzero entry (j, k) of
     # rho lands at (index[n, j], index[n, k]). Transposed: rows take faster.
     lines, gains = np.ascontiguousarray(index.T), np.ascontiguousarray(gain.T)
@@ -114,7 +163,7 @@ def _completeness_defect(ops: np.ndarray, form) -> float:
     n, d, _ = ops.shape
     stacked = ops.reshape(n * d, d)
     if form is not None:
-        axis, index, gain = form
+        axis, index, gain, _ = form
         weight = (gain * gain.conj()).real
         if axis == 2:  # column s collects |gain|^2 of the rows that read it
             return max_abs(np.bincount(index.ravel(), weight.ravel(), d) - 1)
@@ -147,10 +196,11 @@ def _operator_stack(operators) -> np.ndarray:
 class KrausChannel:
     """A CPTP map given by its Kraus operators.
 
-    `operators` may be a sequence of d x d matrices or an (n, d, d) array; it
-    is stored as one read-only complex (n, d, d) array, with its _monomial_form
-    from STRUCTURED_MIN_DIM on. Construction verifies completeness: sum K^dag
-    K = I within COMPLETENESS_TOL. Equality and hashing are by identity.
+    `operators` may be a sequence of d x d matrices, an (n, d, d) array or
+    its _Entries; it is stored as one read-only complex (n, d, d) array, with
+    its _monomial_form from STRUCTURED_MIN_DIM on. Construction verifies that
+    the values are finite and completeness: sum K^dag K = I within
+    COMPLETENESS_TOL. Equality and hashing are by identity.
     """
 
     operators: np.ndarray
@@ -158,8 +208,17 @@ class KrausChannel:
     _monomial: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = _operator_stack(self.operators)
-        form = _monomial_form(ops) if ops.shape[1] >= STRUCTURED_MIN_DIM else None
+        entries = self.operators
+        if isinstance(entries, _Entries):
+            ops = np.zeros(entries.shape, np.complex128)
+            ops[entries[1:4]] = entries.value
+            if not np.isfinite(entries.value).all():
+                _operator_stack(ops)  # raises as for the dense stack
+        else:
+            ops, entries = _operator_stack(entries), None
+        form = None
+        if ops.shape[1] >= STRUCTURED_MIN_DIM:
+            form = _monomial_form(ops) if entries is None else _entry_form(entries)
         defect = _completeness_defect(ops, form)
         if defect > COMPLETENESS_TOL:
             raise ValidationError(
@@ -290,6 +349,8 @@ class ClassificationWitness:
 class ChannelClassification:
     channel_class: ChannelClass
     witness: ClassificationWitness | None
+    # the _judged_entries classify scanned, which the recovery reads
+    _entries: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def classify(
@@ -312,7 +373,7 @@ def classify(
         )
     if isinstance(channel, LocalChannel):
         return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
-    operator, row, column, _ = _judged_entries(channel, zero_tol)
+    operator, row, column, _ = entries = _judged_entries(channel, zero_tol)
     n, d, _ = channel.operators.shape
     for kind, axis, line, position in (
         (ChannelClass.NOT_INCOHERENT, "column", column, row),
@@ -324,8 +385,8 @@ def classify(
             op, at = divmod(first, d)
             on_line = tuple(int(i) for i in position[key == first])
             witness = ClassificationWitness(op, axis, at, on_line)
-            return ChannelClassification(kind, witness)
-    return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
+            return ChannelClassification(kind, witness, entries)
+    return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None, entries)
 
 
 def _judged_entries(channel: KrausChannel | LocalChannel, zero_tol: float):
@@ -335,12 +396,8 @@ def _judged_entries(channel: KrausChannel | LocalChannel, zero_tol: float):
     form = None if isinstance(channel, LocalChannel) else channel._monomial
     if form is None:
         ops = np.asarray(channel.operators)
-        d = ops.shape[1]
-        flat = np.flatnonzero(np.abs(ops) > zero_tol)
-        operator, rest = np.divmod(flat, d * d)
-        row, column = np.divmod(rest, d)
-        return operator, row, column, ops.ravel()[flat]
-    axis, index, gain = form
+        return _listed(ops, np.abs(ops) > zero_tol)[1:]
+    axis, index, gain, _ = form
     flat = np.flatnonzero(np.abs(gain) > zero_tol)
     operator, line = np.divmod(flat, index.shape[1])
     position = index.ravel()[flat]

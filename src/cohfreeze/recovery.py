@@ -38,6 +38,7 @@ from .channels import (
     ClassificationWitness,
     KrausChannel,
     LocalChannel,
+    _Entries,
     _judged_entries,
     apply_channel,
     classify,
@@ -90,19 +91,25 @@ def _recovery_channel(
     classification: ChannelClassification,
     delta0: DensityMatrix,
 ) -> KrausChannel:
-    """petz_recovery for a diagonal delta0, given the channel's
-    classification instead of classifying it again."""
+    """petz_recovery for a diagonal delta0, built from the entries the given
+    classification judged (a LocalChannel's are read from its Kraus list)."""
     if classification.channel_class is ChannelClass.NOT_INCOHERENT:
         raise NotIncoherentChannelError(
             "channel is not incoherent: " + classification.witness.describe()
         )
     sqrt0, inv_sqrt, kernel = _recovery_weights(delta0, apply_channel(channel, delta0))
-    operator, row, column, value = _judged_entries(channel, ZERO_TOL)
-    ops = np.zeros((len(channel.operators), *delta0.matrix.shape), np.complex128)
-    ops[operator, column, row] = sqrt0[column] * value.conj() * inv_sqrt[row]
-    if kernel.any():
-        ops = np.concatenate([ops, np.diag(kernel.astype(np.complex128))[None]])
-    return KrausChannel(ops, label=f"recovery({channel.label})")
+    judged = classification._entries or _judged_entries(channel, ZERO_TOL)
+    operator, row, column, value = judged
+    n, ker = len(channel.operators), np.flatnonzero(kernel)
+    # R_n[column, row] = d0^(1/2) conj(K_n[row, column]) dt^(-1/2), then P_ker
+    stack = _Entries(
+        (n + kernel.any(), *delta0.matrix.shape),
+        np.concatenate([operator, np.full(len(ker), n)]),
+        np.concatenate([column, ker]),
+        np.concatenate([row, ker]),
+        np.concatenate([sqrt0[column] * value.conj() * inv_sqrt[row], np.ones_like(ker)]),
+    )
+    return KrausChannel(stack, label=f"recovery({channel.label})")
 
 
 def _closed_form_recovery(

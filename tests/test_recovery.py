@@ -30,7 +30,7 @@ from cohfreeze import (
     random_sio_channel,
     tensor,
 )
-from cohfreeze import coherence, recovery
+from cohfreeze import channels, coherence, recovery
 from cohfreeze.linalg import max_abs
 from cohfreeze.recovery import _recovery_weights
 
@@ -231,6 +231,22 @@ class TestCertifyFreezing:
         assert calls == [channel]
         assert certificate.recovery_incoherent
         assert certificate.recovery_witness is None
+
+    @pytest.mark.parametrize("dim", [4, 24])
+    def test_strict_dense_certificate_judges_the_stack_once(self, monkeypatch, dim):
+        calls = []
+        original = channels._judged_entries
+
+        def counted(channel, zero_tol):
+            calls.append(channel)
+            return original(channel, zero_tol)
+
+        monkeypatch.setattr(channels, "_judged_entries", counted)
+        monkeypatch.setattr(recovery, "_judged_entries", counted)
+        channel = random_sio_channel(dim, 3, seed=73)
+        certify_freezing(channel, random_density(dim, 3, seed=74))
+        # classify's scan; the recovery is built from the entries it read
+        assert calls == [channel]
 
     def test_incoherent_only_certificate_scans_its_recovery_once(self, monkeypatch):
         calls = []

@@ -30,6 +30,7 @@ from cohfreeze import (
     certify_freezing,
     classify,
     compose,
+    dephase,
     depolarizing,
     petz_recovery,
     random_density,
@@ -38,6 +39,7 @@ from cohfreeze import (
     tensor,
 )
 from cohfreeze import channels, linalg
+from cohfreeze.recovery import _recovery_weights
 
 from oracles import brute_apply, classify_loop, random_unitary
 
@@ -317,6 +319,26 @@ class TestStructureIsRecorded:
         # form for IO) on the dense rho_t and on delta_t.
         assert calls == forms
 
+    def test_io_certificate_takes_the_rank_one_product(self):
+        calls = []
+        original = channels._apply_lines
+
+        def counted(axis, index, gain, rho):
+            calls.append((axis, len(gain)))
+            return original(axis, index, gain, rho)
+
+        channel = build("io", 24, 4, 15)  # 24 operators |t_n><v_n|
+        rho0 = support_state(24, 16)
+        recovered = petz_recovery(channel, dephase(rho0))
+        with mock.patch.object(channels, "_apply_lines", counted):
+            certify_freezing(channel, rho0, enforce_hypothesis=False)
+        # Every operator of the channel, and of its recovery all but the
+        # kernel projector, which holds more than one entry, is rank one and
+        # takes the matrix product; only the projector goes line by line.
+        one = recovered._monomial[3] >= 0
+        assert one[:24].all() and not one[24]
+        assert calls == [(2, 1)] * 2
+
 
 seeds = st.integers(0, 2**31)
 
@@ -373,6 +395,25 @@ def partial_permutation(dim, count, seed):
     return KrausChannel(ops / np.sqrt((np.abs(ops) ** 2).sum(axis=(0, 1))))
 
 
+def mixed_rank_one(axis, dim, seed):
+    """A stack of dim rank-one operators, two permutations with phases and
+    an empty operator. Rank-one operator n holds row u_n of a random unitary
+    as its row t_n, a random target (column form, axis 1), or as its column
+    n (row form, axis 2), so that sum K^dag K = I."""
+    rng = np.random.default_rng(seed)
+    weights = np.sqrt(rng.dirichlet(np.ones(3)))
+    ops = np.zeros((dim + 3, dim, dim), dtype=complex)
+    rows = weights[0] * random_unitary(dim, seed)
+    if axis == 1:
+        ops[np.arange(dim), rng.integers(dim, size=dim)] = rows
+    else:
+        ops[np.arange(dim), :, np.arange(dim)] = rows
+    for i in (1, 2):
+        phases = np.exp(2j * np.pi * rng.random(dim))
+        ops[dim + i - 1, rng.permutation(dim), np.arange(dim)] = weights[i] * phases
+    return ops
+
+
 class TestDenseInputs:
     """The kernel on inputs that are not diagonal, within 1e-13 of the loop
     oracle and of the batched product."""
@@ -422,6 +463,16 @@ class TestDenseInputs:
             assert_dense_matches(channel, rho)
         for rho in dense_inputs(dim, seed):
             assert_dense_matches(recovered, rho)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("dim", [CUTOFF, 24, 64])
+    def test_rank_one_operators_among_permutations(self, axis, dim):
+        channel = KrausChannel(mixed_rank_one(axis, dim, dim + axis))
+        assert channel._monomial[0] == axis
+        shared = channel._monomial[3]
+        assert (shared[:dim] >= 0).all() and (shared[dim:] == -1).all()
+        for rho in (*dense_inputs(dim, dim, 1e-12), singular_diagonal(dim, dim)):
+            assert_dense_matches(channel, rho)
 
     def test_indices_at_d_300(self):
         # index * d reaches 299 * 300, past any 16-bit index.
@@ -502,6 +553,13 @@ def refusal(operators):
     return None
 
 
+def listed(ops):
+    """The stack as the _Entries of its nonzero entries."""
+    ops = np.asarray(ops)
+    flat = np.flatnonzero(ops)
+    return channels._Entries(ops.shape, *np.unravel_index(flat, ops.shape), ops.ravel()[flat])
+
+
 MONOMIAL_STACKS = {
     "sio": (1, lambda: random_sio_channel(24, 4, seed=23).operators),
     "io": (1, lambda: random_incoherent_channel(24, 2, seed=24).operators),
@@ -518,8 +576,10 @@ class TestCompletenessFromForm:
         ops = np.array(stack()) * np.sqrt(1 + excess)
         assert channels._monomial_form(ops)[0] == axis
         message = refusal(ops)
+        assert refusal(listed(ops)) == message
         with batched_only():
             assert refusal(ops) == message
+            assert refusal(listed(ops)) == message
         if refused:
             assert message == "completeness fails: max |sum K^dag K - I| = 1.000e-09"
         else:
@@ -536,6 +596,17 @@ class TestCompletenessFromForm:
         assert message.startswith("completeness fails: max |sum K^dag K - I| = ")
         with batched_only():
             assert refusal(ops) == message
+
+
+class TestRefusalsFromEntries:
+    @pytest.mark.parametrize("dim", [4, CUTOFF])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_value(self, dim, bad):
+        ops = np.array(random_sio_channel(dim, 3, seed=dim).operators)
+        entries = listed(ops)
+        entries.value[1] = bad
+        ops[entries.operator[1], entries.row[1], entries.column[1]] = bad
+        assert refusal(entries) == refusal(ops) == "matrix entries must be finite"
 
 
 def sylvester_hadamard(dim):
@@ -587,6 +658,65 @@ class TestRecoveryFromForm:
         with batched_only():
             reference = petz_recovery(KrausChannel(channel.operators), delta0)
         np.testing.assert_array_equal(recovered.operators, reference.operators)
+
+
+def zero_normalised_bits(array):
+    """The bytes of the array with every zero written +0."""
+    return np.where(array == 0, 0, array).tobytes()
+
+
+class TestRecoveryFromEntries:
+    """The recovery is built from the judged entries classify scanned, with
+    no dense rescan: it must equal what a rescan of its stack gives."""
+
+    @pytest.mark.parametrize("kind", ["sio", "io", "sio-compose"])
+    @pytest.mark.parametrize("dim", [CUTOFF, 24, 64])
+    @pytest.mark.parametrize("singular", [True, False])
+    def test_equals_a_rescan_of_itself(self, kind, dim, singular):
+        channel = build(kind, dim, 4, dim)
+        if singular:
+            delta0 = singular_diagonal(dim, dim)
+        else:
+            delta0 = dephase(random_density(dim, dim, dim))
+        recovered = petz_recovery(channel, delta0)
+        sqrt0, inv_sqrt, kernel = _recovery_weights(
+            delta0, apply_channel(channel, delta0)
+        )
+        expected = sqrt0[:, None] * channel.operators.conj().transpose(0, 2, 1)
+        expected = expected * inv_sqrt
+        if kernel.any():
+            projector = np.diag(kernel.astype(complex))
+            expected = np.concatenate([expected, projector[None]])
+        assert zero_normalised_bits(recovered.operators) == zero_normalised_bits(
+            expected
+        )
+        form = recovered._monomial
+        rescan = channels._monomial_form(recovered.operators)
+        assert form[0] == rescan[0]
+        for got, want in zip(form[1:], rescan[1:]):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sio", "io"])
+    @pytest.mark.parametrize("dim", [8, 24])
+    def test_certificate_does_not_rescan_its_recovery(self, kind, dim):
+        channel = build(kind, dim, 4, 31)
+        calls = []
+
+        def counting(name):
+            original = getattr(channels, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            return mock.patch.object(channels, name, counted)
+
+        with counting("_monomial_form"), counting("_operator_stack"):
+            certify_freezing(channel, support_state(dim, 32), enforce_hypothesis=False)
+        assert calls == []
 
 
 def sorted_entries(channel, zero_tol):
