@@ -29,9 +29,10 @@ zeros, not ZERO_TOL: a tiny entry is still an entry, and dropping it would
 change the output. Small channels (numpy's fixed cost per call outweighs
 the saved arithmetic) and every other stack take the batched product.
 
-A local channel whose factors are strictly incoherent entry by entry is kept
-as its factors (LocalChannel) and applied, adjoint-applied and classified one
-factor at a time; local_channel builds any other as the dense tensor product.
+A local channel whose factors are strictly incoherent entry by entry, as its
+constructor judges once per factor, is kept as its factors (LocalChannel) and
+applied, adjoint-applied and classified one factor at a time; local_channel
+builds any other with tensor, the one builder of a Kronecker list.
 """
 
 from __future__ import annotations
@@ -45,8 +46,13 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OutOfRangeError, ValidationError
-from .linalg import as_complex_matrix, max_abs
+from .errors import (
+    DimensionMismatchError,
+    NotStrictlyIncoherentError,
+    OutOfRangeError,
+    ValidationError,
+)
+from .linalg import as_complex_matrix, check_unit_interval, max_abs
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
@@ -244,9 +250,7 @@ class _KroneckerOperators(Sequence):
     def __len__(self) -> int:
         return math.prod(self._counts)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(len(self))[index])
+    def __getitem__(self, index: int) -> np.ndarray:
         digits = np.unravel_index(range(len(self))[index], self._counts)
         stacks = (f.operators[i : i + 1] for f, i in zip(self._factors, digits))
         op = reduce(_kron, stacks)[0]
@@ -266,10 +270,11 @@ def _superoperator(channel: KrausChannel) -> np.ndarray:
 class LocalChannel:
     """The tensor product of its factors, stored as the factors alone.
 
-    Each factor is a validated KrausChannel of any dimension that is strictly
-    incoherent entry by entry; dim is the product of theirs. `operators` is
-    a read-only sequence whose items are the Kronecker products tensor()
-    would store, built on demand. Equality and hashing are by identity.
+    Each factor is a validated KrausChannel of any dimension; dim is the
+    product of theirs. The constructor alone judges the factors: it refuses
+    one that is not strictly incoherent entry by entry. `operators` builds
+    tensor(factors)'s Kronecker products one at a time, read-only, for
+    callers outside the package. Equality and hashing are by identity.
     """
 
     factors: tuple[KrausChannel, ...]
@@ -281,10 +286,11 @@ class LocalChannel:
             raise ValidationError("local channel needs at least one factor")
         if not all(isinstance(f, KrausChannel) for f in factors):
             raise ValidationError("local channel factors must be KrausChannels")
-        if not all(_exactly_strict(f) for f in factors):
-            raise ValidationError(
-                "local channel factors must be strictly incoherent entry by entry"
-            )
+        for f in factors:  # counting every nonzero entry, however small
+            if classify(f, 0.0).channel_class is not ChannelClass.STRICTLY_INCOHERENT:
+                raise NotStrictlyIncoherentError(
+                    "local channel factors must be strictly incoherent entry by entry"
+                )
         object.__setattr__(self, "factors", factors)
         object.__setattr__(
             self, "_superoperators", tuple(_superoperator(f) for f in factors)
@@ -389,25 +395,19 @@ def classify(
     return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None, entries)
 
 
-def _judged_entries(channel: KrausChannel | LocalChannel, zero_tol: float):
+def _judged_entries(channel: KrausChannel, zero_tol: float):
     """(operator, row, column, value) of every Kraus entry with |K| >
     zero_tol, the stack classify judges and the recovery reads: from the
     _monomial form if recorded ((operator, line) order), else the stack."""
-    form = None if isinstance(channel, LocalChannel) else channel._monomial
-    if form is None:
-        ops = np.asarray(channel.operators)
+    if channel._monomial is None:
+        ops = channel.operators
         return _listed(ops, np.abs(ops) > zero_tol)[1:]
-    axis, index, gain, _ = form
+    axis, index, gain, _ = channel._monomial
     flat = np.flatnonzero(np.abs(gain) > zero_tol)
     operator, line = np.divmod(flat, index.shape[1])
     position = index.ravel()[flat]
     row, column = (position, line) if axis == 1 else (line, position)
     return operator, row, column, gain.ravel()[flat]
-
-
-def _exactly_strict(channel: KrausChannel) -> bool:
-    """Strictly incoherent counting every nonzero entry, however small."""
-    return classify(channel, 0.0).channel_class is ChannelClass.STRICTLY_INCOHERENT
 
 
 def apply_channel(
@@ -462,40 +462,34 @@ def tensor(channels: Sequence[KrausChannel | LocalChannel]) -> KrausChannel:
     return KrausChannel(ops, label=" x ".join(c.label or "?" for c in channels))
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRangeError(f"{name} must be in [0, 1], got {value}")
-    return float(value)
-
-
 def identity_channel(dim: int = 2) -> KrausChannel:
     return KrausChannel((np.eye(dim, dtype=np.complex128),), label="identity")
 
 
 def bit_flip(q: float) -> KrausChannel:
     """Kraus operators sqrt(1-q) I and sqrt(q) X."""
-    q = _check_unit_interval("q", q)
+    q = check_unit_interval("q", q)
     ops = (np.sqrt(1 - q) * _I, np.sqrt(q) * _X)
     return KrausChannel(ops, label=f"bitflip(q={q:g})")
 
 
 def phase_flip(q: float) -> KrausChannel:
     """Kraus operators sqrt(1-q) I and sqrt(q) Z."""
-    q = _check_unit_interval("q", q)
+    q = check_unit_interval("q", q)
     ops = (np.sqrt(1 - q) * _I, np.sqrt(q) * _Z)
     return KrausChannel(ops, label=f"phaseflip(q={q:g})")
 
 
 def bit_phase_flip(q: float) -> KrausChannel:
     """Kraus operators sqrt(1-q) I and sqrt(q) Y."""
-    q = _check_unit_interval("q", q)
+    q = check_unit_interval("q", q)
     ops = (np.sqrt(1 - q) * _I, np.sqrt(q) * _Y)
     return KrausChannel(ops, label=f"bitphaseflip(q={q:g})")
 
 
 def depolarizing(q: float) -> KrausChannel:
     """Kraus operators sqrt(1-3q/4) I and sqrt(q/4) X, Y, Z."""
-    q = _check_unit_interval("q", q)
+    q = check_unit_interval("q", q)
     ops = (
         np.sqrt(1 - 3 * q / 4) * _I,
         np.sqrt(q / 4) * _X,
@@ -507,7 +501,7 @@ def depolarizing(q: float) -> KrausChannel:
 
 def phase_damping(lam: float) -> KrausChannel:
     """Kraus operators sqrt(1-lam) I, sqrt(lam) |0><0|, sqrt(lam) |1><1|."""
-    lam = _check_unit_interval("lambda", lam)
+    lam = check_unit_interval("lambda", lam)
     p0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
     p1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
     ops = (np.sqrt(1 - lam) * _I, np.sqrt(lam) * p0, np.sqrt(lam) * p1)
@@ -516,7 +510,7 @@ def phase_damping(lam: float) -> KrausChannel:
 
 def amplitude_damping(gamma: float) -> KrausChannel:
     """Kraus operators [[1,0],[0,sqrt(1-g)]] and [[0,sqrt(g)],[0,0]]."""
-    gamma = _check_unit_interval("gamma", gamma)
+    gamma = check_unit_interval("gamma", gamma)
     k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=np.complex128)
     k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=np.complex128)
     return KrausChannel((k0, k1), label=f"amplitudedamping(g={gamma:g})")
@@ -536,8 +530,8 @@ CHANNEL_FACTORIES = {
 
 
 def local_channel(factors) -> LocalChannel | KrausChannel:
-    """Tensor product of per-qubit channels: a LocalChannel when every factor
-    is strictly incoherent entry by entry, else the dense tensor(factors).
+    """Tensor product of per-qubit channels: a LocalChannel when its
+    constructor accepts every factor, else the dense tensor(factors).
 
     Factors may be KrausChannels, LocalChannels (each adds its factors) or
     (kind, parameter) pairs of CHANNEL_FACTORIES names, not all identical.
@@ -552,10 +546,10 @@ def local_channel(factors) -> LocalChannel | KrausChannel:
                 raise ValidationError(f"unknown channel kind {kind!r}") from None
             factor = factory(param)
         built.append(factor)
-    built = _flat_factors(built)
-    if all(_exactly_strict(f) for f in built):
-        return LocalChannel(tuple(built))
-    return tensor(built)
+    try:
+        return LocalChannel(tuple(_flat_factors(built)))
+    except NotStrictlyIncoherentError:
+        return tensor(built)
 
 
 def random_sio_channel(dim: int, num_operators: int, seed: int) -> KrausChannel:

@@ -78,6 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # parse_args returns a new Namespace per call
+
+
 def _out_dir(explicit: str | None) -> Path:
     if explicit:
         return Path(explicit)
@@ -162,9 +165,8 @@ def cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the parse-error code
         return EXIT_PARSE if exc.code else EXIT_OK

@@ -14,14 +14,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import CHANNEL_FACTORIES, _check_unit_interval, tensor
-from .errors import (
-    DimensionTooLargeError,
-    NumericalInconsistencyError,
-    OutOfRangeError,
-    ValidationError,
-)
-from .linalg import binary_entropy, max_abs
+from .channels import CHANNEL_FACTORIES, tensor
+from .errors import DimensionTooLargeError, NumericalInconsistencyError, ValidationError
+from .linalg import binary_entropy, check_tolerance, check_unit_interval, max_abs
 from .records import format_number
 from .recovery import CERTIFICATE_TOL, certify_freezing
 from .states import (
@@ -123,19 +118,14 @@ class SweepSpec:
             if not grid:
                 raise ValidationError("grids must not be empty")
             for value in grid:
-                if not 0.0 <= value <= 1.0:
-                    raise OutOfRangeError(f"grid value {value} outside [0, 1]")
+                check_unit_interval("grid value", value)
             total *= len(grid)
         if total > MAX_GRID_POINTS:
             raise ValidationError(
                 f"grid has {total} points, maximum is {MAX_GRID_POINTS}"
             )
         for name in ("freezing_tol", "certificate_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise OutOfRangeError(
-                    f"{name} must be finite and positive, got {value}"
-                )
+            check_tolerance(name, getattr(self, name))
         object.__setattr__(self, "grids", tuple(tuple(g) for g in self.grids))
         object.__setattr__(self, "factors", tuple(self.factors))
 
@@ -266,8 +256,7 @@ def detect_freezing(
     table: TrajectoryTable, tol: float = FREEZING_TOL
 ) -> dict[str, FreezingSummary]:
     """Per-measure max deviation from the first grid point."""
-    if not 0.0 < tol < math.inf:
-        raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
+    check_tolerance("tolerance", tol)
     if not table.rows:
         raise ValidationError("table has no rows")
     result = {}
@@ -288,7 +277,7 @@ def bitflip_transfer_weights(weights: Mapping[str, float], qs) -> dict[str, floa
     """
     if any(len(check_bits(bits)) != len(qs) for bits in weights):
         raise ValidationError("need one flip probability per qubit")
-    qs = [_check_unit_interval("q", q) for q in qs]
+    qs = [check_unit_interval("q", q) for q in qs]
     patterns = [1.0]
     for q in qs:
         patterns = [w * f for w in patterns for f in (1.0 - q, q)]

@@ -18,6 +18,20 @@ NEGATIVE_FLOOR = 1e-9
 SUPPORT_CUTOFF = 1e-12  # values at or below it times the largest count as zero
 
 
+def check_unit_interval(name: str, value: float) -> float:
+    """value as a float, refused unless it is in [0, 1] (NaN fails too)."""
+    if not 0.0 <= value <= 1.0:
+        raise OutOfRangeError(f"{name} must be in [0, 1], got {value}")
+    return float(value)
+
+
+def check_tolerance(name: str, value: float) -> float:
+    """value, refused unless it is finite and positive (NaN fails too)."""
+    if not 0.0 < value < np.inf:
+        raise OutOfRangeError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def as_complex_matrix(entries) -> np.ndarray:
     """Coerce to a dense square complex matrix, rejecting NaN/Inf entries."""
     mat = np.asarray(entries, dtype=np.complex128)
@@ -78,6 +92,5 @@ def entropy_bits(probabilities) -> float:
 
 def binary_entropy(p: float) -> float:
     """H(p) = -p log2 p - (1-p) log2 (1-p) with H(0) = H(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRangeError(f"probability must be in [0, 1], got {p}")
+    p = check_unit_interval("probability", p)
     return entropy_bits([p, 1.0 - p])

@@ -21,27 +21,25 @@ the certificate applies the recovery of its full Kraus list in closed form,
     R(X) = d0^(1/2) L^dag(dt^(-1/2) X dt^(-1/2)) d0^(1/2) + P_ker X P_ker,
 
 with L^dag the channel's adjoint applied factor by factor, and never builds
-the Kraus list.
+the Kraus list; petz_recovery builds it through tensor(channel.factors).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .channels import (
-    ZERO_TOL,
     ChannelClass,
     ChannelClassification,
     ClassificationWitness,
     KrausChannel,
     LocalChannel,
     _Entries,
-    _judged_entries,
     apply_channel,
     classify,
+    tensor,
 )
 from .coherence import c_l1, c_rel_ent
 from .errors import (
@@ -49,9 +47,8 @@ from .errors import (
     NotIncoherentChannelError,
     NotStrictlyIncoherentError,
     NumericalInconsistencyError,
-    OutOfRangeError,
 )
-from .linalg import max_abs, offdiagonal_l1, support
+from .linalg import check_tolerance, max_abs, offdiagonal_l1, support
 from .records import render
 from .states import DensityMatrix, dephase
 
@@ -79,27 +76,29 @@ def petz_recovery(
 
     Requires delta0 diagonal and the channel at least incoherent at ZERO_TOL.
     The result is trace preserving by construction; when the input channel
-    is strictly incoherent the recovery is strictly incoherent as well.
+    is strictly incoherent the recovery is strictly incoherent as well. A
+    LocalChannel is expanded by tensor(channel.factors) first.
     """
     if not delta0.is_diagonal():
         raise NotDiagonalError("reference state must be diagonal")
+    if isinstance(channel, LocalChannel):
+        channel = tensor(channel.factors)
     return _recovery_channel(channel, classify(channel), delta0)
 
 
 def _recovery_channel(
-    channel: KrausChannel | LocalChannel,
+    channel: KrausChannel,
     classification: ChannelClassification,
     delta0: DensityMatrix,
 ) -> KrausChannel:
-    """petz_recovery for a diagonal delta0, built from the entries the given
-    classification judged (a LocalChannel's are read from its Kraus list)."""
+    """petz_recovery for a diagonal delta0, built from the entries that
+    classify(channel) judged and handed over on the classification."""
     if classification.channel_class is ChannelClass.NOT_INCOHERENT:
         raise NotIncoherentChannelError(
             "channel is not incoherent: " + classification.witness.describe()
         )
     sqrt0, inv_sqrt, kernel = _recovery_weights(delta0, apply_channel(channel, delta0))
-    judged = classification._entries or _judged_entries(channel, ZERO_TOL)
-    operator, row, column, value = judged
+    operator, row, column, value = classification._entries
     n, ker = len(channel.operators), np.flatnonzero(kernel)
     # R_n[column, row] = d0^(1/2) conj(K_n[row, column]) dt^(-1/2), then P_ker
     stack = _Entries(
@@ -192,8 +191,7 @@ def certify_freezing(
     accepted and the outcome is reported as-is. A LocalChannel takes the
     closed-form recovery.
     """
-    if not 0.0 < tol < math.inf:
-        raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
+    check_tolerance("tolerance", tol)
     classification = classify(channel)
     if (
         enforce_hypothesis
@@ -215,6 +213,8 @@ def certify_freezing(
     cr_deviation = abs(crt - cr0)
     l1_deviation = abs(l1t - l10)
 
+    # Strict: each R_n keeps K~_n's at most one nonzero per row and column.
+    recovery_classification = classification
     if isinstance(channel, LocalChannel):
         recover = _closed_form_recovery(channel, delta0, delta_t)
         recovered_state, recovered_diag = recover(rho_t), recover(delta_t)
@@ -223,11 +223,8 @@ def certify_freezing(
         recovery = _recovery_channel(channel, classification, delta0)
         recovered_state = apply_channel(recovery, rho_t)
         recovered_diag = apply_channel(recovery, delta_t)
-    if classification.channel_class is ChannelClass.STRICTLY_INCOHERENT:
-        # Each R_n keeps K~_n's at most one nonzero per row and per column.
-        recovery_classification = classification
-    else:  # incoherent only: scan the recovery for the witness to report
-        recovery_classification = classify(recovery)
+        if classification.channel_class is not ChannelClass.STRICTLY_INCOHERENT:
+            recovery_classification = classify(recovery)  # for its witness
     state_error = recovered_state.matrix - rho0.matrix
     residual_state = max_abs(state_error)
     residual_diag = max_abs(recovered_diag.matrix - delta0.matrix)

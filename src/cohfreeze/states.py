@@ -22,6 +22,7 @@ from .errors import (
 )
 from .linalg import (
     as_complex_matrix,
+    check_unit_interval,
     hermiticity_defect,
     is_exactly_diagonal,
     max_abs,
@@ -181,8 +182,7 @@ class MixedFamilySpec:
     weights: Mapping[str, float]
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise OutOfRangeError(f"p must be in [0, 1], got {self.p}")
+        check_unit_interval("p", self.p)
         if not self.weights:
             raise ValidationError("weights must not be empty")
         lengths = {len(bits) for bits in self.weights}

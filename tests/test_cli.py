@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cohfreeze
-from cohfreeze import coherence, recovery
+from cohfreeze import cli, coherence, recovery
 from cohfreeze.cli import main
 
 EQ16_SPEC = """\
@@ -604,6 +604,17 @@ class TestEntryPoint:
         captured = capsys.readouterr()
         assert ("usage: cohfreeze" in captured.out) == (code == 0)
         assert ("usage: cohfreeze" in captured.err) == (code == 2)
+
+    def test_main_parses_with_the_parser_built_at_import(self, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("argument parser built again")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert main(["measure", "--state", "phi N=1 l=0 sign=+"]) == 0
+        assert main(["frobnicate"]) == 2
+        assert capsys.readouterr().out == (
+            "c_l1 = 1\nc_rel_ent = 1\ncross_check_residual = 0\n"
+        )
 
     def test_numerical_failure_exits_4(self, monkeypatch, capsys):
         # c_l1 shifted by 0.5 on every state but the first it measures, the

@@ -90,7 +90,8 @@ class TestSweepSpec:
             make_spec(grids=((), (0.1,)))
 
     def test_rejects_out_of_range_values(self):
-        with pytest.raises(OutOfRangeError):
+        message = r"^grid value must be in \[0, 1\], got 1.5$"
+        with pytest.raises(OutOfRangeError, match=message):
             make_spec(grids=((0.0, 1.5), (0.1,)))
 
     def test_rejects_oversized_product(self):

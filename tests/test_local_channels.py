@@ -20,6 +20,7 @@ from cohfreeze import (
     DensityMatrix,
     KrausChannel,
     LocalChannel,
+    NotStrictlyIncoherentError,
     OutOfRangeError,
     ValidationError,
     amplitude_damping,
@@ -209,7 +210,6 @@ class TestEdges:
         assert len(local.operators) == 64
         dense = tensor(local.factors).operators
         np.testing.assert_array_equal(local.operators[-1], dense[-1])
-        assert len(local.operators[5:9]) == 4
         with pytest.raises(IndexError):
             local.operators[64]
         with pytest.raises(ValueError):
@@ -321,8 +321,26 @@ class TestFactoredOrDense:
 
     @pytest.mark.parametrize("spec", [HADAMARD, IO_ONLY])
     def test_local_channel_refuses_a_non_strict_factor(self, spec):
-        with pytest.raises(ValidationError, match="entry by entry"):
+        with pytest.raises(
+            NotStrictlyIncoherentError,
+            match=r"^local channel factors must be strictly incoherent entry by entry$",
+        ):
             LocalChannel((bit_flip(0.3), parse_channel_spec(spec)))
+
+    @pytest.mark.parametrize("num_factors", [1, 3, 5])
+    def test_each_factor_is_judged_once(self, monkeypatch, num_factors):
+        calls = []
+        original = cohfreeze.channels.classify
+
+        def counted(channel, *args):
+            calls.append(channel)
+            return original(channel, *args)
+
+        monkeypatch.setattr(cohfreeze.channels, "classify", counted)
+        factors = [bit_flip(0.1 * (i + 1)) for i in range(num_factors)]
+        local = local_channel(factors)
+        assert isinstance(local, LocalChannel)
+        assert calls == factors
 
     def test_type_check_comes_first(self):
         with pytest.raises(ValidationError, match="must be KrausChannels"):
@@ -362,3 +380,33 @@ def test_certify_local_never_builds_the_kraus_list(monkeypatch, capsys):
     )
     assert code == 1
     assert capsys.readouterr().out.startswith("verdict = NotFrozen\n")
+
+
+def test_petz_recovery_of_a_local_channel_is_that_of_its_tensor_product():
+    local = local_channel([("amplitudedamping", 0.3), ("depolarizing", 0.2)] * 2)
+    assert isinstance(local, LocalChannel)
+    rho0 = random_state(16, seed=31)
+    delta0 = dephase(rho0)
+    recovery = petz_recovery(local, delta0)
+    expected = petz_recovery(tensor(local.factors), delta0)
+    assert recovery.label == expected.label
+    np.testing.assert_array_equal(recovery.operators, expected.operators)
+    recover = _closed_form_recovery(local, delta0, apply_channel(local, delta0))
+    rho = random_state(16, seed=32)
+    np.testing.assert_allclose(
+        apply_channel(recovery, rho).matrix, recover(rho).matrix, rtol=0, atol=1e-13
+    )
+
+
+def test_nothing_reads_the_kronecker_list(monkeypatch):
+    def refuse(self, index):
+        raise AssertionError("Kronecker list read")
+
+    monkeypatch.setattr(cohfreeze.channels._KroneckerOperators, "__getitem__", refuse)
+    local = local_channel([("bitflip", 0.2), ("phasedamping", 0.4), ("bitflip", 0.7)])
+    assert isinstance(local, LocalChannel)
+    rho0 = random_state(8, seed=33)
+    assert classify(local).channel_class is ChannelClass.STRICTLY_INCOHERENT
+    apply_channel(local, rho0)
+    assert certify_freezing(local, rho0).verdict in ("Frozen", "NotFrozen")
+    assert petz_recovery(local, dephase(rho0)).dim == 8

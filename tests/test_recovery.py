@@ -242,7 +242,6 @@ class TestCertifyFreezing:
             return original(channel, zero_tol)
 
         monkeypatch.setattr(channels, "_judged_entries", counted)
-        monkeypatch.setattr(recovery, "_judged_entries", counted)
         channel = random_sio_channel(dim, 3, seed=73)
         certify_freezing(channel, random_density(dim, 3, seed=74))
         # classify's scan; the recovery is built from the entries it read
