@@ -8,15 +8,21 @@ becomes "frozen at every grid point".
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .channels import CHANNEL_FACTORIES, tensor
-from .errors import DimensionTooLargeError, NumericalInconsistencyError, ValidationError
-from .linalg import binary_entropy, check_tolerance, check_unit_interval, max_abs
+from .errors import NumericalInconsistencyError, ValidationError
+from .linalg import (
+    binary_entropy,
+    check_dimension,
+    check_qubits,
+    check_tolerance,
+    check_unit_interval,
+    max_abs,
+)
 from .records import format_number
 from .recovery import CERTIFICATE_TOL, certify_freezing
 from .states import (
@@ -32,7 +38,6 @@ from .states import (
     phi_spec,
 )
 
-MAX_DIM = 64
 MAX_GRID_POINTS = 10_000
 DEFAULT_GRID_POINTS = 11
 FREEZING_TOL = 1e-8
@@ -46,23 +51,6 @@ _CSV_COLUMNS = MEASURE_NAMES + (
     "recovery_residual_state",
     "recovery_residual_diag",
 )
-
-
-def _require_supported_dim(dim: int) -> None:
-    """Refuse a dimension above MAX_DIM before anything that size is built."""
-    if dim > MAX_DIM:
-        raise DimensionTooLargeError(
-            f"dimension {dim} exceeds the supported maximum {MAX_DIM}"
-        )
-
-
-def _require_supported_qubits(num_qubits: int) -> None:
-    """As _require_supported_dim for dimension 2**num_qubits, without
-    computing the power of an arbitrarily large count."""
-    if num_qubits > math.log2(MAX_DIM):
-        raise DimensionTooLargeError(
-            f"dimension 2^{num_qubits} exceeds the supported maximum {MAX_DIM}"
-        )
 
 
 def default_heterogeneous_grids(
@@ -102,7 +90,7 @@ class SweepSpec:
             if kind not in CHANNEL_FACTORIES:
                 raise ValidationError(f"unknown channel kind {kind!r}")
         dim = 2 ** len(self.factors)
-        _require_supported_dim(dim)
+        check_dimension(dim)
         if self.state.dim != dim:
             raise ValidationError(
                 f"state dim {self.state.dim} does not match "
@@ -358,7 +346,7 @@ def _reproduce(
     certificate is Frozen and its evolved state is the family's analytic
     transferred mixture. grids=None means default_heterogeneous_grids."""
     num_qubits = family.num_qubits
-    _require_supported_qubits(num_qubits)
+    check_qubits(num_qubits)
     if grids is None:
         grids = default_heterogeneous_grids(num_qubits)
     spec = SweepSpec(

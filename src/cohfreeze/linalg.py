@@ -6,14 +6,18 @@ All entropies are in bits (base-2 logarithms) and use the convention
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
+    DimensionTooLargeError,
     NumericalInconsistencyError,
     OutOfRangeError,
     ValidationError,
 )
 
+MAX_DIM = 64
 NEGATIVE_FLOOR = 1e-9
 SUPPORT_CUTOFF = 1e-12  # values at or below it times the largest count as zero
 
@@ -30,6 +34,23 @@ def check_tolerance(name: str, value: float) -> float:
     if not 0.0 < value < np.inf:
         raise OutOfRangeError(f"{name} must be finite and positive, got {value}")
     return value
+
+
+def check_dimension(dim: int) -> None:
+    """Refuse a dimension above MAX_DIM before anything that size is built."""
+    if dim > MAX_DIM:
+        raise DimensionTooLargeError(
+            f"dimension {dim} exceeds the supported maximum {MAX_DIM}"
+        )
+
+
+def check_qubits(num_qubits: int) -> None:
+    """As check_dimension for dimension 2**num_qubits, without computing the
+    power of an arbitrarily large count."""
+    if num_qubits > math.log2(MAX_DIM):
+        raise DimensionTooLargeError(
+            f"dimension 2^{num_qubits} exceeds the supported maximum {MAX_DIM}"
+        )
 
 
 def as_complex_matrix(entries) -> np.ndarray:

@@ -48,7 +48,13 @@ from .errors import (
     NotStrictlyIncoherentError,
     NumericalInconsistencyError,
 )
-from .linalg import check_tolerance, max_abs, offdiagonal_l1, support
+from .linalg import (
+    check_tolerance,
+    is_exactly_diagonal,
+    max_abs,
+    offdiagonal_l1,
+    support,
+)
 from .records import render
 from .states import DensityMatrix, dephase
 
@@ -74,12 +80,13 @@ def petz_recovery(
 ) -> KrausChannel:
     """Recovery channel for an incoherent channel and diagonal reference.
 
-    Requires delta0 diagonal and the channel at least incoherent at ZERO_TOL.
+    Requires delta0 exactly diagonal (every off-diagonal entry zero) and the
+    channel at least incoherent at ZERO_TOL.
     The result is trace preserving by construction; when the input channel
     is strictly incoherent the recovery is strictly incoherent as well. A
     LocalChannel is expanded by tensor(channel.factors) first.
     """
-    if not delta0.is_diagonal():
+    if not is_exactly_diagonal(delta0.matrix):
         raise NotDiagonalError("reference state must be diagonal")
     if isinstance(channel, LocalChannel):
         channel = tensor(channel.factors)

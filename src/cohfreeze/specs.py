@@ -27,11 +27,8 @@ from .channels import (
     local_channel,
 )
 from .errors import CohfreezeError, OutOfRangeError, SpecParseError
-from .experiments import (
-    SweepSpec,
-    _require_supported_dim,
-    _require_supported_qubits,
-)
+from .experiments import SweepSpec
+from .linalg import check_dimension, check_qubits
 from .states import (
     DensityMatrix,
     MixedFamilySpec,
@@ -141,7 +138,7 @@ def _parse_qubits(kwargs: dict[str, str], context: str) -> int:
     n = _parse_int(_require(kwargs, "N", context), "N")
     if n < 1:
         raise OutOfRangeError(f"N must be at least 1, got {n}")
-    _require_supported_qubits(n)
+    check_qubits(n)
     return n
 
 
@@ -151,7 +148,7 @@ def _parse_dim(text: str) -> int:
     dim = _parse_int(text, "dim")
     if dim < 1:
         raise OutOfRangeError(f"dim must be at least 1, got {dim}")
-    _require_supported_dim(dim)
+    check_dimension(dim)
     return dim
 
 
@@ -234,7 +231,7 @@ def parse_state_spec(text: str) -> DensityMatrix:
         amps = [parse_complex(item) for item in _bracket_items(amps_text)]
         if not amps:
             raise SpecParseError("pure requires at least one amplitude")
-        _require_supported_dim(len(amps))
+        check_dimension(len(amps))
         return from_pure(np.array(amps), normalize=normalize)
     if name == "raw":
         dim = _parse_dim(_require(kwargs, "dim", "raw"))
@@ -287,7 +284,7 @@ def _local_factors(kwargs: dict[str, str], positional: list[str]) -> list:
             factors += _local_factors(kwargs, positional)
         else:
             factors.append(parse_channel_spec(item))
-        _require_supported_dim(math.prod(factor.dim for factor in factors))
+        check_dimension(math.prod(factor.dim for factor in factors))
     return factors
 
 

@@ -1,4 +1,4 @@
-"""Validated density matrices and the coherent state families.
+"""Validated density matrices, never repaired, and the coherent state families.
 
 Basis convention: computational basis |i> for i = 0..dim-1. For N qubits the
 label |l1 l2 ... lN> has l1 as the most significant bit, so the basis index of
@@ -25,19 +25,13 @@ from .linalg import (
     check_unit_interval,
     hermiticity_defect,
     is_exactly_diagonal,
-    max_abs,
 )
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-# Eigenvalues in [-PSD_TOL, -REPAIR_TRIGGER) are clipped to zero and the state
-# renormalized; anything closer to zero is accepted verbatim so that exact
-# constructor outputs keep their exact entries.
-REPAIR_TRIGGER = 1e-13
 WEIGHT_SUM_TOL = 1e-12
 NORM_TOL = 1e-10  # |norm - 1| that from_pure accepts without normalize
-DIAGONAL_TOL = 1e-12
 
 
 def check_bits(bits: str) -> str:
@@ -67,10 +61,12 @@ def _spectrum(mat: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """A quantum state: Hermitian, unit-trace, positive semidefinite.
 
-    Marginally negative spectra (down to -PSD_TOL) are repaired by clipping;
-    anything worse is rejected. The stored array and its ascending spectrum
-    `eigenvalues`, computed once by validation, are immutable. Equality and
-    hashing are by identity: compare `.matrix` to compare entries.
+    A smallest eigenvalue down to -PSD_TOL is accepted, anything lower is
+    rejected, and an accepted matrix is stored exactly as given: nothing is
+    clipped or renormalised. The stored array and its ascending spectrum
+    `eigenvalues` (_spectrum of that array, computed once by validation)
+    are immutable. Equality and hashing are by identity: compare `.matrix`
+    to compare entries.
     """
 
     matrix: np.ndarray
@@ -90,12 +86,6 @@ class DensityMatrix:
             raise ValidationError(
                 f"not positive semidefinite: smallest eigenvalue {smallest:.3e}"
             )
-        if smallest < -REPAIR_TRIGGER:
-            vals, vecs = np.linalg.eigh(mat)
-            vals = np.clip(vals, 0.0, None)
-            mat = (vecs * vals) @ vecs.conj().T
-            mat /= np.trace(mat).real
-            eigenvalues = _spectrum(mat)
         mat.setflags(write=False)
         eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -104,10 +94,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def is_diagonal(self) -> bool:
-        off = self.matrix - np.diag(self.matrix.diagonal())
-        return max_abs(off) <= DIAGONAL_TOL
 
 
 def from_pure(amplitudes, *, normalize: bool = False) -> DensityMatrix:

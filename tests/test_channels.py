@@ -33,7 +33,7 @@ from cohfreeze import (
     random_sio_channel,
     tensor,
 )
-from cohfreeze.linalg import max_abs
+from cohfreeze.linalg import is_exactly_diagonal, max_abs
 
 from oracles import brute_apply, classify_loop, random_unitary
 
@@ -471,7 +471,7 @@ class TestMonotonicity:
             channel = random_sio_channel(4, 2, seed=seed)
             rho = dephase(random_density(4, 4, seed=seed + 50))
             out = apply_channel(channel, rho)
-            assert out.is_diagonal()
+            assert is_exactly_diagonal(out.matrix)
 
     def test_dephase_commutes_with_sio(self):
         for seed in range(8):

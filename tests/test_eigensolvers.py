@@ -1,10 +1,10 @@
 """Every eigendecomposition in the package runs in a known place.
 
 np.linalg.eigvalsh runs only in states._spectrum, which computes the
-spectrum each DensityMatrix stores; np.linalg.eigh runs only where
-eigenvectors are needed: the repair of a marginally negative spectrum in
-DensityMatrix.__post_init__ and the eigenbasis of a non-diagonal sigma in
-coherence.relative_entropy. Any other numpy.linalg eigensolver is refused.
+spectrum each DensityMatrix stores, so validation computes eigenvalues
+only; np.linalg.eigh runs only where eigenvectors are needed: the
+eigenbasis of a non-diagonal sigma in coherence.relative_entropy. Any other
+numpy.linalg eigensolver is refused.
 """
 
 import ast
@@ -16,7 +16,6 @@ PACKAGE = Path(cohfreeze.__file__).resolve().parent
 EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
 EXPECTED = {
     ("coherence.py", "relative_entropy", "eigh"),
-    ("states.py", "DensityMatrix.__post_init__", "eigh"),
     ("states.py", "_spectrum", "eigvalsh"),
 }
 

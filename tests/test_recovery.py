@@ -84,6 +84,12 @@ class TestPetzRecovery:
         with pytest.raises(NotDiagonalError):
             petz_recovery(bit_flip(0.1), plus_state())
 
+    def test_diagonal_means_exactly_diagonal(self):
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[0, 1] = 1e-13
+        with pytest.raises(NotDiagonalError, match="^reference state must be diagonal$"):
+            petz_recovery(bit_flip(0.1), DensityMatrix(mat))
+
     def test_rejects_non_incoherent_channel(self):
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         with pytest.raises(NotIncoherentChannelError):
