@@ -529,6 +529,14 @@ CHANNEL_FACTORIES = {
 }
 
 
+def channel_factory(kind: str):
+    """The constructor of a CHANNEL_FACTORIES kind name."""
+    try:
+        return CHANNEL_FACTORIES[kind][1]
+    except KeyError:
+        raise ValidationError(f"unknown channel kind {kind!r}") from None
+
+
 def local_channel(factors) -> LocalChannel | KrausChannel:
     """Tensor product of per-qubit channels: a LocalChannel when its
     constructor accepts every factor, else the dense tensor(factors).
@@ -540,11 +548,7 @@ def local_channel(factors) -> LocalChannel | KrausChannel:
     for factor in factors:
         if not isinstance(factor, (KrausChannel, LocalChannel)):
             kind, param = factor
-            try:
-                _, factory = CHANNEL_FACTORIES[kind]
-            except KeyError:
-                raise ValidationError(f"unknown channel kind {kind!r}") from None
-            factor = factory(param)
+            factor = channel_factory(kind)(param)
         built.append(factor)
     try:
         return LocalChannel(tuple(_flat_factors(built)))

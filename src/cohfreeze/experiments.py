@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import CHANNEL_FACTORIES, tensor
+from .channels import channel_factory, tensor
 from .errors import NumericalInconsistencyError, ValidationError
 from .linalg import (
     binary_entropy,
@@ -87,8 +87,7 @@ class SweepSpec:
         if not self.factors:
             raise ValidationError("need at least one channel factor")
         for kind in self.factors:
-            if kind not in CHANNEL_FACTORIES:
-                raise ValidationError(f"unknown channel kind {kind!r}")
+            channel_factory(kind)
         dim = 2 ** len(self.factors)
         check_dimension(dim)
         if self.state.dim != dim:
@@ -134,7 +133,7 @@ class SweepSpec:
         the sweep and preset CSVs are pinned byte for byte, and
         factor-by-factor arithmetic moves their last digits."""
         built = [
-            [CHANNEL_FACTORIES[kind][1](q) for q in grid]
+            [channel_factory(kind)(q) for q in grid]
             for kind, grid in zip(self.factors, self._per_factor(self.grids))
         ]
         indices = itertools.product(*(range(len(g)) for g in self.grids))

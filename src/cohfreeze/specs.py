@@ -23,10 +23,11 @@ from .channels import (
     CHANNEL_FACTORIES,
     KrausChannel,
     LocalChannel,
+    channel_factory,
     identity_channel,
     local_channel,
 )
-from .errors import CohfreezeError, OutOfRangeError, SpecParseError
+from .errors import CohfreezeError, OutOfRangeError, SpecParseError, ValidationError
 from .experiments import SweepSpec
 from .linalg import check_dimension, check_qubits
 from .states import (
@@ -111,60 +112,63 @@ def _bracket_items(text: str) -> list[str]:
     return [item.strip() for item in _split_top_level(inner, ",")]
 
 
-def _require(kwargs: dict[str, str], key: str, context: str) -> str:
-    try:
-        return kwargs.pop(key)
-    except KeyError:
-        raise SpecParseError(f"{context} requires {key}=") from None
-
-
-def _reject_unknown(kwargs: dict[str, str], context: str) -> None:
+def _read(kwargs: dict[str, str], context: str, **readers) -> list:
+    """Pop each named key in the order given and read it with its reader,
+    then refuse any key left over. A reader alone reads a required key; a
+    (default, reader) pair an optional one, whose reader reads the default
+    when the key is absent."""
+    values = []
+    for key, reader in readers.items():
+        if key not in kwargs and not isinstance(reader, tuple):
+            raise SpecParseError(f"{context} requires {key}=")
+        default, reader = reader if isinstance(reader, tuple) else (None, reader)
+        values.append(reader(key, kwargs.pop(key, default)))
     if kwargs:
         raise SpecParseError(
             f"unknown key(s) for {context}: {', '.join(sorted(kwargs))}"
         )
+    return values
 
 
-def _parse_int(text: str, context: str) -> int:
+def _text(key: str, text: str) -> str:
+    return text
+
+
+def _integer(key: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise SpecParseError(f"bad integer for {context}: {text!r}") from None
+        raise SpecParseError(f"bad integer for {key}: {text!r}") from None
 
 
-def _parse_qubits(kwargs: dict[str, str], context: str) -> int:
-    """The N= qubit count, refused beyond the supported dimension before
-    anything is built."""
-    n = _parse_int(_require(kwargs, "N", context), "N")
-    if n < 1:
-        raise OutOfRangeError(f"N must be at least 1, got {n}")
-    check_qubits(n)
-    return n
-
-
-def _parse_dim(text: str) -> int:
-    """A dim= value, refused beyond the supported dimension before anything
-    is built."""
-    dim = _parse_int(text, "dim")
-    if dim < 1:
-        raise OutOfRangeError(f"dim must be at least 1, got {dim}")
-    check_dimension(dim)
-    return dim
-
-
-def _parse_float(text: str, context: str) -> float:
+def _number(key: str, text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise SpecParseError(f"bad number for {context}: {text!r}") from None
+        raise SpecParseError(f"bad number for {key}: {text!r}") from None
 
 
-def _parse_bool(text: str, context: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise SpecParseError(f"bad boolean for {context}: {text!r}")
+def _boolean(key: str, text: str) -> bool:
+    if text not in ("true", "false"):
+        raise SpecParseError(f"bad boolean for {key}: {text!r}")
+    return text == "true"
+
+
+def _size(key: str, text: str) -> int:
+    """An N= qubit count or a dim= dimension, refused beyond the supported
+    dimension before anything is built."""
+    size = _integer(key, text)
+    if size < 1:
+        raise OutOfRangeError(f"{key} must be at least 1, got {size}")
+    (check_qubits if key == "N" else check_dimension)(size)
+    return size
+
+
+def _random_seed(key: str, text: str | None) -> int:
+    """The seed= that random mixed weights require."""
+    if text is None:
+        raise SpecParseError("mixed random weights requires seed=")
+    return _integer(key, text)
 
 
 def _raw_matrix(text: str, dim: int, needs: str) -> np.ndarray:
@@ -183,27 +187,22 @@ def parse_state_spec(text: str) -> DensityMatrix:
     if positional:
         raise SpecParseError(f"unexpected bracket argument for {name!r}")
     if name == "phi":
-        n = _parse_qubits(kwargs, "phi")
-        bits = _require(kwargs, "l", "phi")
-        sign = _require(kwargs, "sign", "phi")
-        _reject_unknown(kwargs, "phi")
+        n, bits, sign = _read(kwargs, "phi", N=_size, l=_text, sign=_text)
         if len(bits) != n:
             raise SpecParseError(f"l={bits!r} does not have N={n} bits")
         if sign not in ("+", "-"):
             raise SpecParseError(f"sign must be + or -, got {sign!r}")
         return phi_state(bits, sign)
     if name == "mixed":
-        n = _parse_qubits(kwargs, "mixed")
-        p = _parse_float(_require(kwargs, "p", "mixed"), "p")
-        weights_text = _require(kwargs, "weights", "mixed")
-        if weights_text == "random":
-            seed = _parse_int(_require(kwargs, "seed", "mixed random weights"), "seed")
-            _reject_unknown(kwargs, "mixed")
-            if seed < 0:
-                raise OutOfRangeError(f"seed must be non-negative, got {seed}")
-            weights = _random_weights(n, np.random.default_rng(seed))
+        readers = dict(N=_size, p=_number, weights=_text)
+        if kwargs.get("weights") == "random":
+            readers["seed"] = (None, _random_seed)
+        n, p, weights_text, *seed = _read(kwargs, "mixed", **readers)
+        if seed:
+            if seed[0] < 0:
+                raise OutOfRangeError(f"seed must be non-negative, got {seed[0]}")
+            weights = _random_weights(n, np.random.default_rng(seed[0]))
         else:
-            _reject_unknown(kwargs, "mixed")
             weights = {}
             for item in _bracket_items(weights_text):
                 if ":" not in item:
@@ -217,53 +216,49 @@ def parse_state_spec(text: str) -> DensityMatrix:
                     )
                 if bits in weights:
                     raise SpecParseError(f"duplicate weight key {bits!r}")
-                weights[bits] = _parse_float(value, f"weight {bits}")
+                weights[bits] = _number(f"weight {bits}", value)
         return mixed_family(MixedFamilySpec(p=p, weights=weights))
     if name == "basis":
-        n = _parse_qubits(kwargs, "basis")
-        index = _parse_int(_require(kwargs, "i", "basis"), "i")
-        _reject_unknown(kwargs, "basis")
+        n, index = _read(kwargs, "basis", N=_size, i=_integer)
         return basis_state(2**n, index)
     if name == "pure":
-        amps_text = _require(kwargs, "amps", "pure")
-        normalize = _parse_bool(kwargs.pop("normalize", "false"), "normalize")
-        _reject_unknown(kwargs, "pure")
+        amps_text, normalize = _read(
+            kwargs, "pure", amps=_text, normalize=("false", _boolean)
+        )
         amps = [parse_complex(item) for item in _bracket_items(amps_text)]
         if not amps:
             raise SpecParseError("pure requires at least one amplitude")
         check_dimension(len(amps))
         return from_pure(np.array(amps), normalize=normalize)
     if name == "raw":
-        dim = _parse_dim(_require(kwargs, "dim", "raw"))
-        entries_text = _require(kwargs, "entries", "raw")
-        _reject_unknown(kwargs, "raw")
+        dim, entries_text = _read(kwargs, "raw", dim=_size, entries=_text)
         return DensityMatrix(_raw_matrix(entries_text, dim, "needs"))
     raise SpecParseError(f"unknown state constructor {name!r}")
 
 
 def parse_channel_spec(text: str) -> KrausChannel | LocalChannel:
     """Build a channel from its inline constructor specification."""
-    name, kwargs, positional = _parse_tokens(text)
+    return _build_channel(*_parse_tokens(text))
+
+
+def _build_channel(name: str, kwargs: dict[str, str], positional: list[str]):
+    """Build a channel from the tokens of its specification."""
     if name == "local":
         return local_channel(_local_factors(kwargs, positional))
     if positional:
         raise SpecParseError(f"unexpected bracket argument for {name!r}")
     if name == "identity":
-        dim = _parse_dim(kwargs.pop("dim", "2"))
-        _reject_unknown(kwargs, "identity")
+        (dim,) = _read(kwargs, "identity", dim=("2", _size))
         return identity_channel(dim)
     if name == "raw":
-        dim = _parse_dim(_require(kwargs, "dim", "raw"))
-        ops_text = _require(kwargs, "ops", "raw")
-        _reject_unknown(kwargs, "raw")
+        dim, ops_text = _read(kwargs, "raw", dim=_size, ops=_text)
         ops = [_raw_matrix(t, dim, "operators need") for t in _bracket_items(ops_text)]
         if not ops:
             raise SpecParseError("raw requires at least one operator")
         return KrausChannel(tuple(ops), label="raw")
     if name in CHANNEL_FACTORIES:
         key, factory = CHANNEL_FACTORIES[name]
-        value = _parse_float(_require(kwargs, key, name), key)
-        _reject_unknown(kwargs, name)
+        (value,) = _read(kwargs, name, **{key: _number})
         return factory(value)
     raise SpecParseError(f"unknown channel constructor {name!r}")
 
@@ -283,7 +278,7 @@ def _local_factors(kwargs: dict[str, str], positional: list[str]) -> list:
         if name == "local":
             factors += _local_factors(kwargs, positional)
         else:
-            factors.append(parse_channel_spec(item))
+            factors.append(_build_channel(name, kwargs, positional))
         check_dimension(math.prod(factor.dim for factor in factors))
     return factors
 
@@ -314,36 +309,29 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
             raise SpecParseError(f"empty value for {key!r}", line=lineno)
         entries[key] = (value, lineno)
 
-    def take(key: str) -> tuple[str, int] | None:
-        return entries.pop(key, None)
+    def take(key: str, reader, required: bool = False):
+        """Pop key's entry and read its value with reader, naming its line
+        in any refusal: a parse error keeps its message, any other error is
+        a bad value of key. An absent key is None, or refused if required."""
+        if key not in entries:
+            if required:
+                raise SpecParseError(f"missing {key}")
+            return None
+        value, lineno = entries.pop(key)
+        try:
+            return reader(key, value)
+        except SpecParseError as exc:
+            raise SpecParseError(str(exc), line=lineno) from None
+        except CohfreezeError as exc:
+            raise SpecParseError(f"bad {key}: {exc}", line=lineno) from None
 
-    state_entry = take("state.spec")
-    if state_entry is None:
-        raise SpecParseError("missing state.spec")
-    try:
-        state = parse_state_spec(state_entry[0])
-    except SpecParseError as exc:
-        raise SpecParseError(str(exc), line=state_entry[1]) from None
-    except CohfreezeError as exc:
-        raise SpecParseError(f"bad state.spec: {exc}", line=state_entry[1]) from None
-
-    factors_entry = take("channel.factors")
-    if factors_entry is None:
-        raise SpecParseError("missing channel.factors")
-    factors = tuple(_bracket_items(factors_entry[0]))
-    if not factors:
-        raise SpecParseError("channel.factors must not be empty", line=factors_entry[1])
-    for kind in factors:
-        if kind not in CHANNEL_FACTORIES:
-            raise SpecParseError(
-                f"unknown channel kind {kind!r}", line=factors_entry[1]
-            )
-
-    tied_entry = take("sweep.q")
-    grids: list[tuple[float, ...]] = []
-    tie = tied_entry is not None
-    if tie:
-        grids.append(_parse_grid(tied_entry[0], tied_entry[1]))
+    state_label, state = take(
+        "state.spec", lambda key, text: (text, parse_state_spec(text)), required=True
+    )
+    factors = take("channel.factors", _kinds, required=True)
+    tied = take("sweep.q", _grid)
+    if tied is not None:
+        grids = [tied]
         extra = [k for k in entries if k.startswith("sweep.")]
         if extra:
             raise SpecParseError(
@@ -351,23 +339,18 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
                 line=entries[extra[0]][1],
             )
     else:
-        for i in range(len(factors)):
-            grid_entry = take(f"sweep.q{i + 1}")
-            if grid_entry is None:
-                raise SpecParseError(f"missing sweep.q{i + 1}")
-            grids.append(_parse_grid(grid_entry[0], grid_entry[1]))
+        grids = [
+            take(f"sweep.q{i + 1}", _grid, required=True) for i in range(len(factors))
+        ]
 
     # An unset tolerance keeps SweepSpec's default.
     tolerances = {}
     for name in ("freezing", "certificate"):
-        entry = take(f"tolerances.{name}")
-        if entry is not None:
-            tolerances[f"{name}_tol"] = _parse_float(entry[0], f"tolerances.{name}")
+        value = take(f"tolerances.{name}", _number)
+        if value is not None:
+            tolerances[f"{name}_tol"] = value
 
-    output_path = None
-    entry = take("output.path")
-    if entry is not None:
-        output_path = entry[0]
+    output_path = take("output.path", _text)
 
     if entries:
         key = sorted(entries)[0]
@@ -378,8 +361,8 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
             state=state,
             factors=factors,
             grids=tuple(grids),
-            tie_parameters=tie,
-            state_label=state_entry[0],
+            tie_parameters=tied is not None,
+            state_label=state_label,
             **tolerances,
         )
     except CohfreezeError as exc:
@@ -387,8 +370,21 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
     return spec, output_path
 
 
-def _parse_grid(text: str, lineno: int) -> tuple[float, ...]:
+def _kinds(key: str, text: str) -> tuple[str, ...]:
+    """A sweep file's channel.factors: one or more channel kind names."""
+    kinds = tuple(_bracket_items(text))
+    if not kinds:
+        raise SpecParseError(f"{key} must not be empty")
+    try:
+        for kind in kinds:
+            channel_factory(kind)
+    except ValidationError as exc:
+        raise SpecParseError(str(exc)) from None
+    return kinds
+
+
+def _grid(key: str, text: str) -> tuple[float, ...]:
     items = _bracket_items(text)
     if not items:
-        raise SpecParseError("grid must not be empty", line=lineno)
-    return tuple(_parse_float(item, "grid value") for item in items)
+        raise SpecParseError("grid must not be empty")
+    return tuple(_number("grid value", item) for item in items)

@@ -1,3 +1,7 @@
+import ast
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from cohfreeze import (
     classify,
     phi_state,
 )
+from cohfreeze import specs
 from cohfreeze.cli import main
 from cohfreeze.specs import (
     parse_channel_spec,
@@ -330,6 +335,26 @@ class TestSweepFiles:
                 "channel.factors = [bitflip, warp]",
                 "line 3: unknown channel kind 'warp'",
             ),
+            (
+                "channel.factors = [bitflip, bitflip]",
+                "channel.factors = bitflip",
+                "line 3: expected a bracketed list, got 'bitflip'",
+            ),
+            (
+                "sweep.q1 = [0, 0.1, 0.2]",
+                "sweep.q1 = 0.1",
+                "line 4: expected a bracketed list, got '0.1'",
+            ),
+            (
+                "sweep.q1 = [0, 0.1, 0.2]",
+                "sweep.q1 = [0, x]",
+                "line 4: bad number for grid value: 'x'",
+            ),
+            (
+                "tolerances.freezing = 1e-8",
+                "tolerances.freezing = abc",
+                "line 6: bad number for tolerances.freezing: 'abc'",
+            ),
         ],
     )
     def test_refusal_messages(self, old, new, message, tmp_path, capsys):
@@ -357,3 +382,57 @@ class TestSweepFiles:
         )
         with pytest.raises(SpecParseError, match="line 2"):
             parse_sweep_file(text)
+
+
+class TestOneReader:
+    """Each spec value is read one way: constructor keys are popped only by
+    specs._read, a local's factors are tokenized once, and one lookup refuses
+    an unknown channel kind."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_local_factors_are_tokenized_once(self, k):
+        text = "local [" + ", ".join(["bitflip q=0.1"] * k) + "]"
+        with mock.patch.object(
+            specs, "_parse_tokens", wraps=specs._parse_tokens
+        ) as tokenize:
+            parse_channel_spec(text)
+        assert tokenize.call_count == k + 1
+
+    @staticmethod
+    def pops_outside_read(source: str) -> list[int]:
+        """Lines of each kwargs.pop(...) call outside a function _read."""
+        tree = ast.parse(source)
+        inside = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == "_read"
+            for node in ast.walk(function)
+        }
+        return sorted(
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "kwargs"
+            and id(node) not in inside
+        )
+
+    def test_keys_are_popped_only_by_read(self):
+        assert self.pops_outside_read(Path(specs.__file__).read_text()) == []
+
+    def test_detector_flags_a_pop_outside_read(self):
+        source = (
+            "def _read(kwargs):\n"
+            "    return kwargs.pop('a')\n"
+            "def build(kwargs, entries):\n"
+            "    entries.pop('b')\n"
+            "    return kwargs.pop('c', None)\n"
+        )
+        assert self.pops_outside_read(source) == [5]
+
+    def test_unknown_channel_kind_has_one_home(self):
+        package = Path(specs.__file__).parent
+        sources = [path.read_text() for path in package.glob("*.py")]
+        assert sum(s.count("unknown channel kind") for s in sources) == 1
