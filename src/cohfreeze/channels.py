@@ -225,8 +225,9 @@ class KrausChannel:
         form = None
         if ops.shape[1] >= STRUCTURED_MIN_DIM:
             form = _monomial_form(ops) if entries is None else _entry_form(entries)
-        defect = _completeness_defect(ops, form)
-        if defect > COMPLETENESS_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN fails below
+            defect = _completeness_defect(ops, form)
+        if not defect <= COMPLETENESS_TOL:
             raise ValidationError(
                 f"completeness fails: max |sum K^dag K - I| = {defect:.3e}"
             )

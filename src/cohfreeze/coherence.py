@@ -56,11 +56,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
             f"state dimensions differ: {rho.dim} vs {sigma.dim}"
         )
     if is_exactly_diagonal(sigma.matrix):
-        # The eigenvectors are basis vectors, in eigh's ascending order; equal
-        # entries may come in another order, which moves only the last bits.
-        svals = sigma.eigenvalues
-        order = np.argsort(sigma.matrix.diagonal().real, kind="stable")
-        weights = rho.matrix.diagonal().real[order]
+        svals = sigma.matrix.diagonal().real
+        weights = rho.matrix.diagonal().real
     else:
         svals, svecs = np.linalg.eigh(sigma.matrix)
         weights = np.einsum("ij,jk,ki->i", svecs.conj().T, rho.matrix, svecs).real

@@ -22,6 +22,7 @@ the certificate applies the recovery of its full Kraus list in closed form,
 
 with L^dag the channel's adjoint applied factor by factor, and never builds
 the Kraus list; petz_recovery builds it through tensor(channel.factors).
+Either way the certificate reads R(rho_t) and R(dt) as unvalidated matrices.
 """
 
 from __future__ import annotations
@@ -122,22 +123,22 @@ def _closed_form_recovery(
     channel: LocalChannel, delta0: DensityMatrix, delta_t: DensityMatrix
 ):
     """The action of petz_recovery(channel, delta0), as a function from a
-    state to its validated image, without the recovery's Kraus list.
+    state to the matrix of its image, without the recovery's Kraus list.
 
     A LocalChannel's factors are strictly incoherent entry by entry, so
     channel(delta0) is exactly diagonal and sum R_n^dag R_n = dt^(-1/2)
     channel(delta0) dt^(-1/2) + P_ker = I: the completeness that
-    KrausChannel checks on the Kraus list holds by construction.
+    KrausChannel checks on the Kraus list holds by construction. A composition
+    of completely positive maps, R needs no check of its image either.
     """
     sqrt0, inv_sqrt, kernel = _recovery_weights(delta0, delta_t)
     outer0 = np.outer(sqrt0, sqrt0)
     outer_t = np.outer(inv_sqrt, inv_sqrt)
     projector = np.outer(kernel, kernel)
 
-    def recover(state: DensityMatrix) -> DensityMatrix:
+    def recover(state: DensityMatrix) -> np.ndarray:
         x = state.matrix
-        back = channel.contract(outer_t * x, adjoint=True)
-        return DensityMatrix(outer0 * back + projector * x)
+        return outer0 * channel.contract(outer_t * x, adjoint=True) + projector * x
 
     return recover
 
@@ -224,17 +225,18 @@ def certify_freezing(
     recovery_classification = classification
     if isinstance(channel, LocalChannel):
         recover = _closed_form_recovery(channel, delta0, delta_t)
-        recovered_state, recovered_diag = recover(rho_t), recover(delta_t)
     else:
         # delta0 = dephase(rho0) is diagonal by construction.
         recovery = _recovery_channel(channel, classification, delta0)
-        recovered_state = apply_channel(recovery, rho_t)
-        recovered_diag = apply_channel(recovery, delta_t)
+
+        def recover(state: DensityMatrix) -> np.ndarray:
+            return apply_channel(recovery, state).matrix
+
         if classification.channel_class is not ChannelClass.STRICTLY_INCOHERENT:
             recovery_classification = classify(recovery)  # for its witness
-    state_error = recovered_state.matrix - rho0.matrix
+    state_error = recover(rho_t) - rho0.matrix
     residual_state = max_abs(state_error)
-    residual_diag = max_abs(recovered_diag.matrix - delta0.matrix)
+    residual_diag = max_abs(recover(delta_t) - delta0.matrix)
     recovery_incoherent = (
         recovery_classification.channel_class is not ChannelClass.NOT_INCOHERENT
     )

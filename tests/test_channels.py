@@ -91,6 +91,19 @@ class TestKrausChannel:
         with pytest.raises(ValidationError, match="completeness"):
             KrausChannel((np.eye(2, dtype=complex) * 0.5,))
 
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            np.array([[1e200, 1e200], [1e200, 1e200j]]),  # the defect is NaN
+            np.diag([1e200, 1.0]),  # the defect overflows to inf
+            np.diag([1e200] + [1.0] * 15),  # the same through the monomial form
+        ],
+        ids=["nan", "overflow-d2", "overflow-d16"],
+    )
+    def test_rejects_a_defect_past_float_range_without_warning(self, operator):
+        with pytest.raises(ValidationError, match="^completeness fails: "):
+            KrausChannel([operator])
+
     def test_rejects_mixed_dims(self):
         with pytest.raises(DimensionMismatchError):
             KrausChannel((np.eye(2, dtype=complex), np.eye(4, dtype=complex)))

@@ -211,6 +211,15 @@ class TestClassify:
             ) == 3
             assert "zero_tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ops", ["[[1e200,1e200,1e200,1e200i]]", "[[1e200,0,0,1]]"]
+    )
+    def test_overflowing_completeness_exits_3(self, ops, capsys):
+        assert run_cli("classify", "--channel", f"raw dim=2 ops={ops}") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: completeness fails: ")
+
     def test_zero_tol_zero_still_classifies(self, capsys):
         assert run_cli("classify", "--channel", "bitflip q=0.3", "--zero-tol", "0") == 0
         assert "class = StrictlyIncoherent" in capsys.readouterr().out

@@ -118,7 +118,7 @@ class TestDifferential:
         kraus = petz_recovery(tensor(local.factors), delta0)
         for state in (apply_channel(local, rho0), delta_t):
             np.testing.assert_allclose(
-                recover(state).matrix,
+                recover(state),
                 brute_apply(kraus.operators, state.matrix),
                 atol=1e-12,
             )
@@ -147,6 +147,34 @@ class TestDifferential:
             assert getattr(factored, name) == pytest.approx(
                 getattr(dense, name), abs=1e-12
             ), name
+
+    @pytest.mark.parametrize(
+        "num_qubits, kind",
+        [
+            (n, kind)
+            for n in (4, 5, 6)
+            for kind in sorted(CHANNEL_FACTORIES)
+            if (n, kind) != (6, "depolarizing")  # 4,096 dense 64 x 64 operators
+        ],
+    )
+    def test_certificate_at_workload_sizes(self, num_qubits, kind):
+        # The hypothesis strategies stop at 4 factors; the certify-local
+        # workload runs N = 4..6 with a parameter drawn per qubit.
+        rng = np.random.default_rng(num_qubits)
+        local = local_channel([(kind, p) for p in rng.uniform(0.05, 0.95, num_qubits)])
+        assert isinstance(local, LocalChannel)
+        dense = tensor(local.factors)
+        bits = "0" + "".join(str(b) for b in rng.integers(0, 2, num_qubits - 1))
+        sign = "+-"[rng.integers(0, 2)]
+        phi = parse_state_spec(f"phi N={num_qubits} l={bits} sign={sign}")
+        for rho0 in (phi, random_density(local.dim, 3, seed=num_qubits)):
+            factored = certify_freezing(local, rho0)
+            expected = certify_freezing(dense, rho0)
+            assert factored.failed_checks == expected.failed_checks
+            for name in CERTIFICATE_FIELDS:
+                assert getattr(factored, name) == pytest.approx(
+                    getattr(expected, name), abs=1e-12
+                ), name
 
 
 class TestEdges:
@@ -394,7 +422,7 @@ def test_petz_recovery_of_a_local_channel_is_that_of_its_tensor_product():
     recover = _closed_form_recovery(local, delta0, apply_channel(local, delta0))
     rho = random_state(16, seed=32)
     np.testing.assert_allclose(
-        apply_channel(recovery, rho).matrix, recover(rho).matrix, rtol=0, atol=1e-13
+        apply_channel(recovery, rho).matrix, recover(rho), rtol=0, atol=1e-13
     )
 
 

@@ -253,6 +253,30 @@ class TestCertifyFreezing:
         # classify's scan; the recovery is built from the entries it read
         assert calls == [channel]
 
+    def test_factored_certificate_validates_only_its_three_states(self, monkeypatch):
+        channel = local_channel([("amplitudedamping", 0.3), ("phaseflip", 0.2)] * 2)
+        rho0 = random_density(16, 3, seed=75)
+        built, spectra = [], []
+        original_init = DensityMatrix.__post_init__
+        original_eigvalsh = np.linalg.eigvalsh
+
+        def counted_init(state):
+            built.append(state)
+            original_init(state)
+
+        def counted_eigvalsh(matrix, *args, **kwargs):
+            spectra.append(matrix)
+            return original_eigvalsh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted_init)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        certificate = certify_freezing(channel, rho0)
+        # delta0, rho_t and channel(delta0); the two recovered matrices are
+        # read only through residuals. Only rho_t is not diagonal.
+        assert len(built) == 3
+        assert len(spectra) == 1
+        np.testing.assert_array_equal(spectra[0], certificate.final_state.matrix)
+
     def test_incoherent_only_certificate_scans_its_recovery_once(self, monkeypatch):
         calls = []
         original = recovery.classify
