@@ -132,8 +132,8 @@ def cmd_certify(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        text = Path(args.spec).read_text()
-    except OSError as exc:
+        text = Path(args.spec).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecParseError(f"cannot read spec file: {exc}") from None
     spec, output_path = parse_sweep_file(text)
     table = run_sweep(spec)

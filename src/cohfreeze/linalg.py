@@ -86,10 +86,6 @@ def offdiagonal_l1(matrix: np.ndarray) -> float:
     return float(moduli.sum())
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    return max_abs(matrix - matrix.conj().T)
-
-
 def clamp_negative(value: float, quantity: str) -> float:
     """A non-negative quantity computed as value: 0.0 in place of a
     rounding-level negative value, NumericalInconsistencyError below

@@ -27,7 +27,7 @@ from .channels import (
     identity_channel,
     local_channel,
 )
-from .errors import CohfreezeError, OutOfRangeError, SpecParseError, ValidationError
+from .errors import CohfreezeError, OutOfRangeError, SpecParseError
 from .experiments import SweepSpec
 from .linalg import check_dimension, check_qubits
 from .states import (
@@ -103,26 +103,28 @@ def _parse_tokens(text: str) -> tuple[str, dict[str, str], list[str]]:
     return name, kwargs, positional
 
 
-def _bracket_items(text: str) -> list[str]:
+def _bracket_items(text: str, empty: str | None = None) -> list[str]:
+    """The items of a bracketed list: an empty list is refused with the
+    message empty when the caller gives one, and is no items otherwise."""
     if not (text.startswith("[") and text.endswith("]")):
         raise SpecParseError(f"expected a bracketed list, got {text!r}")
     inner = text[1:-1].strip()
-    if not inner:
-        return []
-    return [item.strip() for item in _split_top_level(inner, ",")]
+    if inner:
+        return [item.strip() for item in _split_top_level(inner, ",")]
+    if empty is not None:
+        raise SpecParseError(empty)
+    return []
 
 
 def _read(kwargs: dict[str, str], context: str, **readers) -> list:
     """Pop each named key in the order given and read it with its reader,
-    then refuse any key left over. A reader alone reads a required key; a
-    (default, reader) pair an optional one, whose reader reads the default
-    when the key is absent."""
+    then refuse any key left over. Every named key is required: an optional
+    key's default is spec text that the caller merges in first."""
     values = []
     for key, reader in readers.items():
-        if key not in kwargs and not isinstance(reader, tuple):
+        if key not in kwargs:
             raise SpecParseError(f"{context} requires {key}=")
-        default, reader = reader if isinstance(reader, tuple) else (None, reader)
-        values.append(reader(key, kwargs.pop(key, default)))
+        values.append(reader(key, kwargs.pop(key)))
     if kwargs:
         raise SpecParseError(
             f"unknown key(s) for {context}: {', '.join(sorted(kwargs))}"
@@ -164,13 +166,6 @@ def _size(key: str, text: str) -> int:
     return size
 
 
-def _random_seed(key: str, text: str | None) -> int:
-    """The seed= that random mixed weights require."""
-    if text is None:
-        raise SpecParseError("mixed random weights requires seed=")
-    return _integer(key, text)
-
-
 def _raw_matrix(text: str, dim: int, needs: str) -> np.ndarray:
     """The dim x dim matrix of a bracketed list of its entries, row by row."""
     entries = [parse_complex(item) for item in _bracket_items(text)]
@@ -196,7 +191,7 @@ def parse_state_spec(text: str) -> DensityMatrix:
     if name == "mixed":
         readers = dict(N=_size, p=_number, weights=_text)
         if kwargs.get("weights") == "random":
-            readers["seed"] = (None, _random_seed)
+            readers["seed"] = _integer
         n, p, weights_text, *seed = _read(kwargs, "mixed", **readers)
         if seed:
             if seed[0] < 0:
@@ -223,11 +218,10 @@ def parse_state_spec(text: str) -> DensityMatrix:
         return basis_state(2**n, index)
     if name == "pure":
         amps_text, normalize = _read(
-            kwargs, "pure", amps=_text, normalize=("false", _boolean)
+            {"normalize": "false", **kwargs}, "pure", amps=_text, normalize=_boolean
         )
-        amps = [parse_complex(item) for item in _bracket_items(amps_text)]
-        if not amps:
-            raise SpecParseError("pure requires at least one amplitude")
+        items = _bracket_items(amps_text, "pure requires at least one amplitude")
+        amps = [parse_complex(item) for item in items]
         check_dimension(len(amps))
         return from_pure(np.array(amps), normalize=normalize)
     if name == "raw":
@@ -248,13 +242,12 @@ def _build_channel(name: str, kwargs: dict[str, str], positional: list[str]):
     if positional:
         raise SpecParseError(f"unexpected bracket argument for {name!r}")
     if name == "identity":
-        (dim,) = _read(kwargs, "identity", dim=("2", _size))
+        (dim,) = _read({"dim": "2", **kwargs}, "identity", dim=_size)
         return identity_channel(dim)
     if name == "raw":
         dim, ops_text = _read(kwargs, "raw", dim=_size, ops=_text)
-        ops = [_raw_matrix(t, dim, "operators need") for t in _bracket_items(ops_text)]
-        if not ops:
-            raise SpecParseError("raw requires at least one operator")
+        items = _bracket_items(ops_text, "raw requires at least one operator")
+        ops = [_raw_matrix(item, dim, "operators need") for item in items]
         return KrausChannel(tuple(ops), label="raw")
     if name in CHANNEL_FACTORIES:
         key, factory = CHANNEL_FACTORIES[name]
@@ -269,11 +262,8 @@ def _local_factors(kwargs: dict[str, str], positional: list[str]) -> list:
     local is one tensor product over all of them, whatever the nesting."""
     if kwargs or len(positional) != 1:
         raise SpecParseError("local takes one bracketed factor list")
-    items = _bracket_items(positional[0])
-    if not items:
-        raise SpecParseError("local requires at least one factor")
     factors = []
-    for item in items:
+    for item in _bracket_items(positional[0], "local requires at least one factor"):
         name, kwargs, positional = _parse_tokens(item)
         if name == "local":
             factors += _local_factors(kwargs, positional)
@@ -372,19 +362,12 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
 
 def _kinds(key: str, text: str) -> tuple[str, ...]:
     """A sweep file's channel.factors: one or more channel kind names."""
-    kinds = tuple(_bracket_items(text))
-    if not kinds:
-        raise SpecParseError(f"{key} must not be empty")
-    try:
-        for kind in kinds:
-            channel_factory(kind)
-    except ValidationError as exc:
-        raise SpecParseError(str(exc)) from None
+    kinds = tuple(_bracket_items(text, f"{key} must not be empty"))
+    for kind in kinds:
+        channel_factory(kind)
     return kinds
 
 
 def _grid(key: str, text: str) -> tuple[float, ...]:
-    items = _bracket_items(text)
-    if not items:
-        raise SpecParseError("grid must not be empty")
+    items = _bracket_items(text, "grid must not be empty")
     return tuple(_number("grid value", item) for item in items)

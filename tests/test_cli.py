@@ -383,6 +383,13 @@ class TestSweep:
     def test_missing_file_exits_2(self, capsys):
         assert run_cli("sweep", "--spec", "/nonexistent/path.spec") == 2
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "latin.spec"
+        spec_file.write_bytes(b"# comment\n\xff\xfe\n")
+        assert run_cli("sweep", "--spec", str(spec_file)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: cannot read spec file: 'utf-8' codec")
+
     def test_output_dir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COHFREEZE_OUTDIR", str(tmp_path))
         spec_file = tmp_path / "eq16.spec"

@@ -123,6 +123,21 @@ class TestDifferential:
                 atol=1e-12,
             )
 
+    def test_closed_form_recovery_on_the_kernel(self):
+        # Lambda(delta0) vanishes on basis states 1 and 2, so P_ker X P_ker
+        # carries a full-rank state's block there; rho_t and Lambda(delta0)
+        # have none to carry.
+        local = parse_channel_spec("local [phaseflip q=0.3, bitflip q=0]")
+        delta0 = dephase(parse_state_spec("phi N=2 l=00 sign=+"))
+        delta_t = apply_channel(local, delta0)
+        np.testing.assert_array_equal(np.diag(delta_t.matrix)[[1, 2]], 0)
+        state = random_density(4, 4, seed=7)
+        recover = _closed_form_recovery(local, delta0, delta_t)
+        kraus = petz_recovery(tensor(local.factors), delta0)
+        np.testing.assert_allclose(
+            recover(state), brute_apply(kraus.operators, state.matrix), atol=1e-12
+        )
+
     @settings(max_examples=60, deadline=None)
     @given(local_specs)
     def test_classify(self, factors):

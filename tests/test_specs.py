@@ -8,6 +8,7 @@ import pytest
 from cohfreeze import (
     ChannelClass,
     InvalidCanonicalFormError,
+    NotNormalizedError,
     OutOfRangeError,
     SpecParseError,
     ValidationError,
@@ -103,6 +104,17 @@ class TestStateSpecs:
         state = parse_state_spec("pure amps=[3,4i] normalize=true")
         assert state.matrix[0, 0] == pytest.approx(0.36)
 
+    def test_normalize_defaults_to_false(self, capsys):
+        np.testing.assert_array_equal(
+            parse_state_spec("pure amps=[1,0]").matrix,
+            parse_state_spec("pure amps=[1,0] normalize=false").matrix,
+        )
+        with pytest.raises(NotNormalizedError):
+            parse_state_spec("pure amps=[3,4]")
+        assert main(["measure", "--state", "pure amps=[3,4]"]) == 3
+        err = capsys.readouterr().err
+        assert err == "validation error: vector norm 5.0 is not 1\n"
+
     def test_raw(self):
         state = parse_state_spec(
             "raw dim=2 entries=[0.5+0i,0.5+0i,0.5+0i,0.5+0i]"
@@ -151,6 +163,10 @@ class TestChannelSpecs:
 
     def test_identity(self):
         assert parse_channel_spec("identity").dim == 2
+        np.testing.assert_array_equal(
+            parse_channel_spec("identity").operators,
+            parse_channel_spec("identity dim=2").operators,
+        )
         assert parse_channel_spec("identity dim=4").dim == 4
 
     def test_local(self):
@@ -219,7 +235,18 @@ class TestInlineRefusals:
                 "weight key '000' does not have N=2 bits",
             ),
             ("measure", "pure amps=[]", "pure requires at least one amplitude"),
+            ("measure", "pure amps=[ ]", "pure requires at least one amplitude"),
             ("classify", "raw dim=2 ops=[]", "raw requires at least one operator"),
+            ("classify", "local []", "local requires at least one factor"),
+            ("measure", "mixed N=2 p=0.5 weights=random", "mixed requires seed="),
+            (
+                "measure",
+                "mixed N=2 p=0.5 weights=random seed=x",
+                "bad integer for seed: 'x'",
+            ),
+            ("measure", "raw dim=2 entries=[]", "raw dim=2 needs 4 entries, got 0"),
+            ("classify", "identity dim=x", "bad integer for dim: 'x'"),
+            ("classify", "identity d=2", "unknown key(s) for identity: d"),
         ],
     )
     def test_message_and_exit_code(self, command, text, message, capsys):
@@ -333,12 +360,17 @@ class TestSweepFiles:
             (
                 "channel.factors = [bitflip, bitflip]",
                 "channel.factors = [bitflip, warp]",
-                "line 3: unknown channel kind 'warp'",
+                "line 3: bad channel.factors: unknown channel kind 'warp'",
             ),
             (
                 "channel.factors = [bitflip, bitflip]",
                 "channel.factors = bitflip",
                 "line 3: expected a bracketed list, got 'bitflip'",
+            ),
+            (
+                "sweep.q2 = [0, 0.5]",
+                "sweep.q2 = []",
+                "line 5: grid must not be empty",
             ),
             (
                 "sweep.q1 = [0, 0.1, 0.2]",

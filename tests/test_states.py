@@ -26,6 +26,7 @@ from cohfreeze import (
 )
 from cohfreeze import experiments
 from cohfreeze.channels import random_sio_channel, apply_channel
+from cohfreeze.cli import main
 from cohfreeze.linalg import is_exactly_diagonal, max_abs
 from cohfreeze.states import PSD_TOL, check_bits
 
@@ -99,6 +100,30 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError, match="positive"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([1e308, 1e308, 1e308, 1e308], "trace differs from 1 by inf"),
+            ([1, 1e308, -1e308, 0], "not Hermitian: defect inf"),
+        ],
+        ids=["trace-overflows", "defect-overflows"],
+    )
+    def test_overflow_is_refused_without_a_warning(self, entries, message, capsys):
+        # pyproject's filterwarnings = error turns any numpy warning into a failure
+        with pytest.raises(ValidationError) as excinfo:
+            DensityMatrix(np.reshape(entries, (2, 2)))
+        assert str(excinfo.value) == message
+        spec = "raw dim=2 entries=[" + ",".join(map(str, entries)) + "]"
+        assert main(["measure", "--state", spec]) == 3
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+    def test_nan_trace_defect_is_refused(self):
+        mat = np.diag([1e308] * 6 + [-1e308] * 6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.trace(mat))  # summed pairwise: inf + -inf
+        with pytest.raises(ValidationError, match="^trace differs from 1 by nan$"):
+            DensityMatrix(mat)
 
     def test_matrix_is_immutable(self):
         rho = basis_state(2, 0)
