@@ -24,7 +24,7 @@ from .linalg import (
     max_abs,
 )
 from .records import format_number
-from .recovery import CERTIFICATE_TOL, certify_freezing
+from .recovery import CERTIFICATE_TOL, _initial, certify_freezing
 from .states import (
     DensityMatrix,
     MixedFamilySpec,
@@ -53,11 +53,20 @@ _CSV_COLUMNS = MEASURE_NAMES + (
 )
 
 
+def _point_count(points) -> int:
+    """A grid's number of points, refused unless a non-negative integer."""
+    if not isinstance(points, (int, np.integer)) or points < 0:
+        raise ValidationError(
+            f"grid point count must be a non-negative integer, got {points!r}"
+        )
+    return points
+
+
 def default_heterogeneous_grids(
     num_qubits: int, points: int = 6
 ) -> tuple[tuple[float, ...], ...]:
     """Per-qubit grids in [0, 1], deliberately distinct between qubits."""
-    if points < 2:
+    if _point_count(points) < 2:
         raise ValidationError("need at least two grid points")
     return tuple(
         tuple(np.linspace(0.03 * i, 1.0 - 0.02 * i, points))
@@ -193,9 +202,11 @@ def _labelled_csv(tables: list[tuple[str, TrajectoryTable]]) -> str:
 
 def _evaluate_grid(spec: SweepSpec):
     """Yield (point, certificate, table row) per grid point; the row's
-    measures are the certificate's values for its evolved state."""
+    measures are the certificate's values for its evolved state. The initial
+    state's half of every certificate is prepared once, for the whole sweep."""
+    initial = _initial(spec.state)
     for point, channel in spec.channels():
-        certificate = certify_freezing(channel, spec.state, tol=spec.certificate_tol)
+        certificate = certify_freezing(channel, initial, tol=spec.certificate_tol)
         row = TrajectoryRow(
             params=tuple(float(v) for v in point),
             c_l1=certificate.c_l1_final,
@@ -327,7 +338,7 @@ def bromley_report(
 ) -> FamilyReport:
     """The two-qubit Bromley-Cianciaruso-Adesso state under identical local
     bit flips (tied q)."""
-    grids = (tuple(np.linspace(0.0, 1.0, grid_points)),)
+    grids = (tuple(np.linspace(0.0, 1.0, _point_count(grid_points))),)
     label = f"bromley N=2 c1={c1:g} c3={c3:g}"
     return _reproduce(bromley_spec(2, c1, c3), grids, label, tol, tie_parameters=True)
 

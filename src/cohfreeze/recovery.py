@@ -185,9 +185,24 @@ class FreezingCertificate:
         return render([("verdict", self.verdict), *shown])
 
 
+@dataclass(frozen=True)
+class _Initial:
+    """The rho0 half of a certificate, which no channel changes: the state,
+    its dephased reference delta0 and its two initial measures."""
+
+    state: DensityMatrix
+    delta0: DensityMatrix
+    cr: float
+    l1: float
+
+
+def _initial(rho0: DensityMatrix) -> _Initial:
+    return _Initial(rho0, dephase(rho0), c_rel_ent(rho0), c_l1(rho0))
+
+
 def certify_freezing(
     channel: KrausChannel | LocalChannel,
-    rho0: DensityMatrix,
+    rho0: DensityMatrix | _Initial,
     tol: float = CERTIFICATE_TOL,
     *,
     enforce_hypothesis: bool = True,
@@ -198,6 +213,10 @@ def certify_freezing(
     enforce_hypothesis=False, in which case any incoherent representation is
     accepted and the outcome is reported as-is. A LocalChannel takes the
     closed-form recovery.
+
+    rho0 is a DensityMatrix, or the record _initial(rho0) of its dephased
+    reference and initial measures: a sweep, where only the channel changes,
+    prepares that record once and hands it to every grid point's call.
     """
     check_tolerance("tolerance", tol)
     classification = classify(channel)
@@ -210,16 +229,15 @@ def certify_freezing(
             f"({classification.witness.describe()}); "
             "pass enforce_hypothesis=False to explore anyway"
         )
-    rho_t = apply_channel(channel, rho0)
-    delta0 = dephase(rho0)
+    initial = rho0 if isinstance(rho0, _Initial) else _initial(rho0)
+    delta0 = initial.delta0
+    rho_t = apply_channel(channel, initial.state)
     delta_t = apply_channel(channel, delta0)
 
-    cr0 = c_rel_ent(rho0)
     crt = c_rel_ent(rho_t)
-    l10 = c_l1(rho0)
     l1t = c_l1(rho_t)
-    cr_deviation = abs(crt - cr0)
-    l1_deviation = abs(l1t - l10)
+    cr_deviation = abs(crt - initial.cr)
+    l1_deviation = abs(l1t - initial.l1)
 
     # Strict: each R_n keeps K~_n's at most one nonzero per row and column.
     recovery_classification = classification
@@ -234,7 +252,7 @@ def certify_freezing(
 
         if classification.channel_class is not ChannelClass.STRICTLY_INCOHERENT:
             recovery_classification = classify(recovery)  # for its witness
-    state_error = recover(rho_t) - rho0.matrix
+    state_error = recover(rho_t) - initial.state.matrix
     residual_state = max_abs(state_error)
     residual_diag = max_abs(recover(delta_t) - delta0.matrix)
     recovery_incoherent = (
@@ -260,10 +278,10 @@ def certify_freezing(
                 f"{tol:.3e} plus the round-trip bound {bound:.3e}"
             )
     return FreezingCertificate(
-        cr_initial=cr0,
+        cr_initial=initial.cr,
         cr_final=crt,
         cr_deviation=cr_deviation,
-        c_l1_initial=l10,
+        c_l1_initial=initial.l1,
         c_l1_final=l1t,
         c_l1_deviation=l1_deviation,
         recovery_residual_state=residual_state,

@@ -199,7 +199,9 @@ def parse_state_spec(text: str) -> DensityMatrix:
             weights = _random_weights(n, np.random.default_rng(seed[0]))
         else:
             weights = {}
-            for item in _bracket_items(weights_text):
+            for item in _bracket_items(
+                weights_text, "mixed requires at least one weight"
+            ):
                 if ":" not in item:
                     raise SpecParseError(
                         f"weights entries are bits:value, got {item!r}"

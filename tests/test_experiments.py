@@ -6,6 +6,7 @@ import pytest
 
 from cohfreeze import (
     DimensionTooLargeError,
+    FreezingCertificate,
     MixedFamilySpec,
     NumericalInconsistencyError,
     OutOfRangeError,
@@ -20,6 +21,7 @@ from cohfreeze import (
     c_l1,
     c_rel_ent,
     canonical_bitstrings,
+    certify_freezing,
     default_heterogeneous_grids,
     detect_freezing,
     from_pure,
@@ -27,13 +29,21 @@ from cohfreeze import (
     mixed_family,
     phi_state,
     random_density,
+    random_incoherent_channel,
+    random_sio_channel,
     reproduce_mixed_family,
     reproduce_pure_family,
     run_sweep,
     tensor,
 )
-from cohfreeze import experiments, states
-from cohfreeze.channels import CHANNEL_FACTORIES
+from cohfreeze import experiments, recovery, states
+from cohfreeze.channels import (
+    CHANNEL_FACTORIES,
+    ChannelClass,
+    KrausChannel,
+    LocalChannel,
+    classify,
+)
 
 from oracles import (
     bitflip_weight,
@@ -369,6 +379,15 @@ class TestReproducePureFamily:
         assert excinfo.type is ValidationError
         assert str(excinfo.value) == "need at least two grid points"
 
+    @pytest.mark.parametrize("points", [-1, 2.5, "6"])
+    def test_default_grids_refuse_a_point_count_that_is_not_a_count(self, points):
+        with pytest.raises(ValidationError) as excinfo:
+            default_heterogeneous_grids(2, points=points)
+        assert excinfo.type is ValidationError
+        assert str(excinfo.value) == (
+            f"grid point count must be a non-negative integer, got {points!r}"
+        )
+
     def test_transfer_check_validates_no_state(self, monkeypatch):
         """The analytic mixture is compared as a raw matrix: the family run
         validates exactly the states its sweep alone does."""
@@ -470,6 +489,123 @@ class TestBromleyPreset:
         swap_transfer(monkeypatch)
         with pytest.raises(NumericalInconsistencyError, match="analytic mixture"):
             bromley_report(0.6, 0.2)
+
+    @pytest.mark.parametrize("grid_points", [-1, 2.5])
+    def test_refuses_a_point_count_that_is_not_a_count(self, grid_points):
+        with pytest.raises(ValidationError) as excinfo:
+            bromley_report(0.5, 0.2, grid_points=grid_points)
+        assert excinfo.type is ValidationError
+        assert str(excinfo.value) == (
+            f"grid point count must be a non-negative integer, got {grid_points!r}"
+        )
+
+
+def _mixed_preset_case():
+    """The first case of the mixed-family preset on two qubits."""
+    rng = np.random.default_rng(11)
+    p = float(rng.uniform(0.0, 1.0))
+    weights = states._random_weights(2, rng)
+    return reproduce_mixed_family(p, weights, default_heterogeneous_grids(2, points=4))
+
+
+def assert_same_certificate(a, b):
+    """Equal field by field: floats by ==, the evolved states entry by entry."""
+    for f in dataclasses.fields(FreezingCertificate):
+        if f.name == "final_state":
+            assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
+        else:
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+class TestPreparedInitialState:
+    """A sweep prepares the initial state's half of its certificates once:
+    delta0, C_r(rho0) and C_l1(rho0)."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_sweep(make_spec()),
+            lambda: reproduce_pure_family("01", "-"),
+            _mixed_preset_case,
+            lambda: bromley_report(0.6, -0.5),
+        ],
+        ids=["eq16", "pure-family", "mixed-family", "bromley"],
+    )
+    def test_each_certificate_equals_a_fresh_one(self, run, monkeypatch):
+        specs, yielded = [], []
+        evaluate = experiments._evaluate_grid
+
+        def recorded(spec):
+            specs.append(spec)
+            for item in evaluate(spec):
+                yielded.append(item)
+                yield item
+
+        monkeypatch.setattr(experiments, "_evaluate_grid", recorded)
+        run()
+        (spec,) = specs
+        assert len(yielded) == len(list(itertools.product(*spec.grids)))
+        for (point, channel), (swept_point, certificate, _) in zip(
+            spec.channels(), yielded, strict=True
+        ):
+            assert point == swept_point
+            fresh = certify_freezing(channel, spec.state, tol=spec.certificate_tol)
+            assert_same_certificate(certificate, fresh)
+
+    def test_a_sweep_prepares_the_initial_state_once(self, monkeypatch):
+        counts = {"c_rel_ent": 0, "dephase": 0}
+        for name in counts:
+            original = getattr(recovery, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(recovery, name, counted)
+        spec = make_spec()
+        points = len(run_sweep(spec).rows)
+        assert points == 18
+        # one C_r of the evolved state per point, one of rho0 per sweep
+        assert counts == {"c_rel_ent": points + 1, "dephase": 1}
+
+    @pytest.mark.parametrize(
+        "channel, rho0, representation, channel_class",
+        [
+            (
+                local_channel(
+                    [("bitflip", 0.3), ("phaseflip", 0.2), ("bitphaseflip", 0.6)]
+                ),
+                phi_state("010", "+"),
+                LocalChannel,
+                ChannelClass.STRICTLY_INCOHERENT,
+            ),
+            (
+                random_sio_channel(5, 3, seed=4),
+                random_density(5, 3, seed=8),
+                KrausChannel,
+                ChannelClass.STRICTLY_INCOHERENT,
+            ),
+            (
+                random_incoherent_channel(4, 4, seed=1004),
+                random_density(4, 2, seed=9),
+                KrausChannel,
+                ChannelClass.INCOHERENT_ONLY,
+            ),
+        ],
+        ids=["local", "dense-strict", "incoherent"],
+    )
+    def test_the_prepared_record_gives_the_same_certificate(
+        self, channel, rho0, representation, channel_class
+    ):
+        assert type(channel) is representation
+        assert classify(channel).channel_class is channel_class
+        enforce = channel_class is ChannelClass.STRICTLY_INCOHERENT
+        prepared = recovery._initial(rho0)
+        assert prepared.state is rho0
+        assert_same_certificate(
+            certify_freezing(channel, prepared, enforce_hypothesis=enforce),
+            certify_freezing(channel, rho0, enforce_hypothesis=enforce),
+        )
 
 
 class TestNegativeControls:

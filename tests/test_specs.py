@@ -235,6 +235,11 @@ class TestInlineRefusals:
                 "weight key '000' does not have N=2 bits",
             ),
             ("measure", "pure amps=[]", "pure requires at least one amplitude"),
+            (
+                "measure",
+                "mixed N=2 p=0.5 weights=[]",
+                "mixed requires at least one weight",
+            ),
             ("measure", "pure amps=[ ]", "pure requires at least one amplitude"),
             ("classify", "raw dim=2 ops=[]", "raw requires at least one operator"),
             ("classify", "local []", "local requires at least one factor"),
@@ -352,6 +357,11 @@ class TestSweepFiles:
             ("output.path", "path", "line 8: key 'path' is missing a section"),
             ("= out.csv", "=", "line 8: empty value for 'output.path'"),
             ("channel.factors = [bitflip, bitflip]\n", "", "missing channel.factors"),
+            (
+                "phi N=2 l=00 sign=+",
+                "mixed N=2 p=0.5 weights=[]",
+                "line 2: mixed requires at least one weight",
+            ),
             (
                 "channel.factors = [bitflip, bitflip]",
                 "channel.factors = []",
