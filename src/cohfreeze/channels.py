@@ -32,7 +32,13 @@ the saved arithmetic) and every other stack take the batched product.
 A local channel whose factors are strictly incoherent entry by entry, as its
 constructor judges once per factor, is kept as its factors (LocalChannel) and
 applied, adjoint-applied and classified one factor at a time; local_channel
-builds any other with tensor, the one builder of a Kronecker list.
+builds any other with tensor, the one builder of a Kronecker list. A qubit
+factor's operators are diagonal or anti-diagonal, so under qubit factors an
+X matrix (every entry off the diagonal and anti-diagonal exactly zero)
+stays one: contract, and with it apply_channel, takes such a matrix through
+one line kernel (LocalChannel._contract_lines), which evolves its diagonal
+and anti-diagonal, two length-d lines, by two 2 x 2 blocks of each factor's
+superoperator.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .linalg import as_complex_matrix, check_unit_interval, max_abs
+from .linalg import _x_lines, _x_matrix, as_complex_matrix, check_unit_interval, max_abs
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
@@ -259,6 +265,11 @@ class _KroneckerOperators(Sequence):
         return op
 
 
+# The superoperator indices 2a + a' of a qubit's diagonal pairs (a, a') =
+# (0, 0), (1, 1) and anti-diagonal pairs (0, 1), (1, 0), in line order.
+_LINE_PAIRS = np.array([[0, 3], [1, 2]])
+
+
 def _superoperator(channel: KrausChannel) -> np.ndarray:
     """The d^2 x d^2 matrix S[(a, a'), (b, b')] = sum_n K_n[a, b]
     conj(K_n[a', b']), which maps X[b, b'] to the channel's output."""
@@ -280,6 +291,7 @@ class LocalChannel:
 
     factors: tuple[KrausChannel, ...]
     _superoperators: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _blocks: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         factors = tuple(self.factors)
@@ -293,9 +305,13 @@ class LocalChannel:
                     "local channel factors must be strictly incoherent entry by entry"
                 )
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(
-            self, "_superoperators", tuple(_superoperator(f) for f in factors)
-        )
+        superoperators = tuple(_superoperator(f) for f in factors)
+        blocks = None
+        if all(f.dim == 2 for f in factors):
+            rows, columns = _LINE_PAIRS[:, :, None], _LINE_PAIRS[:, None, :]
+            blocks = np.stack(superoperators)[:, rows, columns]
+        object.__setattr__(self, "_superoperators", superoperators)
+        object.__setattr__(self, "_blocks", blocks)
 
     @property
     def dim(self) -> int:
@@ -316,17 +332,42 @@ class LocalChannel:
         X is reordered so that each factor's row and column index sit side by
         side, (i1, j1, ..., ik, jk). Each step multiplies the leading pair by
         that factor's superoperator and rotates it to the back, so after the
-        last factor the pairs are back in order.
+        last factor the pairs are back in order. An X matrix under qubit
+        factors (_lines_of) takes the line kernel instead.
         """
+        x = np.asarray(matrix, dtype=np.complex128).reshape(self.dim, self.dim)
+        lines = self._lines_of(x)
+        if lines is not None:
+            return _x_matrix(self._contract_lines(lines, adjoint=adjoint))
         dims = [f.dim for f in self.factors]
         k = len(dims)
-        x = np.asarray(matrix, dtype=np.complex128).reshape(dims * 2)
+        x = x.reshape(dims * 2)
         x = x.transpose([axis for i in range(k) for axis in (i, k + i)])
         for d, s in zip(dims, self._superoperators):
             x = ((s.conj().T if adjoint else s) @ x.reshape(d * d, -1)).T
         x = x.reshape([d for d in dims for _ in range(2)])
         x = x.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
         return x.reshape(self.dim, self.dim)
+
+    def _lines_of(self, matrix: np.ndarray) -> np.ndarray | None:
+        """The (2, dim) lines (linalg._x_lines) of a dim x dim matrix that the
+        line kernel takes: every factor a qubit, the matrix an X matrix."""
+        return None if self._blocks is None else _x_lines(matrix)
+
+    def _contract_lines(self, lines: np.ndarray, *, adjoint: bool = False):
+        """contract on the (2, dim) lines of an X matrix, returning lines.
+
+        A qubit factor's operators are diagonal or anti-diagonal, so its
+        superoperator maps the diagonal pairs (0, 0), (1, 1) among
+        themselves, and the anti-diagonal pairs (0, 1), (1, 0) too: line l
+        takes the 2 x 2 block _blocks[factor, l]. As in contract, each step
+        multiplies the leading qubit's index and rotates it to the back.
+        """
+        blocks = self._blocks.conj().swapaxes(-1, -2) if adjoint else self._blocks
+        x = lines.reshape(2, 2, -1)
+        for block in blocks:
+            x = (block @ x).swapaxes(1, 2).reshape(2, 2, -1)
+        return x.reshape(2, -1)
 
 
 class ChannelClass(enum.Enum):

@@ -42,8 +42,13 @@ def c_rel_ent(rho: DensityMatrix) -> float:
     validation stored on rho."""
     if is_exactly_diagonal(rho.matrix):
         return 0.0
-    diag_entropy = entropy_bits(rho.matrix.diagonal().real)
-    value = diag_entropy - entropy_bits(rho.eigenvalues)
+    return _entropy_gap(rho.matrix.diagonal().real, rho.eigenvalues)
+
+
+def _entropy_gap(diagonal: np.ndarray, spectrum: np.ndarray) -> float:
+    """S(diagonal) - S(spectrum) in bits, the closed form of C_r for a state
+    with some nonzero off-diagonal entry."""
+    value = entropy_bits(diagonal) - entropy_bits(spectrum)
     return clamp_negative(value, "relative entropy of coherence")
 
 

@@ -74,6 +74,29 @@ def is_exactly_diagonal(matrix: np.ndarray) -> bool:
     return np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal())
 
 
+def _x_lines(matrix: np.ndarray) -> np.ndarray | None:
+    """The (2, d) lines of an X matrix, its diagonal matrix[i, i] and its
+    anti-diagonal matrix[i, d-1-i], when d is even and every other entry is
+    exactly zero; else None. Even d keeps the two lines apart."""
+    d = len(matrix)
+    if d % 2:
+        return None
+    lines = np.stack([matrix.diagonal(), matrix[:, ::-1].diagonal()])
+    if np.count_nonzero(matrix) != np.count_nonzero(lines):
+        return None
+    return lines
+
+
+def _x_matrix(lines: np.ndarray) -> np.ndarray:
+    """The d x d matrix whose _x_lines are lines."""
+    d = lines.shape[1]
+    matrix = np.zeros((d, d), np.complex128)
+    flat = matrix.reshape(-1)
+    flat[:: d + 1] = lines[0]
+    flat[d - 1 : d * d - 1 : d - 1] = lines[1]
+    return matrix
+
+
 def support(values: np.ndarray) -> np.ndarray:
     """Mask of the entries above SUPPORT_CUTOFF times the largest (if > 0)."""
     return values > SUPPORT_CUTOFF * max(float(values.max()), 0.0)

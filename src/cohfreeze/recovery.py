@@ -23,11 +23,25 @@ the certificate applies the recovery of its full Kraus list in closed form,
 with L^dag the channel's adjoint applied factor by factor, and never builds
 the Kraus list; petz_recovery builds it through tensor(channel.factors).
 Either way the certificate reads R(rho_t) and R(dt) as unvalidated matrices.
+
+When every factor is a qubit and rho0 is an X state (every entry off the
+diagonal and anti-diagonal exactly zero; every diagonal state and every
+d = 2 state is one), the certificate runs on the two lines of each matrix,
+its diagonal and its anti-diagonal, since the channel, its adjoint and the
+diagonal weights above keep X matrices X. The channel acts through its line
+kernel; each evolved state passes DensityMatrix's three rules on its 2 x 2
+blocks {i, d-1-i}, read from the lower triangle as eigvalsh reads it, and
+C_r comes from those blocks' eigenvalues; the recovery, with the kernel
+rule of linalg.support, both residuals and the l1 bound are elementwise.
+The layout is chosen once, in certify_freezing, and final_state, the
+validated DensityMatrix channel(rho0), is built only when it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +56,7 @@ from .channels import (
     classify,
     tensor,
 )
-from .coherence import c_l1, c_rel_ent
+from .coherence import _entropy_gap, c_l1, c_rel_ent
 from .errors import (
     NotDiagonalError,
     NotIncoherentChannelError,
@@ -50,6 +64,8 @@ from .errors import (
     NumericalInconsistencyError,
 )
 from .linalg import (
+    _x_lines,
+    _x_matrix,
     check_tolerance,
     is_exactly_diagonal,
     max_abs,
@@ -57,20 +73,21 @@ from .linalg import (
     support,
 )
 from .records import render
-from .states import DensityMatrix, dephase
+from .states import DensityMatrix, _x_spectrum, dephase
 
 CERTIFICATE_TOL = 1e-8
 
 
 def _recovery_weights(
-    delta0: DensityMatrix, delta_t: DensityMatrix
+    d0: np.ndarray, dt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """d0^(1/2), dt^(-1/2) on dt's support (zero on its kernel), and the
-    kernel mask, from the clipped diagonals of the two references. An
-    incoherent channel's dt has off-diagonal entries only from Kraus entries
-    at or below ZERO_TOL, which the recovery does not read."""
-    d0 = np.clip(delta0.matrix.diagonal().real, 0.0, None)
-    dt = np.clip(delta_t.matrix.diagonal().real, 0.0, None)
+    kernel mask, from the clipped real diagonals d0 of delta0 and dt of
+    channel(delta0). An incoherent channel's dt has off-diagonal entries
+    only from Kraus entries at or below ZERO_TOL, which the recovery does
+    not read."""
+    d0 = np.clip(d0.real, 0.0, None)
+    dt = np.clip(dt.real, 0.0, None)
     kernel = ~support(dt)
     inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, dt)))
     return np.sqrt(d0), inv_sqrt, kernel
@@ -105,7 +122,10 @@ def _recovery_channel(
         raise NotIncoherentChannelError(
             "channel is not incoherent: " + classification.witness.describe()
         )
-    sqrt0, inv_sqrt, kernel = _recovery_weights(delta0, apply_channel(channel, delta0))
+    delta_t = apply_channel(channel, delta0)
+    sqrt0, inv_sqrt, kernel = _recovery_weights(
+        delta0.matrix.diagonal(), delta_t.matrix.diagonal()
+    )
     operator, row, column, value = classification._entries
     n, ker = len(channel.operators), np.flatnonzero(kernel)
     # R_n[column, row] = d0^(1/2) conj(K_n[row, column]) dt^(-1/2), then P_ker
@@ -119,11 +139,19 @@ def _recovery_channel(
     return KrausChannel(stack, label=f"recovery({channel.label})")
 
 
+def _line_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (2, d) lines (linalg._x_lines) of np.outer(u, v)."""
+    return np.stack([u * v, u * v[::-1]])
+
+
 def _closed_form_recovery(
-    channel: LocalChannel, delta0: DensityMatrix, delta_t: DensityMatrix
+    channel: LocalChannel, d0: np.ndarray, dt: np.ndarray, *, lines: bool = False
 ):
     """The action of petz_recovery(channel, delta0), as a function from a
-    state to the matrix of its image, without the recovery's Kraus list.
+    matrix to the matrix of its image, without the recovery's Kraus list;
+    d0 and dt are the diagonals of delta0 and of channel(delta0). With
+    lines=True it maps the (2, d) lines of an X matrix to those of its
+    image, through the channel's line kernel: every product is elementwise.
 
     A LocalChannel's factors are strictly incoherent entry by entry, so
     channel(delta0) is exactly diagonal and sum R_n^dag R_n = dt^(-1/2)
@@ -131,14 +159,16 @@ def _closed_form_recovery(
     KrausChannel checks on the Kraus list holds by construction. A composition
     of completely positive maps, R needs no check of its image either.
     """
-    sqrt0, inv_sqrt, kernel = _recovery_weights(delta0, delta_t)
-    outer0 = np.outer(sqrt0, sqrt0)
-    outer_t = np.outer(inv_sqrt, inv_sqrt)
-    projector = np.outer(kernel, kernel)
+    sqrt0, inv_sqrt, kernel = _recovery_weights(d0, dt)
+    outer, contract = np.outer, channel.contract
+    if lines:
+        outer, contract = _line_products, channel._contract_lines
+    outer0 = outer(sqrt0, sqrt0)
+    outer_t = outer(inv_sqrt, inv_sqrt)
+    projector = outer(kernel, kernel)
 
-    def recover(state: DensityMatrix) -> np.ndarray:
-        x = state.matrix
-        return outer0 * channel.contract(outer_t * x, adjoint=True) + projector * x
+    def recover(x: np.ndarray) -> np.ndarray:
+        return outer0 * contract(outer_t * x, adjoint=True) + projector * x
 
     return recover
 
@@ -152,9 +182,12 @@ class FreezingCertificate:
     recovery operators. The verdict is "Frozen" when it is empty.
 
     The fields are declared in report order: to_text() prints the verdict,
-    then every field but final_state. final_state is the evolved state
-    channel(rho0) that the final measures and the round trip were computed
-    from; it takes no part in equality, repr or to_text().
+    then every field but the private _final_state. final_state is the
+    evolved state channel(rho0), a validated DensityMatrix, that the final
+    measures and the round trip were computed from. _final_state holds it,
+    or on the line path the state's lines, from which final_state builds it
+    at each read, so a certificate that is never asked for it never builds
+    it. It takes no part in equality, repr or to_text().
     """
 
     failed_checks: tuple[str, ...]
@@ -169,7 +202,13 @@ class FreezingCertificate:
     recovery_incoherent: bool
     recovery_witness: ClassificationWitness | None
     tol: float
-    final_state: DensityMatrix = field(compare=False, repr=False)
+    _final_state: DensityMatrix | np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def final_state(self) -> DensityMatrix:
+        if isinstance(self._final_state, DensityMatrix):
+            return self._final_state
+        return DensityMatrix(_x_matrix(self._final_state))
 
     @property
     def frozen(self) -> bool:
@@ -200,6 +239,91 @@ def _initial(rho0: DensityMatrix) -> _Initial:
     return _Initial(rho0, dephase(rho0), c_rel_ent(rho0), c_l1(rho0))
 
 
+class _RoundTrip(NamedTuple):
+    """The channel's half of a certificate in one layout: the evolved
+    state's two measures, the round trip's errors from rho0 and from
+    delta0, the off-diagonal l1 sum of the first (computed when asked),
+    the recovery's classification, and the evolved state for
+    FreezingCertificate._final_state."""
+
+    cr: float
+    l1: float
+    state_error: np.ndarray
+    diag_error: np.ndarray
+    state_error_l1: Callable[[], float]
+    recovery_classification: ChannelClassification
+    final_state: DensityMatrix | np.ndarray
+
+
+def _dense_round_trip(
+    channel: KrausChannel | LocalChannel,
+    classification: ChannelClassification,
+    initial: _Initial,
+) -> _RoundTrip:
+    """The round trip on d x d matrices: the evolved states are
+    DensityMatrixes, and a KrausChannel's recovery is its Kraus list."""
+    delta0 = initial.delta0
+    rho_t = apply_channel(channel, initial.state)
+    delta_t = apply_channel(channel, delta0)
+    cr, l1 = c_rel_ent(rho_t), c_l1(rho_t)
+    # Strict: each R_n keeps K~_n's at most one nonzero per row and column.
+    recovery_classification = classification
+    if isinstance(channel, LocalChannel):
+        recover = _closed_form_recovery(
+            channel, delta0.matrix.diagonal(), delta_t.matrix.diagonal()
+        )
+        recovered = [recover(s.matrix) for s in (rho_t, delta_t)]
+    else:
+        # delta0 = dephase(rho0) is diagonal by construction.
+        recovery = _recovery_channel(channel, classification, delta0)
+        recovered = [apply_channel(recovery, s).matrix for s in (rho_t, delta_t)]
+        if classification.channel_class is not ChannelClass.STRICTLY_INCOHERENT:
+            recovery_classification = classify(recovery)  # for its witness
+    state_error = recovered[0] - initial.state.matrix
+    return _RoundTrip(
+        cr,
+        l1,
+        state_error,
+        recovered[1] - delta0.matrix,
+        lambda: offdiagonal_l1(state_error),
+        recovery_classification,
+        rho_t,
+    )
+
+
+def _line_l1(lines: np.ndarray) -> float:
+    """offdiagonal_l1 of the X matrix with these lines: its anti-diagonal."""
+    return float(np.abs(lines[1]).sum())
+
+
+def _line_round_trip(
+    channel: LocalChannel,
+    classification: ChannelClassification,
+    initial: _Initial,
+    x0: np.ndarray,
+) -> _RoundTrip:
+    """The round trip on the (2, d) lines x0 of an X state rho0 under
+    qubit factors (linalg._x_lines): the evolved states stay X matrices,
+    each passes DensityMatrix's rules on its 2 x 2 blocks (states._x_spectrum),
+    and C_r reads those blocks' eigenvalues."""
+    delta0 = _x_lines(initial.delta0.matrix)
+    x_t, delta_t = (channel._contract_lines(x) for x in (x0, delta0))
+    spectrum = _x_spectrum(x_t)
+    _x_spectrum(delta_t)
+    cr = _entropy_gap(x_t[0].real, spectrum) if x_t[1].any() else 0.0
+    recover = _closed_form_recovery(channel, delta0[0], delta_t[0], lines=True)
+    state_error = recover(x_t) - x0
+    return _RoundTrip(
+        cr,
+        _line_l1(x_t),
+        state_error,
+        recover(delta_t) - delta0,
+        lambda: _line_l1(state_error),
+        classification,
+        x_t,
+    )
+
+
 def certify_freezing(
     channel: KrausChannel | LocalChannel,
     rho0: DensityMatrix | _Initial,
@@ -212,7 +336,9 @@ def certify_freezing(
     The channel must classify strictly incoherent unless
     enforce_hypothesis=False, in which case any incoherent representation is
     accepted and the outcome is reported as-is. A LocalChannel takes the
-    closed-form recovery.
+    closed-form recovery; when every factor is a qubit and rho0 is an X
+    state (every entry off the diagonal and anti-diagonal exactly zero),
+    the whole round trip runs on the two lines of rho0.
 
     rho0 is a DensityMatrix, or the record _initial(rho0) of its dephased
     reference and initial measures: a sweep, where only the channel changes,
@@ -230,33 +356,19 @@ def certify_freezing(
             "pass enforce_hypothesis=False to explore anyway"
         )
     initial = rho0 if isinstance(rho0, _Initial) else _initial(rho0)
-    delta0 = initial.delta0
-    rho_t = apply_channel(channel, initial.state)
-    delta_t = apply_channel(channel, delta0)
-
-    crt = c_rel_ent(rho_t)
-    l1t = c_l1(rho_t)
-    cr_deviation = abs(crt - initial.cr)
-    l1_deviation = abs(l1t - initial.l1)
-
-    # Strict: each R_n keeps K~_n's at most one nonzero per row and column.
-    recovery_classification = classification
-    if isinstance(channel, LocalChannel):
-        recover = _closed_form_recovery(channel, delta0, delta_t)
+    x0 = None
+    if isinstance(channel, LocalChannel):  # the line layout, when it applies
+        x0 = channel._lines_of(initial.state.matrix)
+    if x0 is None:
+        trip = _dense_round_trip(channel, classification, initial)
     else:
-        # delta0 = dephase(rho0) is diagonal by construction.
-        recovery = _recovery_channel(channel, classification, delta0)
-
-        def recover(state: DensityMatrix) -> np.ndarray:
-            return apply_channel(recovery, state).matrix
-
-        if classification.channel_class is not ChannelClass.STRICTLY_INCOHERENT:
-            recovery_classification = classify(recovery)  # for its witness
-    state_error = recover(rho_t) - initial.state.matrix
-    residual_state = max_abs(state_error)
-    residual_diag = max_abs(recover(delta_t) - delta0.matrix)
+        trip = _line_round_trip(channel, classification, initial, x0)
+    cr_deviation = abs(trip.cr - initial.cr)
+    l1_deviation = abs(trip.l1 - initial.l1)
+    residual_state = max_abs(trip.state_error)
+    residual_diag = max_abs(trip.diag_error)
     recovery_incoherent = (
-        recovery_classification.channel_class is not ChannelClass.NOT_INCOHERENT
+        trip.recovery_classification.channel_class is not ChannelClass.NOT_INCOHERENT
     )
 
     checks = (
@@ -271,7 +383,7 @@ def certify_freezing(
         # so |l1(rho_t) - l1(rho0)| <= l1(rho0 - R(rho_t)), the off-diagonal
         # moduli of the round-trip error. Past that bound a Frozen verdict
         # contradicts its own arithmetic.
-        bound = offdiagonal_l1(state_error)
+        bound = trip.state_error_l1()
         if l1_deviation > tol + bound:
             raise NumericalInconsistencyError(
                 f"frozen verdict but l1 deviation {l1_deviation:.3e} exceeds "
@@ -279,16 +391,16 @@ def certify_freezing(
             )
     return FreezingCertificate(
         cr_initial=initial.cr,
-        cr_final=crt,
+        cr_final=trip.cr,
         cr_deviation=cr_deviation,
         c_l1_initial=initial.l1,
-        c_l1_final=l1t,
+        c_l1_final=trip.l1,
         c_l1_deviation=l1_deviation,
         recovery_residual_state=residual_state,
         recovery_residual_diag=residual_diag,
         recovery_incoherent=recovery_incoherent,
-        recovery_witness=recovery_classification.witness,
+        recovery_witness=trip.recovery_classification.witness,
         failed_checks=failed,
         tol=tol,
-        final_state=rho_t,
+        _final_state=trip.final_state,
     )

@@ -60,11 +60,47 @@ def _spectrum(mat: np.ndarray) -> np.ndarray:
 # The decorator form sets numpy's error state for about half the cost of a
 # with-block, paid on every state.
 @np.errstate(over="ignore", invalid="ignore")
-def _defects(mat: np.ndarray) -> tuple[float, float]:
-    """The Hermiticity and trace defects of mat. Finite entries near the
-    float limit overflow here: a defect is then inf or NaN, to be refused,
-    and numpy warns of nothing."""
-    return max_abs(mat - mat.conj().T), abs(complex(mat.trace()) - 1.0)
+def _checked(entries, adjoint, diagonal, spectrum) -> np.ndarray:
+    """The eigenvalues spectrum(entries) of a state stored as entries, with
+    its adjoint stored alike and its diagonal, after the three rules of a
+    DensityMatrix: Hermiticity and trace defects within HERMITIAN_TOL and
+    TRACE_TOL (the spectrum is not computed otherwise), and a smallest
+    eigenvalue of at least -PSD_TOL. Finite entries near the float limit
+    overflow here: a defect is then inf or NaN, which fails its rule as
+    any NaN does, and numpy warns of nothing."""
+    defect = max_abs(entries - adjoint)
+    trace_defect = abs(complex(diagonal.sum()) - 1.0)
+    if not defect <= HERMITIAN_TOL:
+        raise ValidationError(f"not Hermitian: defect {defect:.3e}")
+    if not trace_defect <= TRACE_TOL:
+        raise ValidationError(f"trace differs from 1 by {trace_defect:.3e}")
+    eigenvalues = spectrum(entries)
+    smallest = float(eigenvalues.min())
+    if not smallest >= -PSD_TOL:
+        raise ValidationError(
+            f"not positive semidefinite: smallest eigenvalue {smallest:.3e}"
+        )
+    return eigenvalues
+
+
+def _block_spectrum(lines: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the X matrix with these (2, d) lines (see
+    linalg._x_lines), block by block: each pair {i, d-1-i}, i < d/2, spans
+    the 2 x 2 block [[a, conj(z)], [z, b]] of the real diagonal entries and
+    the lower-triangle entry z = matrix[d-1-i, i], the entries eigvalsh
+    reads. Unsorted: the lower eigenvalue of each block, then the upper."""
+    half = lines.shape[1] // 2
+    top, bottom = lines[:, :half], lines[:, ::-1][:, :half]
+    a, b = top[0].real, bottom[0].real
+    mean, radius = (a + b) / 2, np.hypot((a - b) / 2, np.abs(bottom[1]))
+    return np.concatenate([mean - radius, mean + radius])
+
+
+def _x_spectrum(lines: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the X matrix with these (2, d) lines, which is
+    refused exactly as DensityMatrix would refuse it, with its messages."""
+    adjoint = np.stack([lines[0].conj(), lines[1, ::-1].conj()])
+    return _checked(lines, adjoint, lines[0], _block_spectrum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +111,10 @@ class DensityMatrix:
     rejected, and an accepted matrix is stored exactly as given: nothing is
     clipped or renormalised. The stored array and its ascending spectrum
     `eigenvalues` (_spectrum of that array, computed once by validation)
-    are immutable. Equality and hashing are by identity: compare `.matrix`
+    are immutable. `eigenvalues` is the spectrum of the Hermitian matrix
+    whose lower triangle is stored, the entries eigvalsh reads; c_l1 reads
+    both triangles, and the Hermiticity rule bounds their difference by
+    HERMITIAN_TOL. Equality and hashing are by identity: compare `.matrix`
     to compare entries.
     """
 
@@ -84,17 +123,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = as_complex_matrix(self.matrix).copy()
-        defect, trace_defect = _defects(mat)
-        if not defect <= HERMITIAN_TOL:
-            raise ValidationError(f"not Hermitian: defect {defect:.3e}")
-        if not trace_defect <= TRACE_TOL:
-            raise ValidationError(f"trace differs from 1 by {trace_defect:.3e}")
-        eigenvalues = _spectrum(mat)
-        smallest = float(eigenvalues[0])
-        if smallest < -PSD_TOL:
-            raise ValidationError(
-                f"not positive semidefinite: smallest eigenvalue {smallest:.3e}"
-            )
+        eigenvalues = _checked(mat, mat.conj().T, mat.diagonal(), _spectrum)
         mat.setflags(write=False)
         eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

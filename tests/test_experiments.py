@@ -511,7 +511,7 @@ def _mixed_preset_case():
 def assert_same_certificate(a, b):
     """Equal field by field: floats by ==, the evolved states entry by entry."""
     for f in dataclasses.fields(FreezingCertificate):
-        if f.name == "final_state":
+        if f.name == "_final_state":
             assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
         else:
             assert getattr(a, f.name) == getattr(b, f.name), f.name

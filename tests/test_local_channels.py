@@ -114,11 +114,13 @@ class TestDifferential:
         rho0 = random_state(local.dim, seed)
         delta0 = dephase(rho0)
         delta_t = apply_channel(local, delta0)
-        recover = _closed_form_recovery(local, delta0, delta_t)
+        recover = _closed_form_recovery(
+            local, delta0.matrix.diagonal(), delta_t.matrix.diagonal()
+        )
         kraus = petz_recovery(tensor(local.factors), delta0)
         for state in (apply_channel(local, rho0), delta_t):
             np.testing.assert_allclose(
-                recover(state),
+                recover(state.matrix),
                 brute_apply(kraus.operators, state.matrix),
                 atol=1e-12,
             )
@@ -132,10 +134,12 @@ class TestDifferential:
         delta_t = apply_channel(local, delta0)
         np.testing.assert_array_equal(np.diag(delta_t.matrix)[[1, 2]], 0)
         state = random_density(4, 4, seed=7)
-        recover = _closed_form_recovery(local, delta0, delta_t)
+        recover = _closed_form_recovery(
+            local, delta0.matrix.diagonal(), delta_t.matrix.diagonal()
+        )
         kraus = petz_recovery(tensor(local.factors), delta0)
         np.testing.assert_allclose(
-            recover(state), brute_apply(kraus.operators, state.matrix), atol=1e-12
+            recover(state.matrix), brute_apply(kraus.operators, state.matrix), atol=1e-12
         )
 
     @settings(max_examples=60, deadline=None)
@@ -434,10 +438,13 @@ def test_petz_recovery_of_a_local_channel_is_that_of_its_tensor_product():
     expected = petz_recovery(tensor(local.factors), delta0)
     assert recovery.label == expected.label
     np.testing.assert_array_equal(recovery.operators, expected.operators)
-    recover = _closed_form_recovery(local, delta0, apply_channel(local, delta0))
+    delta_t = apply_channel(local, delta0)
+    recover = _closed_form_recovery(
+        local, delta0.matrix.diagonal(), delta_t.matrix.diagonal()
+    )
     rho = random_state(16, seed=32)
     np.testing.assert_allclose(
-        apply_channel(recovery, rho).matrix, recover(rho), rtol=0, atol=1e-13
+        apply_channel(recovery, rho).matrix, recover(rho.matrix), rtol=0, atol=1e-13
     )
 
 

@@ -680,7 +680,7 @@ class TestRecoveryFromEntries:
             delta0 = dephase(random_density(dim, dim, dim))
         recovered = petz_recovery(channel, delta0)
         sqrt0, inv_sqrt, kernel = _recovery_weights(
-            delta0, apply_channel(channel, delta0)
+            delta0.matrix.diagonal(), apply_channel(channel, delta0).matrix.diagonal()
         )
         expected = sqrt0[:, None] * channel.operators.conj().transpose(0, 2, 1)
         expected = expected * inv_sqrt
