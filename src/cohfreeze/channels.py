@@ -335,7 +335,8 @@ class LocalChannel:
         last factor the pairs are back in order. An X matrix under qubit
         factors (_lines_of) takes the line kernel instead.
         """
-        x = np.asarray(matrix, dtype=np.complex128).reshape(self.dim, self.dim)
+        x = np.asarray(matrix, dtype=np.complex128)
+        _check_dim(self, x.shape)
         lines = self._lines_of(x)
         if lines is not None:
             return _x_matrix(self._contract_lines(lines, adjoint=adjoint))
@@ -452,15 +453,22 @@ def _judged_entries(channel: KrausChannel, zero_tol: float):
     return operator, row, column, gain.ravel()[flat]
 
 
+def _check_dim(channel: KrausChannel | LocalChannel, shape: tuple) -> None:
+    """Refuse a state or matrix of this shape unless it is dim x dim; a
+    square one is named by its dim."""
+    if shape != (channel.dim, channel.dim):
+        size = shape[0] if shape == shape[:1] * 2 else shape
+        raise DimensionMismatchError(
+            f"channel dim {channel.dim} does not match state dim {size}"
+        )
+
+
 def apply_channel(
     channel: KrausChannel | LocalChannel, rho: DensityMatrix
 ) -> DensityMatrix:
     """sum_n K_n rho K_n^dag as a validated density matrix; a monomial
     stack skips the batched product."""
-    if channel.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dim {channel.dim} does not match state dim {rho.dim}"
-        )
+    _check_dim(channel, rho.matrix.shape)
     if isinstance(channel, LocalChannel):
         return DensityMatrix(channel.contract(rho.matrix))
     if channel._monomial is not None:

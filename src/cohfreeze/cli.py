@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes are stable: 0 success (or Frozen), 1 NotFrozen, 2 parse error,
-3 validation/hypothesis error, 4 internal numerical failure.
+Exit codes are stable: 0 success (certify and sweep: Frozen), 1 NotFrozen
+(a sweep: at any grid point), 2 parse error, 3 validation/hypothesis error,
+4 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .experiments import (
     preset_files,
     run_sweep,
 )
-from .records import render
+from .records import format_number, render
 from .recovery import CERTIFICATE_TOL, certify_freezing
 from .specs import parse_channel_spec, parse_state_spec, parse_sweep_file
 
@@ -130,6 +131,12 @@ def cmd_certify(args) -> int:
     return EXIT_OK if certificate.frozen else EXIT_NOT_FROZEN
 
 
+def _located(value: float, names: tuple[str, ...], point: tuple[float, ...]) -> str:
+    """`<value> at <name>=<parameter>,...`, a sweep summary's maximum."""
+    where = ",".join(f"{n}={format_number(v)}" for n, v in zip(names, point))
+    return f"{format_number(value)} at {where}"
+
+
 def cmd_sweep(args) -> int:
     try:
         text = Path(args.spec).read_text(encoding="utf-8")
@@ -137,16 +144,19 @@ def cmd_sweep(args) -> int:
         raise SpecParseError(f"cannot read spec file: {exc}") from None
     spec, output_path = parse_sweep_file(text)
     table = run_sweep(spec)
-    target = Path(args.out) if args.out else None
-    if target is None:
-        target = _out_dir(None) / (output_path or "sweep.csv")
+    target = Path(args.out or _out_dir(None) / (output_path or "sweep.csv"))
     _write_csv(target, table.to_csv(), not args.no_timestamp)
-    summary = detect_freezing(table, spec.freezing_tol)
-    for name, verdict in sorted(summary.items()):
-        status = "Frozen" if verdict.frozen else "NotFrozen"
-        print(f"{name}: {status} (max deviation {verdict.max_deviation:.3e})")
+    summary = detect_freezing(table)
+    print(render([
+        ("verdict", "Frozen" if summary.frozen else "NotFrozen"),
+        ("not_frozen_points", f"{summary.not_frozen_points} of {len(table.rows)}"),
+        *(
+            (f"max_{name}", _located(value, table.parameter_names, point))
+            for name, (value, point) in summary.maxima.items()
+        ),
+    ]))
     print(f"wrote {target}")
-    return EXIT_OK
+    return EXIT_OK if summary.frozen else EXIT_NOT_FROZEN
 
 
 def cmd_reproduce(args) -> int:

@@ -1,8 +1,11 @@
 """The computable coherence panel: l1 norm and relative entropy of coherence.
 
 The relative entropy of coherence is evaluated in closed form as
-S(diag(rho)) - S(rho); the defining minimization over incoherent states is
-retained only as a cross-check, since the dephased state attains the minimum.
+S(diag(rho)) - S(rho). measure_panel compares it with the defining
+relative entropy at the dephased state, which attains the minimum over
+incoherent states. Both sides read S(rho) from the spectrum that validation
+stored on rho, so the residual catches summation and support errors, but
+not a wrong stored spectrum.
 """
 
 from __future__ import annotations
@@ -76,7 +79,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def measure_panel(rho: DensityMatrix) -> CoherenceReport:
-    """Evaluate both measures plus the closed-form/definition cross-check."""
+    """Evaluate both measures, and the residual between the closed form and
+    relative_entropy(rho, dephase(rho)): both read rho.eigenvalues, so it
+    catches summation and support errors, not a wrong stored spectrum."""
     closed_form = c_rel_ent(rho)
     definitional = relative_entropy(rho, dephase(rho))
     residual = abs(definitional - closed_form)

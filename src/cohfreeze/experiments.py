@@ -1,8 +1,10 @@
-"""Parameter sweeps, freezing detection, and the closed-form reproductions.
+"""Parameter sweeps, a sweep's verdict, and the closed-form reproductions.
 
 Channels are swept over parameter grids instead of an explicit time axis:
 every reachable channel corresponds to some grid point, and "frozen forever"
-becomes "frozen at every grid point".
+becomes "frozen at every grid point". Each point's certificate decides every
+coherence measure at once, so a sweep's verdict is the conjunction of its
+certificates.
 """
 
 from __future__ import annotations
@@ -40,17 +42,13 @@ from .states import (
 
 MAX_GRID_POINTS = 10_000
 DEFAULT_GRID_POINTS = 11
-FREEZING_TOL = 1e-8
 FAMILY_TOL = 1e-9  # a reproduction's measures against their closed forms
 TRANSFER_TOL = 1e-10  # evolved family state against its analytic mixture
 # Every table records this panel: one certificate decides all measures at once.
 MEASURE_NAMES = ("c_l1", "c_rel_ent")
-_CSV_COLUMNS = MEASURE_NAMES + (
-    "verdict",
-    "cr_deviation",
-    "recovery_residual_state",
-    "recovery_residual_diag",
-)
+# The certificate's errors, of which a sweep's summary reports the largest.
+_ERROR_COLUMNS = ("cr_deviation", "recovery_residual_state", "recovery_residual_diag")
+_CSV_COLUMNS = MEASURE_NAMES + ("verdict",) + _ERROR_COLUMNS
 
 
 def _point_count(points) -> int:
@@ -88,7 +86,6 @@ class SweepSpec:
     factors: tuple[str, ...]
     grids: tuple[tuple[float, ...], ...]
     tie_parameters: bool = False
-    freezing_tol: float = FREEZING_TOL
     certificate_tol: float = CERTIFICATE_TOL
     state_label: str = ""
 
@@ -120,8 +117,7 @@ class SweepSpec:
             raise ValidationError(
                 f"grid has {total} points, maximum is {MAX_GRID_POINTS}"
             )
-        for name in ("freezing_tol", "certificate_tol"):
-            check_tolerance(name, getattr(self, name))
+        check_tolerance("certificate_tol", self.certificate_tol)
         object.__setattr__(self, "grids", tuple(tuple(g) for g in self.grids))
         object.__setattr__(self, "factors", tuple(self.factors))
 
@@ -224,10 +220,7 @@ def _metadata(spec: SweepSpec):
         ("state", spec.state_label or f"dim={spec.state.dim}"),
         ("channel", " x ".join(spec.factors)),
         ("tie_parameters", "true" if spec.tie_parameters else "false"),
-        ("freezing_tol", format_number(spec.freezing_tol)),
         ("certificate_tol", format_number(spec.certificate_tol)),
-        # No sweep draws random numbers; the line keeps the CSV layout.
-        ("seed", "none"),
     )
 
 
@@ -247,22 +240,28 @@ def run_sweep(spec: SweepSpec) -> TrajectoryTable:
 @dataclass(frozen=True)
 class FreezingSummary:
     frozen: bool
-    max_deviation: float
+    not_frozen_points: int
+    # error column -> (largest value, parameters of the first row with it)
+    maxima: dict[str, tuple[float, tuple[float, ...]]]
 
 
-def detect_freezing(
-    table: TrajectoryTable, tol: float = FREEZING_TOL
-) -> dict[str, FreezingSummary]:
-    """Per-measure max deviation from the first grid point."""
-    check_tolerance("tolerance", tol)
+def detect_freezing(table: TrajectoryTable) -> FreezingSummary:
+    """A sweep's one verdict, read from its rows: Frozen iff every grid
+    point's certificate is, with the number of NotFrozen points and, for
+    each certificate error column, its largest value and the parameters of
+    the first row that attains it. No threshold of its own: each
+    certificate already decides every coherence measure."""
     if not table.rows:
         raise ValidationError("table has no rows")
-    result = {}
-    for name in MEASURE_NAMES:
-        first = getattr(table.rows[0], name)
-        deviation = max(abs(getattr(row, name) - first) for row in table.rows)
-        result[name] = FreezingSummary(frozen=deviation <= tol, max_deviation=deviation)
-    return result
+    maxima = {
+        name: max(
+            ((getattr(row, name), row.params) for row in table.rows),
+            key=lambda pair: pair[0],  # max keeps the first of equal values
+        )
+        for name in _ERROR_COLUMNS
+    }
+    not_frozen = sum(row.verdict != "Frozen" for row in table.rows)
+    return FreezingSummary(not_frozen == 0, not_frozen, maxima)
 
 
 def bitflip_transfer_weights(weights: Mapping[str, float], qs) -> dict[str, float]:

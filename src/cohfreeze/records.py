@@ -1,7 +1,8 @@
 """The printed record: one `key = value` line per field.
 
-Every number in a `key = value` record or a CSV cell goes through
-format_number; the sweep and reproduce summary lines print theirs as .3e.
+Every number in a `key = value` record, the sweep summary included, or in
+a CSV cell goes through format_number; the reproduce summary lines print
+theirs as .3e.
 """
 
 NUMBER_FORMAT = ".12g"  # 12 significant digits

@@ -52,6 +52,7 @@ from .channels import (
     KrausChannel,
     LocalChannel,
     _Entries,
+    _check_dim,
     apply_channel,
     classify,
     tensor,
@@ -356,6 +357,7 @@ def certify_freezing(
             "pass enforce_hypothesis=False to explore anyway"
         )
     initial = rho0 if isinstance(rho0, _Initial) else _initial(rho0)
+    _check_dim(channel, initial.state.matrix.shape)  # before either layout
     x0 = None
     if isinstance(channel, LocalChannel):  # the line layout, when it applies
         x0 = channel._lines_of(initial.state.matrix)

@@ -336,11 +336,8 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
         ]
 
     # An unset tolerance keeps SweepSpec's default.
-    tolerances = {}
-    for name in ("freezing", "certificate"):
-        value = take(f"tolerances.{name}", _number)
-        if value is not None:
-            tolerances[f"{name}_tol"] = value
+    tolerance = take("tolerances.certificate", _number)
+    tolerances = {} if tolerance is None else {"certificate_tol": tolerance}
 
     output_path = take("output.path", _text)
 

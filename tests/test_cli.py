@@ -29,6 +29,20 @@ sweep.q2 = [0.1, 0.3]
 output.path = eq18.csv
 """
 
+# A Bell pair under tied phase flips: both grid points are NotFrozen.
+PHASE_FLIP_SPEC = """\
+state.spec = phi N=2 l=00 sign=+
+channel.factors = [phaseflip, phaseflip]
+sweep.q = [0.3, 0.7]
+"""
+PHASE_FLIP_SUMMARY = (
+    "verdict = NotFrozen\n"
+    "not_frozen_points = 2 of 2\n"
+    "max_cr_deviation = 0.981453895034 at q=0.3\n"
+    "max_recovery_residual_state = 0.4872 at q=0.3\n"
+    "max_recovery_residual_diag = 2.22044604925e-16 at q=0.7\n"
+)
+
 
 # The committed --no-timestamp preset outputs; the CSV bytes are a contract.
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -36,7 +50,7 @@ REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 # The directory that holds the cohfreeze package, for subprocesses.
 PACKAGE_ROOT = str(Path(cohfreeze.__file__).resolve().parents[1])
 
-EQ16_CSV_SHA256 = "60376d62f8369b7b3f796241cc0d679976b2715a0fa2d57461ac3da728811c2b"
+EQ16_CSV_SHA256 = "95b92eb3f9a9f34c251a087c0d25fedd2bef75027f29b325ffd4b42d307df3da"
 
 
 def assert_matches_reference(out_dir, name):
@@ -311,6 +325,9 @@ class TestSweep:
             "--no-timestamp",
         )
         assert code == 0
+        assert capsys.readouterr().out.startswith(
+            "verdict = Frozen\nnot_frozen_points = 0 of 18\n"
+        )
         lines = out_file.read_text().strip().splitlines()
         header = next(line for line in lines if not line.startswith("#"))
         idx = header.split(",").index("c_rel_ent")
@@ -364,11 +381,54 @@ class TestSweep:
         spec_file.write_text(EQ16_SPEC.replace("[0, 0.25, 0.5]", "[]"))
         assert run_cli("sweep", "--spec", str(spec_file)) == 2
 
-    def test_nan_freezing_tolerance_exits_2(self, tmp_path, capsys):
-        spec_file = tmp_path / "nan.spec"
-        spec_file.write_text(EQ16_SPEC + "tolerances.freezing = nan\n")
+    def test_freezing_tolerance_key_is_refused(self, tmp_path, capsys):
+        spec_file = tmp_path / "freezing.spec"
+        spec_file.write_text(EQ16_SPEC + "tolerances.freezing = 1e-8\n")
         assert run_cli("sweep", "--spec", str(spec_file)) == 2
-        assert "freezing_tol" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "parse error: line 6: unknown key 'tolerances.freezing'\n"
+        )
+
+    def test_not_frozen_sweep_exits_1(self, tmp_path, capsys):
+        spec_file = tmp_path / "phase.spec"
+        spec_file.write_text(PHASE_FLIP_SPEC)
+        out_file = tmp_path / "out.csv"
+        assert run_cli(
+            "sweep", "--spec", str(spec_file), "--out", str(out_file),
+            "--no-timestamp",
+        ) == 1
+        assert capsys.readouterr().out == PHASE_FLIP_SUMMARY + f"wrote {out_file}\n"
+
+    @pytest.mark.parametrize(
+        "text", [EQ16_SPEC, PHASE_FLIP_SPEC], ids=["eq16", "phaseflip"]
+    )
+    def test_summary_reads_the_csv_columns(self, text, tmp_path, capsys):
+        # Each printed maximum is its CSV column's, at the first row with it.
+        spec_file = tmp_path / "sweep.spec"
+        spec_file.write_text(text)
+        out_file = tmp_path / "out.csv"
+        code = run_cli(
+            "sweep", "--spec", str(spec_file), "--out", str(out_file),
+            "--no-timestamp",
+        )
+        header, *rows = [
+            line.split(",")
+            for line in out_file.read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        names = header[: header.index("c_l1")]
+        not_frozen = [row[header.index("verdict")] for row in rows].count("NotFrozen")
+        expected = [
+            f"verdict = {'NotFrozen' if not_frozen else 'Frozen'}",
+            f"not_frozen_points = {not_frozen} of {len(rows)}",
+        ]
+        for column in header[header.index("cr_deviation"):]:
+            cells = [row[header.index(column)] for row in rows]
+            first = max(range(len(rows)), key=lambda i: float(cells[i]))
+            point = ",".join(f"{n}={v}" for n, v in zip(names, rows[first]))
+            expected.append(f"max_{column} = {cells[first]} at {point}")
+        assert capsys.readouterr().out.splitlines()[:-1] == expected
+        assert code == (1 if not_frozen else 0)
 
     def test_negative_seed_in_state_spec_exits_2(self, tmp_path, capsys):
         spec_file = tmp_path / "seed.spec"
@@ -684,6 +744,19 @@ class TestEntryPoint:
         )
         assert result.returncode == 1
         assert "verdict = NotFrozen" in result.stdout
+
+    def test_module_sweep_exit_status(self, tmp_path):
+        spec_file = tmp_path / "phase.spec"
+        spec_file.write_text(PHASE_FLIP_SPEC)
+        result = subprocess.run(
+            [sys.executable, "-m", "cohfreeze", "sweep", "--spec", str(spec_file),
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+        )
+        assert result.returncode == 1
+        assert result.stdout.startswith(PHASE_FLIP_SUMMARY)
 
     def test_module_invocation(self):
         result = subprocess.run(

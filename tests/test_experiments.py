@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -117,11 +118,24 @@ class TestSweepSpec:
                 grids=((0.0,),) * 7,
             )
 
-    @pytest.mark.parametrize("field", ["freezing_tol", "certificate_tol"])
+    @pytest.mark.parametrize("field", ["certificate_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8])
     def test_rejects_bad_tolerances(self, field, value):
         with pytest.raises(OutOfRangeError):
             make_spec(**{field: value})
+
+    def test_has_one_tolerance_the_certificate_tolerance(self):
+        # The certificates decide the sweep; no second threshold exists.
+        assert [f.name for f in dataclasses.fields(SweepSpec)] == [
+            "state",
+            "factors",
+            "grids",
+            "tie_parameters",
+            "certificate_tol",
+            "state_label",
+        ]
+        with pytest.raises(TypeError, match="freezing_tol"):
+            make_spec(freezing_tol=1e-8)
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -248,36 +262,78 @@ class TestRunSweep:
                 assert row.cr_deviation <= 1e-8
 
 
-class TestDetectFreezing:
-    def test_constant_column(self):
-        table = run_sweep(make_spec())
-        summary = detect_freezing(table, tol=1e-8)
-        assert summary["c_rel_ent"].frozen
-        assert summary["c_rel_ent"].max_deviation <= 1e-10
+ERROR_COLUMNS = ("cr_deviation", "recovery_residual_state", "recovery_residual_diag")
 
-    def test_single_excursion(self):
+
+def phase_flip_spec():
+    """A Bell pair under tied phase flips: every point's certificate fails."""
+    return SweepSpec(
+        state=bell(),
+        factors=("phaseflip", "phaseflip"),
+        grids=((0.3, 0.7),),
+        tie_parameters=True,
+    )
+
+
+class TestDetectFreezing:
+    """A sweep's verdict is the conjunction of its certificates."""
+
+    def test_frozen_sweep(self):
+        summary = detect_freezing(run_sweep(make_spec()))
+        assert summary.frozen
+        assert summary.not_frozen_points == 0
+
+    def test_verdict_column_decides_not_the_measures(self):
+        # A measure column that moves does not decide; a NotFrozen row does.
         rows = [
             TrajectoryRow((0.0,), 1.0, 1.0, "Frozen", 0.0, 0.0, 0.0),
             TrajectoryRow((0.5,), 1.0, 1.0 + 1e-3, "Frozen", 0.0, 0.0, 0.0),
         ]
-        table = TrajectoryTable(("q",), tuple(rows))
-        summary = detect_freezing(table, tol=1e-8)
-        assert not summary["c_rel_ent"].frozen
-        assert summary["c_rel_ent"].max_deviation == pytest.approx(1e-3)
-        assert summary["c_l1"].frozen
+        assert detect_freezing(TrajectoryTable(("q",), tuple(rows))).frozen
+        rows.append(TrajectoryRow((0.7,), 1.0, 1.0, "NotFrozen", 2e-8, 0.0, 0.0))
+        summary = detect_freezing(TrajectoryTable(("q",), tuple(rows)))
+        assert not summary.frozen
+        assert summary.not_frozen_points == 1
 
     def test_empty_table_rejected(self):
         table = TrajectoryTable(("q",), ())
         with pytest.raises(ValidationError):
             detect_freezing(table)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
-    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
-        table = run_sweep(make_spec())
-        with pytest.raises(
-            OutOfRangeError, match=f"tolerance must be finite and positive, got {tol}"
-        ):
-            detect_freezing(table, tol=tol)
+    def test_takes_no_tolerance(self):
+        assert list(inspect.signature(detect_freezing).parameters) == ["table"]
+        with pytest.raises(TypeError):
+            detect_freezing(run_sweep(make_spec()), tol=1e-8)
+
+    def test_a_maximum_names_the_first_row_that_attains_it(self):
+        rows = [
+            TrajectoryRow((0.1,), 1.0, 1.0, "NotFrozen", 0.5, 0.25, 0.0),
+            TrajectoryRow((0.2,), 1.0, 1.0, "NotFrozen", 0.5, 0.75, 0.0),
+            TrajectoryRow((0.3,), 1.0, 1.0, "NotFrozen", 0.1, 0.75, 0.0),
+        ]
+        summary = detect_freezing(TrajectoryTable(("q",), tuple(rows)))
+        assert summary.maxima == {
+            "cr_deviation": (0.5, (0.1,)),
+            "recovery_residual_state": (0.75, (0.2,)),
+            "recovery_residual_diag": (0.0, (0.1,)),
+        }
+
+    @pytest.mark.parametrize(
+        "spec", [make_spec, phase_flip_spec], ids=["eq16", "phaseflip"]
+    )
+    def test_maxima_are_those_of_the_rows(self, spec):
+        table = run_sweep(spec())
+        summary = detect_freezing(table)
+        verdicts = [row.verdict for row in table.rows]
+        assert summary.not_frozen_points == verdicts.count("NotFrozen")
+        assert summary.frozen == ("NotFrozen" not in verdicts)
+        assert list(summary.maxima) == list(ERROR_COLUMNS)
+        for name in ERROR_COLUMNS:
+            worst = table.rows[0]
+            for row in table.rows:
+                if getattr(row, name) > getattr(worst, name):
+                    worst = row
+            assert summary.maxima[name] == (getattr(worst, name), worst.params)
 
 
 class TestTransferWeights:
@@ -618,8 +674,13 @@ class TestNegativeControls:
         values = [row.c_rel_ent for row in table.rows]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier - 1e-6
-        summary = detect_freezing(table, tol=1e-8)
-        assert not summary["c_rel_ent"].frozen
+        summary = detect_freezing(table)
+        assert not summary.frozen
+        assert summary.not_frozen_points == len(grid)
+        assert summary.maxima["cr_deviation"] == (
+            pytest.approx(c_rel_ent(plus) - values[-1]),
+            (grid[-1],),
+        )
 
     def test_phase_rotated_superposition_decays_under_bit_flips(self):
         # (|00> + i|10>)/sqrt(2): the first-qubit coherence sits on the
@@ -635,9 +696,9 @@ class TestNegativeControls:
                 grids=((0.0, 0.1, 0.25, 0.4, 0.5), (0.0, 0.3)),
             )
         )
-        summary = detect_freezing(table, tol=1e-8)
-        assert not summary["c_rel_ent"].frozen
-        assert summary["c_rel_ent"].max_deviation > 0.1
+        summary = detect_freezing(table)
+        assert not summary.frozen
+        assert summary.maxima["cr_deviation"][0] > 0.1
         channel = local_channel([("bitflip", 0.25), ("bitflip", 0.3)])
         evolved = apply_channel(channel, state)
         brute = brute_apply(channel.operators, state.matrix)
@@ -669,7 +730,8 @@ class TestCsvOutput:
         lines = csv.strip().splitlines()
         comments = [line for line in lines if line.startswith("#")]
         assert "# state = phi N=2 l=00 sign=+" in comments
-        assert "# seed = none" in comments
+        keys = [line[2:].split(" = ")[0] for line in comments]
+        assert keys == ["state", "channel", "tie_parameters", "certificate_tol"]
         header = next(line for line in lines if not line.startswith("#"))
         assert header.split(",")[:4] == ["q1", "q2", "c_l1", "c_rel_ent"]
         # 12 significant digits

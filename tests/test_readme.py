@@ -45,7 +45,8 @@ def test_cli_quick_start(tmp_path, monkeypatch, capsys):
         ran.append(argv[1])
     assert ran == ["measure", "classify", "certify", "sweep"]
     assert (tmp_path / "sweep.csv").is_file()
-    assert "c_l1: Frozen" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "\nverdict = Frozen\nnot_frozen_points = 0 of 18\n" in out
 
 
 def test_sweep_example_is_the_documented_one():

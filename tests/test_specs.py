@@ -30,7 +30,6 @@ state.spec = phi N=2 l=00 sign=+
 channel.factors = [bitflip, bitflip]
 sweep.q1 = [0, 0.1, 0.2]
 sweep.q2 = [0, 0.5]
-tolerances.freezing = 1e-8
 tolerances.certificate = 1e-8
 output.path = out.csv
 """
@@ -304,6 +303,7 @@ class TestSweepFiles:
         assert spec.grids == ((0.0, 0.1, 0.2), (0.0, 0.5))
         assert not spec.tie_parameters
         assert spec.state_label == "phi N=2 l=00 sign=+"
+        assert spec.certificate_tol == 1e-8
 
     def test_tied_grid(self):
         text = SWEEP_TEXT.replace(
@@ -316,7 +316,7 @@ class TestSweepFiles:
 
     def test_unknown_key_has_line_number(self):
         text = SWEEP_TEXT + "sweep.q3 = [0.5]\n"
-        with pytest.raises(SpecParseError, match="line 9"):
+        with pytest.raises(SpecParseError, match="line 8"):
             parse_sweep_file(text)
 
     def test_unknown_section(self):
@@ -353,9 +353,9 @@ class TestSweepFiles:
     @pytest.mark.parametrize(
         "old, new, message",
         [
-            ("out.csv", "out.csv\nstray","line 9: expected section.key = value"),
-            ("output.path", "path", "line 8: key 'path' is missing a section"),
-            ("= out.csv", "=", "line 8: empty value for 'output.path'"),
+            ("out.csv", "out.csv\nstray","line 8: expected section.key = value"),
+            ("output.path", "path", "line 7: key 'path' is missing a section"),
+            ("= out.csv", "=", "line 7: empty value for 'output.path'"),
             ("channel.factors = [bitflip, bitflip]\n", "", "missing channel.factors"),
             (
                 "phi N=2 l=00 sign=+",
@@ -393,9 +393,15 @@ class TestSweepFiles:
                 "line 4: bad number for grid value: 'x'",
             ),
             (
+                "tolerances.certificate = 1e-8",
+                "tolerances.certificate = abc",
+                "line 6: bad number for tolerances.certificate: 'abc'",
+            ),
+            # The certificates decide a sweep; the removed key is unknown.
+            (
+                "tolerances.certificate = 1e-8",
                 "tolerances.freezing = 1e-8",
-                "tolerances.freezing = abc",
-                "line 6: bad number for tolerances.freezing: 'abc'",
+                "line 6: unknown key 'tolerances.freezing'",
             ),
         ],
     )

@@ -18,6 +18,7 @@ import pytest
 from cohfreeze import (
     CHANNEL_FACTORIES,
     DensityMatrix,
+    DimensionMismatchError,
     FreezingCertificate,
     KrausChannel,
     LocalChannel,
@@ -346,6 +347,61 @@ class TestMechanism:
             brute_apply(operators.conj().transpose(0, 2, 1), x),
             atol=1e-13,
         )
+
+
+class TestDimensionCheck:
+    """A state and a channel of different sizes are refused once, before
+    the layout is chosen, with apply_channel's message."""
+
+    @pytest.mark.parametrize(
+        "channel, state, lines",
+        [
+            ("local [bitflip q=0.2, bitflip q=0.2, bitflip q=0.2]", "phi", True),
+            ("local [phaseflip q=0.3]", "phi", True),
+            ("local [bitflip q=0.2, bitflip q=0.2, bitflip q=0.2]", "dense", False),
+            ("local [identity dim=3, bitflip q=0.2]", "phi", False),
+            ("raw dim=2 ops=[[1,0,0,1]]", "phi", False),
+        ],
+    )
+    def test_certify_freezing_refuses_a_size_mismatch(self, channel, state, lines):
+        channel = parse_channel_spec(channel)
+        rho0 = phi_state("01", "-") if state == "phi" else random_density(4, 2, 3)
+        # the layout the pair would take without the check
+        assert takes_the_lines(channel, rho0) is lines
+        with pytest.raises(DimensionMismatchError) as applied:
+            apply_channel(channel, rho0)
+        message = f"channel dim {channel.dim} does not match state dim 4"
+        assert str(applied.value) == message
+        for given in (rho0, recovery._initial(rho0)):
+            with pytest.raises(DimensionMismatchError) as certified:
+                certify_freezing(channel, given)
+            assert str(certified.value) == message
+
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 2), (64,)])
+    def test_contract_refuses_a_wrong_size_matrix(self, shape):
+        local = local_channel([("bitflip", 0.2)] * 3)
+        size = 4 if shape == (4, 4) else shape
+        message = f"channel dim 8 does not match state dim {size}"
+        for adjoint in (False, True):
+            with pytest.raises(DimensionMismatchError) as refused:
+                local.contract(np.zeros(shape), adjoint=adjoint)
+            assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "channel, message",
+        [
+            (
+                "local [bitflip q=0.2, bitflip q=0.2, bitflip q=0.2]",
+                "channel dim 8 does not match state dim 4",
+            ),
+            ("local [phaseflip q=0.3]", "channel dim 2 does not match state dim 4"),
+        ],
+    )
+    def test_cli_exits_3(self, channel, message, capsys):
+        argv = ["certify", "--state", "phi N=2 l=01 sign=-", "--channel", channel]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"validation error: {message}\n")
 
 
 def x_matrix(a, b, upper, lower, size=4):
