@@ -516,59 +516,64 @@ def identity_channel(dim: int = 2) -> KrausChannel:
     return KrausChannel((np.eye(dim, dtype=np.complex128),), label="identity")
 
 
+def _noise(kind: str, value: float, operators) -> KrausChannel:
+    """The CHANNEL_FACTORIES kind's channel at value, labelled
+    kind(key=value): value is checked under the kind's spec key, then
+    operators(value) gives its Kraus operators."""
+    key = CHANNEL_FACTORIES[kind][0]
+    value = check_unit_interval(key, value)
+    return KrausChannel(operators(value), label=f"{kind}({key}={value:g})")
+
+
 def bit_flip(q: float) -> KrausChannel:
     """Kraus operators sqrt(1-q) I and sqrt(q) X."""
-    q = check_unit_interval("q", q)
-    ops = (np.sqrt(1 - q) * _I, np.sqrt(q) * _X)
-    return KrausChannel(ops, label=f"bitflip(q={q:g})")
+    return _noise("bitflip", q, lambda q: (np.sqrt(1 - q) * _I, np.sqrt(q) * _X))
 
 
 def phase_flip(q: float) -> KrausChannel:
     """Kraus operators sqrt(1-q) I and sqrt(q) Z."""
-    q = check_unit_interval("q", q)
-    ops = (np.sqrt(1 - q) * _I, np.sqrt(q) * _Z)
-    return KrausChannel(ops, label=f"phaseflip(q={q:g})")
+    return _noise("phaseflip", q, lambda q: (np.sqrt(1 - q) * _I, np.sqrt(q) * _Z))
 
 
 def bit_phase_flip(q: float) -> KrausChannel:
     """Kraus operators sqrt(1-q) I and sqrt(q) Y."""
-    q = check_unit_interval("q", q)
-    ops = (np.sqrt(1 - q) * _I, np.sqrt(q) * _Y)
-    return KrausChannel(ops, label=f"bitphaseflip(q={q:g})")
+    return _noise("bitphaseflip", q, lambda q: (np.sqrt(1 - q) * _I, np.sqrt(q) * _Y))
 
 
 def depolarizing(q: float) -> KrausChannel:
     """Kraus operators sqrt(1-3q/4) I and sqrt(q/4) X, Y, Z."""
-    q = check_unit_interval("q", q)
-    ops = (
-        np.sqrt(1 - 3 * q / 4) * _I,
-        np.sqrt(q / 4) * _X,
-        np.sqrt(q / 4) * _Y,
-        np.sqrt(q / 4) * _Z,
+    return _noise(
+        "depolarizing",
+        q,
+        lambda q: (
+            np.sqrt(1 - 3 * q / 4) * _I,
+            *(np.sqrt(q / 4) * pauli for pauli in (_X, _Y, _Z)),
+        ),
     )
-    return KrausChannel(ops, label=f"depolarizing(q={q:g})")
 
 
 def phase_damping(lam: float) -> KrausChannel:
     """Kraus operators sqrt(1-lam) I, sqrt(lam) |0><0|, sqrt(lam) |1><1|."""
-    lam = check_unit_interval("lambda", lam)
-    p0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-    p1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
-    ops = (np.sqrt(1 - lam) * _I, np.sqrt(lam) * p0, np.sqrt(lam) * p1)
-    return KrausChannel(ops, label=f"phasedamping(l={lam:g})")
+    return _noise(
+        "phasedamping",
+        lam,
+        lambda lam: (np.sqrt(1 - lam) * _I, *(np.sqrt(lam) * np.diag(e) for e in _I)),
+    )
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
     """Kraus operators [[1,0],[0,sqrt(1-g)]] and [[0,sqrt(g)],[0,0]]."""
-    gamma = check_unit_interval("gamma", gamma)
-    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=np.complex128)
-    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=np.complex128)
-    return KrausChannel((k0, k1), label=f"amplitudedamping(g={gamma:g})")
+    return _noise(
+        "amplitudedamping",
+        gamma,
+        lambda g: (((1, 0), (0, np.sqrt(1 - g))), ((0, np.sqrt(g)), (0, 0))),
+    )
 
 
-# Per-qubit factory registry: kind -> (spec key, constructor); each
-# constructor takes one probability-like parameter in [0, 1], written
-# `kind key=value` in an inline channel spec.
+# Per-qubit factory registry: kind -> (spec key, constructor), the one place
+# a kind's key is written; each constructor takes one probability-like
+# parameter in [0, 1], written `kind key=value` in an inline channel spec
+# and named by its key when out of range.
 CHANNEL_FACTORIES = {
     "bitflip": ("q", bit_flip),
     "phaseflip": ("q", phase_flip),

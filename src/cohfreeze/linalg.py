@@ -76,11 +76,9 @@ def is_exactly_diagonal(matrix: np.ndarray) -> bool:
 
 def _x_lines(matrix: np.ndarray) -> np.ndarray | None:
     """The (2, d) lines of an X matrix, its diagonal matrix[i, i] and its
-    anti-diagonal matrix[i, d-1-i], when d is even and every other entry is
-    exactly zero; else None. Even d keeps the two lines apart."""
-    d = len(matrix)
-    if d % 2:
-        return None
+    anti-diagonal matrix[i, d-1-i], when every other entry is exactly zero;
+    else None. d must be even, as under qubit factors (d = 2^k): even d
+    keeps the two lines apart."""
     lines = np.stack([matrix.diagonal(), matrix[:, ::-1].diagonal()])
     if np.count_nonzero(matrix) != np.count_nonzero(lines):
         return None

@@ -6,23 +6,28 @@ image dt = channel(d0), the recovery map has operators
     R_n = d0^(1/2) K~_n^dag dt^(-1/2)
 
 where K~_n is K_n with every entry at or below ZERO_TOL set to zero (the
-stack classify judged) and dt^(-1/2) inverts dt on linalg.support(dt), zero
-off it. When dt is singular the projector onto its kernel is appended, which
-restores trace preservation. Reversing the evolution with such a map, itself
-incoherent, pins every coherence measure between its initial and final
-values, so a successful round trip certifies freezing of all measures at
-once. Each column of an incoherent K~_n holds at most one nonzero, so
-sum R_n^dag R_n is exactly diagonal; when each row does too, so does each
-R_n, and the recovery is as strictly incoherent as the channel.
+stack classify judged) and dt^(-1/2) inverts the recovery's weights off its
+kernel, zero on it. The weights are dt's diagonal on linalg.support(dt) and
+below it the judged image sum_n |K~_n[t, j]|^2 d0_j; the kernel is where a
+weight is not a normal float (zero or subnormal), so a tiny population
+keeps its coherences. When the kernel is not empty the projector onto it
+is appended, which restores trace preservation. Reversing the evolution
+with such a map, itself incoherent, pins every coherence measure between
+its initial and final values, so a successful round trip certifies
+freezing of all measures at once. Each column of an incoherent K~_n holds
+at most one nonzero, so sum R_n^dag R_n is exactly diagonal; when each row
+does too, so does each R_n, and the recovery is as strictly incoherent as
+the channel.
 
 For a LocalChannel, whose factors are strictly incoherent entry by entry,
 the certificate applies the recovery of its full Kraus list in closed form,
 
     R(X) = d0^(1/2) L^dag(dt^(-1/2) X dt^(-1/2)) d0^(1/2) + P_ker X P_ker,
 
-with L^dag the channel's adjoint applied factor by factor, and never builds
-the Kraus list; petz_recovery builds it through tensor(channel.factors).
-Either way the certificate reads R(rho_t) and R(dt) as unvalidated matrices.
+with L^dag the channel's adjoint applied factor by factor and dt's diagonal
+as the weights, and never builds the Kraus list; petz_recovery builds it
+through tensor(channel.factors). Either way the certificate reads R(rho_t)
+and R(dt) as unvalidated matrices.
 
 When every factor is a qubit and rho0 is an X state (every entry off the
 diagonal and anti-diagonal exactly zero; every diagonal state and every
@@ -31,8 +36,8 @@ its diagonal and its anti-diagonal, since the channel, its adjoint and the
 diagonal weights above keep X matrices X. The channel acts through its line
 kernel; each evolved state passes DensityMatrix's three rules on its 2 x 2
 blocks {i, d-1-i}, read from the lower triangle as eigvalsh reads it, and
-C_r comes from those blocks' eigenvalues; the recovery, with the kernel
-rule of linalg.support, both residuals and the l1 bound are elementwise.
+C_r comes from those blocks' eigenvalues; the recovery, with the same
+kernel rule, both residuals and the l1 bound are elementwise.
 The layout is chosen once, in certify_freezing, and final_state, the
 validated DensityMatrix channel(rho0), is built only when it is read.
 """
@@ -80,17 +85,26 @@ CERTIFICATE_TOL = 1e-8
 
 
 def _recovery_weights(
-    d0: np.ndarray, dt: np.ndarray
+    d0: np.ndarray, dt: np.ndarray, entries: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """d0^(1/2), dt^(-1/2) on dt's support (zero on its kernel), and the
-    kernel mask, from the clipped real diagonals d0 of delta0 and dt of
-    channel(delta0). An incoherent channel's dt has off-diagonal entries
-    only from Kraus entries at or below ZERO_TOL, which the recovery does
-    not read."""
+    """d0^(1/2), w^(-1/2) off the kernel (zero on it), and the kernel mask,
+    from the clipped real diagonals d0 of delta0 and dt of channel(delta0).
+
+    The weights w are dt. Given the (operator, row, column, value) entries
+    classify judged, a Kraus list's recovery takes below linalg.support(dt)
+    their image sum_n |K~_n[t, j]|^2 d0_j instead, so support picks the
+    source of a weight, not the kernel. The kernel is where w is not a
+    normal float (zero or subnormal), so w^(-1/2) squared stays finite.
+    An incoherent channel's dt has off-diagonal entries only from Kraus
+    entries at or below ZERO_TOL, which the recovery does not read."""
     d0 = np.clip(d0.real, 0.0, None)
-    dt = np.clip(dt.real, 0.0, None)
-    kernel = ~support(dt)
-    inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, dt)))
+    weights = np.clip(dt.real, 0.0, None)
+    if entries is not None:
+        _, row, column, value = entries
+        judged = np.bincount(row, np.abs(value) ** 2 * d0[column], len(d0))
+        weights = np.where(support(weights), weights, judged)
+    kernel = weights < np.finfo(float).tiny
+    inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, weights)))
     return np.sqrt(d0), inv_sqrt, kernel
 
 
@@ -125,7 +139,7 @@ def _recovery_channel(
         )
     delta_t = apply_channel(channel, delta0)
     sqrt0, inv_sqrt, kernel = _recovery_weights(
-        delta0.matrix.diagonal(), delta_t.matrix.diagonal()
+        delta0.matrix.diagonal(), delta_t.matrix.diagonal(), classification._entries
     )
     operator, row, column, value = classification._entries
     n, ker = len(channel.operators), np.flatnonzero(kernel)

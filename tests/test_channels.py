@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohfreeze import (
+    CHANNEL_FACTORIES,
     ChannelClass,
     ClassificationWitness,
     DimensionMismatchError,
@@ -426,10 +427,14 @@ class TestFactories:
 
     @pytest.mark.parametrize("name", sorted(LIBRARY))
     def test_parameter_range(self, name):
-        with pytest.raises(OutOfRangeError):
-            LIBRARY[name](-0.1)
-        with pytest.raises(OutOfRangeError):
-            LIBRARY[name](1.1)
+        # The range error and the label name the kind's spec key.
+        key, factory = CHANNEL_FACTORIES[name]
+        assert factory is LIBRARY[name]
+        for value in (-0.1, 1.1):
+            with pytest.raises(OutOfRangeError) as info:
+                factory(value)
+            assert str(info.value) == f"{key} must be in [0, 1], got {value}"
+        assert factory(0.25).label == f"{name}({key}=0.25)"
 
 
 class TestLocalChannel:

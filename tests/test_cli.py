@@ -234,6 +234,21 @@ class TestClassify:
         assert captured.out == ""
         assert captured.err.startswith("validation error: completeness fails: ")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("phasedamping l=1.5", "l must be in [0, 1], got 1.5"),
+            ("amplitudedamping g=2", "g must be in [0, 1], got 2.0"),
+            (
+                "local [bitflip q=0.1, depolarizing q=-1]",
+                "q must be in [0, 1], got -1.0",
+            ),
+        ],
+    )
+    def test_out_of_range_parameter_is_named_by_its_key(self, spec, message, capsys):
+        assert run_cli("classify", "--channel", spec) == 3
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
     def test_zero_tol_zero_still_classifies(self, capsys):
         assert run_cli("classify", "--channel", "bitflip q=0.3", "--zero-tol", "0") == 0
         assert "class = StrictlyIncoherent" in capsys.readouterr().out
@@ -301,6 +316,17 @@ class TestCertify:
         out = capsys.readouterr().out
         assert out.startswith("verdict = Frozen\n")
         assert "recovery_witness = none\n" in out
+
+    @pytest.mark.parametrize(
+        "channel", ["raw dim=2 ops=[[1,0,0,1]]", "local [bitflip q=0]"]
+    )
+    def test_identity_keeps_a_coherence_beside_a_small_population(
+        self, channel, capsys
+    ):
+        # Only a weight that is not a normal float is in the recovery's kernel.
+        state = "raw dim=2 entries=[1,1e-7,1e-7,1e-14]"
+        assert run_cli("certify", "--state", state, "--channel", channel) == 0
+        assert capsys.readouterr().out.startswith("verdict = Frozen\n")
 
     def test_io_only_with_override(self, capsys):
         h = "0.7071067811865476"
@@ -429,6 +455,51 @@ class TestSweep:
             expected.append(f"max_{column} = {cells[first]} at {point}")
         assert capsys.readouterr().out.splitlines()[:-1] == expected
         assert code == (1 if not_frozen else 0)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                "channel.factors = [bitflip, bitflip]\nsweep.q = [0.1]\n"
+                "tolerances.certificate = nan\n",
+                "certificate_tol must be finite and positive, got nan",
+            ),
+            (
+                "channel.factors = [bitflip, bitflip, bitflip]\nsweep.q = [0.1]\n",
+                "state dim 4 does not match 3 qubit factors",
+            ),
+            (
+                "channel.factors = [bitflip, bitflip]\nsweep.q = [1.5]\n",
+                "grid value must be in [0, 1], got 1.5",
+            ),
+            (
+                "channel.factors = [" + ", ".join(["bitflip"] * 7) + "]\n"
+                "sweep.q = [0.1]\n",
+                "dimension 128 exceeds the supported maximum 64",
+            ),
+            (
+                "channel.factors = [bitflip, bitflip]\n"
+                + "".join(
+                    f"sweep.q{i} = [{', '.join(str(k / 100) for k in range(101))}]\n"
+                    for i in (1, 2)
+                ),
+                "grid has 10201 points, maximum is 10000",
+            ),
+        ],
+        ids=["nan-tolerance", "three-factors", "grid-range", "seven-factors", "points"],
+    )
+    def test_invalid_sweep_exits_2(self, lines, message, tmp_path, capsys):
+        # Every line parses; SweepSpec refuses the whole.
+        spec_file = tmp_path / "invalid.spec"
+        spec_file.write_text("state.spec = phi N=2 l=00 sign=+\n" + lines)
+        out_file = tmp_path / "out.csv"
+        assert run_cli("sweep", "--spec", str(spec_file), "--out", str(out_file)) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            f"parse error: invalid sweep: {message}\n",
+        )
+        assert not out_file.exists()
 
     def test_negative_seed_in_state_spec_exits_2(self, tmp_path, capsys):
         spec_file = tmp_path / "seed.spec"

@@ -114,14 +114,6 @@ def phased_permutation_cases(draws):
         yield unitary, np.outer(amplitudes, amplitudes.conj())
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 11: a phased-permutation unitary freezes every "
-    "state, but the recovery's kernel takes every population of channel(d0) "
-    "at or below SUPPORT_CUTOFF times the largest, so a state with tiny "
-    "populations certifies NotFrozen",
-)
 def test_phased_permutation_unitary_freezes_every_state():
     for unitary, rho in phased_permutation_cases(40):
         assert certify(unitary[None], rho, True).failed_checks == ()

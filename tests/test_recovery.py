@@ -7,6 +7,7 @@ from cohfreeze import (
     ChannelClass,
     DensityMatrix,
     KrausChannel,
+    LocalChannel,
     NotDiagonalError,
     NotIncoherentChannelError,
     NotStrictlyIncoherentError,
@@ -163,6 +164,36 @@ class TestPetzRecovery:
         np.testing.assert_array_equal(
             petz_recovery(channel, delta0).operators, np.array(expected)
         )
+
+
+def small_population_state(population, dim):
+    """The pure state sqrt(1-p)|0> + sqrt(p)|1> in dimension dim."""
+    amplitudes = np.zeros(dim)
+    amplitudes[:2] = np.sqrt(1 - population), np.sqrt(population)
+    return DensityMatrix(np.outer(amplitudes, amplitudes).astype(complex))
+
+
+class TestExactKernel:
+    """Only a weight that is not a normal float is in the recovery's kernel,
+    so a channel that changes nothing keeps the coherence beside a tiny
+    population, and no weight overflows on a subnormal one."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("population", [1e-14, 1e-100, 1e-300, 1e-310, 5e-324])
+    @pytest.mark.parametrize(
+        "channel, dim",
+        [
+            (identity_channel(2), 2),
+            (local_channel([("bitflip", 0.0)]), 2),
+            (local_channel([("bitflip", 0.0)] * 2), 4),
+        ],
+        ids=["identity", "local-x-state", "local-dense"],
+    )
+    def test_unchanged_state_is_frozen(self, channel, dim, population):
+        rho = small_population_state(population, dim)
+        if isinstance(channel, LocalChannel):  # an X state takes the lines
+            assert (channel._lines_of(rho.matrix) is None) == (dim == 4)
+        assert certify_freezing(channel, rho).verdict == "Frozen"
 
 
 class TestCertifyFreezing:

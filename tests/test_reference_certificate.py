@@ -80,14 +80,6 @@ def test_local_channels_of_library_kinds(num_qubits):
             assert_agrees(certificate, tensor(channel.factors).operators, rho)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 11: the recovery's kernel takes every population of "
-    "channel(d0) at or below SUPPORT_CUTOFF times the largest, not only the "
-    "zeros, so P_ker X P_ker drops the 1e-7 coherence beside a population of "
-    "1e-14 and the residual reads 1e-7",
-)
 def test_identity_channel_freezes_a_small_population():
     rho = DensityMatrix(np.array([[1, 1e-7], [1e-7, 1e-14]], dtype=complex))
     channel = identity_channel(2)
