@@ -10,7 +10,7 @@ certificates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -44,11 +44,8 @@ MAX_GRID_POINTS = 10_000
 DEFAULT_GRID_POINTS = 11
 FAMILY_TOL = 1e-9  # a reproduction's measures against their closed forms
 TRANSFER_TOL = 1e-10  # evolved family state against its analytic mixture
-# Every table records this panel: one certificate decides all measures at once.
-MEASURE_NAMES = ("c_l1", "c_rel_ent")
 # The certificate's errors, of which a sweep's summary reports the largest.
 _ERROR_COLUMNS = ("cr_deviation", "recovery_residual_state", "recovery_residual_diag")
-_CSV_COLUMNS = MEASURE_NAMES + ("verdict",) + _ERROR_COLUMNS
 
 
 def _point_count(points) -> int:
@@ -157,6 +154,11 @@ class TrajectoryRow:
     cr_deviation: float
     recovery_residual_state: float
     recovery_residual_diag: float
+
+
+# A table's columns after its parameters: the measures, which one certificate
+# decides at once, the verdict and the certificate's errors.
+_CSV_COLUMNS = tuple(f.name for f in fields(TrajectoryRow) if f.name != "params")
 
 
 @dataclass(frozen=True)

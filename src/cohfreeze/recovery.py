@@ -368,7 +368,8 @@ def certify_freezing(
         raise NotStrictlyIncoherentError(
             f"channel classifies {classification.channel_class.value} "
             f"({classification.witness.describe()}); "
-            "pass enforce_hypothesis=False to explore anyway"
+            "pass enforce_hypothesis=False (cohfreeze certify --allow-non-strict) "
+            "to explore anyway"
         )
     initial = rho0 if isinstance(rho0, _Initial) else _initial(rho0)
     _check_dim(channel, initial.state.matrix.shape)  # before either layout

@@ -81,7 +81,8 @@ def _split_top_level(text: str, separator: str | None = None) -> list[str]:
 
 
 def _parse_tokens(text: str) -> tuple[str, dict[str, str], list[str]]:
-    """Return (constructor, key=value map, positional bracket arguments)."""
+    """Return (constructor, key=value map, positional bracket arguments);
+    only a local takes a bracket argument."""
     tokens = _split_top_level(text)
     if not tokens:
         raise SpecParseError("empty specification")
@@ -90,6 +91,8 @@ def _parse_tokens(text: str) -> tuple[str, dict[str, str], list[str]]:
     positional: list[str] = []
     for token in tokens[1:]:
         if token.startswith("["):
+            if name != "local":
+                raise SpecParseError(f"unexpected bracket argument for {name!r}")
             positional.append(token)
             continue
         if "=" not in token:
@@ -178,9 +181,7 @@ def _raw_matrix(text: str, dim: int, needs: str) -> np.ndarray:
 
 def parse_state_spec(text: str) -> DensityMatrix:
     """Build a state from its inline constructor specification."""
-    name, kwargs, positional = _parse_tokens(text)
-    if positional:
-        raise SpecParseError(f"unexpected bracket argument for {name!r}")
+    name, kwargs, _ = _parse_tokens(text)
     if name == "phi":
         n, bits, sign = _read(kwargs, "phi", N=_size, l=_text, sign=_text)
         if len(bits) != n:
@@ -241,8 +242,6 @@ def _build_channel(name: str, kwargs: dict[str, str], positional: list[str]):
     """Build a channel from the tokens of its specification."""
     if name == "local":
         return local_channel(_local_factors(kwargs, positional))
-    if positional:
-        raise SpecParseError(f"unexpected bracket argument for {name!r}")
     if name == "identity":
         (dim,) = _read({"dim": "2", **kwargs}, "identity", dim=_size)
         return identity_channel(dim)
@@ -275,11 +274,12 @@ def _local_factors(kwargs: dict[str, str], positional: list[str]) -> list:
     return factors
 
 
-_SWEEP_SECTIONS = {"state", "channel", "sweep", "tolerances", "output"}
-
-
 def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
-    """Parse a sweep file; returns the spec and the optional output path."""
+    """Parse a sweep file; returns the spec and the optional output path.
+
+    Lines are stored in order and each known key is taken by its reader;
+    once every required key is present, whatever is left is refused as an
+    unknown key at the first such line."""
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -290,11 +290,6 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
         key_part, value = line.split("=", 1)
         key = key_part.strip()
         value = value.strip()
-        if "." not in key:
-            raise SpecParseError(f"key {key!r} is missing a section", line=lineno)
-        section = key.split(".", 1)[0]
-        if section not in _SWEEP_SECTIONS:
-            raise SpecParseError(f"unknown section {section!r}", line=lineno)
         if key in entries:
             raise SpecParseError(f"duplicate key {key!r}", line=lineno)
         if not value:
@@ -304,7 +299,8 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
     def take(key: str, reader, required: bool = False):
         """Pop key's entry and read its value with reader, naming its line
         in any refusal: a parse error keeps its message, any other error is
-        a bad value of key. An absent key is None, or refused if required."""
+        a bad value of key. An absent key is None, or refused if required;
+        a key no take pops is left for the unknown-key refusal."""
         if key not in entries:
             if required:
                 raise SpecParseError(f"missing {key}")
@@ -342,7 +338,7 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
     output_path = take("output.path", _text)
 
     if entries:
-        key = sorted(entries)[0]
+        key = next(iter(entries))
         raise SpecParseError(f"unknown key {key!r}", line=entries[key][1])
 
     try:

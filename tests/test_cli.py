@@ -628,6 +628,12 @@ class TestReproduce:
 
 
 RAW_IO = "raw dim=2 ops=[[0.6,0.8,0,0],[0,0,0.8,-0.6]]"
+STRICTNESS_REFUSAL = (
+    "validation error: channel classifies IncoherentOnly "
+    "(operator 0, row 0, columns (0, 1)); "
+    "pass enforce_hypothesis=False (cohfreeze certify --allow-non-strict) "
+    "to explore anyway\n"
+)
 H = "0.7071067811865476"
 IO_ONLY = f"raw dim=2 ops=[[{H},{H},0,0],[{H},-{H},0,0]]"
 # Strictly incoherent at the default zero_tol, not entry by entry.
@@ -737,11 +743,14 @@ class TestGoldenStdout:
         assert run_cli(*argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "validation error: channel classifies IncoherentOnly "
-            "(operator 0, row 0, columns (0, 1)); "
-            "pass enforce_hypothesis=False to explore anyway\n"
-        )
+        assert captured.err == STRICTNESS_REFUSAL
+
+    def test_strictness_refusal_names_the_cli_switch(self, capsys):
+        argv = ("certify", "--state", "phi N=1 l=0 sign=+", "--channel", RAW_IO)
+        assert run_cli(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == STRICTNESS_REFUSAL
 
 
 class TestEntryPoint:

@@ -227,6 +227,8 @@ class TestInlineRefusals:
             ("measure", "pure amps=[1] normalize=no", "bad boolean for normalize: 'no'"),
             ("measure", "phi [0] N=1 l=0 sign=+", "unexpected bracket argument for 'phi'"),
             ("classify", "bitflip [q] q=0", "unexpected bracket argument for 'bitflip'"),
+            # Only a channel's local takes a bracket argument.
+            ("measure", "local [bitflip q=0.1]", "unknown state constructor 'local'"),
             ("measure", "phi N=2 l=00 sign=x", "sign must be + or -, got 'x'"),
             (
                 "measure",
@@ -295,6 +297,18 @@ class TestBracketScanning:
             np.testing.assert_array_equal(got, want)
 
 
+def assert_sweep_refusal(text, message, tmp_path, capsys):
+    """parse_sweep_file refuses text with exactly message, and cohfreeze
+    sweep exits 2 on it, naming the message."""
+    with pytest.raises(SpecParseError) as excinfo:
+        parse_sweep_file(text)
+    assert str(excinfo.value) == message
+    spec_file = tmp_path / "bad.spec"
+    spec_file.write_text(text)
+    assert main(["sweep", "--spec", str(spec_file)]) == 2
+    assert message in capsys.readouterr().err
+
+
 class TestSweepFiles:
     def test_happy_path(self):
         spec, out = parse_sweep_file(SWEEP_TEXT)
@@ -319,9 +333,22 @@ class TestSweepFiles:
         with pytest.raises(SpecParseError, match="line 8"):
             parse_sweep_file(text)
 
-    def test_unknown_section(self):
-        with pytest.raises(SpecParseError, match="line 1"):
-            parse_sweep_file("plotting.style = dark\n")
+    def test_unknown_section(self, tmp_path, capsys):
+        # A section the grammar does not name is an unknown key like any other.
+        text = SWEEP_TEXT.replace("output.path = out.csv", "plotting.style = dark")
+        assert_sweep_refusal(
+            text, "line 7: unknown key 'plotting.style'", tmp_path, capsys
+        )
+
+    def test_first_unknown_key_by_line(self, tmp_path, capsys):
+        text = (
+            "state.spec = phi N=2 l=00 sign=+\n"
+            "state.foo = 1\n"
+            "channel.factors = [bitflip, bitflip]\n"
+            "sweep.q = [0.1]\n"
+            "channel.bar = 2\n"
+        )
+        assert_sweep_refusal(text, "line 2: unknown key 'state.foo'", tmp_path, capsys)
 
     def test_empty_grid(self):
         text = SWEEP_TEXT.replace("sweep.q2 = [0, 0.5]", "sweep.q2 = []")
@@ -345,16 +372,20 @@ class TestSweepFiles:
         with pytest.raises(SpecParseError, match="duplicate"):
             parse_sweep_file(text)
 
-    def test_tied_and_per_qubit_conflict(self):
+    def test_tied_and_per_qubit_conflict(self, tmp_path, capsys):
         text = SWEEP_TEXT + "sweep.q = [0.5]\n"
-        with pytest.raises(SpecParseError):
-            parse_sweep_file(text)
+        assert_sweep_refusal(
+            text,
+            "line 4: sweep.q cannot be combined with per-qubit grids",
+            tmp_path,
+            capsys,
+        )
 
     @pytest.mark.parametrize(
         "old, new, message",
         [
             ("out.csv", "out.csv\nstray","line 8: expected section.key = value"),
-            ("output.path", "path", "line 7: key 'path' is missing a section"),
+            ("output.path", "path", "line 7: unknown key 'path'"),
             ("= out.csv", "=", "line 7: empty value for 'output.path'"),
             ("channel.factors = [bitflip, bitflip]\n", "", "missing channel.factors"),
             (
@@ -406,14 +437,7 @@ class TestSweepFiles:
         ],
     )
     def test_refusal_messages(self, old, new, message, tmp_path, capsys):
-        text = SWEEP_TEXT.replace(old, new)
-        with pytest.raises(SpecParseError) as excinfo:
-            parse_sweep_file(text)
-        assert str(excinfo.value) == message
-        spec_file = tmp_path / "bad.spec"
-        spec_file.write_text(text)
-        assert main(["sweep", "--spec", str(spec_file)]) == 2
-        assert message in capsys.readouterr().err
+        assert_sweep_refusal(SWEEP_TEXT.replace(old, new), message, tmp_path, capsys)
 
     def test_negative_seed_in_state_spec(self):
         text = SWEEP_TEXT.replace(
