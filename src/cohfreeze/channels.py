@@ -30,15 +30,17 @@ change the output. Small channels (numpy's fixed cost per call outweighs
 the saved arithmetic) and every other stack take the batched product.
 
 A local channel whose factors are strictly incoherent entry by entry, as its
-constructor judges once per factor, is kept as its factors (LocalChannel) and
-applied, adjoint-applied and classified one factor at a time; local_channel
-builds any other with tensor, the one builder of a Kronecker list. A qubit
-factor's operators are diagonal or anti-diagonal, so under qubit factors an
-X matrix (every entry off the diagonal and anti-diagonal exactly zero)
-stays one: contract, and with it apply_channel, takes such a matrix through
-one line kernel (LocalChannel._contract_lines), which evolves its diagonal
-and anti-diagonal, two length-d lines, by two 2 x 2 blocks of each factor's
-superoperator.
+constructor judges in one scan of their stacked operators (one stack per
+factor dimension, by classify's own crowded-line rule), is kept as its
+factors (LocalChannel) and applied, adjoint-applied and classified one
+factor at a time; local_channel builds any other with tensor, the one
+builder of a Kronecker list. A qubit factor's operators are diagonal or
+anti-diagonal, so under qubit factors an X matrix (every entry off the
+diagonal and anti-diagonal exactly zero) stays one: contract, and with it
+apply_channel, takes such a matrix through one line kernel
+(LocalChannel._contract_lines), which evolves its diagonal and
+anti-diagonal, two length-d lines, by two 2 x 2 blocks of each factor's
+superoperator, and takes a stack of such line pairs in the same pass.
 """
 
 from __future__ import annotations
@@ -219,6 +221,7 @@ class KrausChannel:
     label: str = ""
     _monomial: tuple | None = field(init=False, repr=False)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a NaN defect fails below
     def __post_init__(self):
         entries = self.operators
         if isinstance(entries, _Entries):
@@ -231,8 +234,7 @@ class KrausChannel:
         form = None
         if ops.shape[1] >= STRUCTURED_MIN_DIM:
             form = _monomial_form(ops) if entries is None else _entry_form(entries)
-        with np.errstate(over="ignore", invalid="ignore"):  # NaN fails below
-            defect = _completeness_defect(ops, form)
+        defect = _completeness_defect(ops, form)
         if not defect <= COMPLETENESS_TOL:
             raise ValidationError(
                 f"completeness fails: max |sum K^dag K - I| = {defect:.3e}"
@@ -299,8 +301,14 @@ class LocalChannel:
             raise ValidationError("local channel needs at least one factor")
         if not all(isinstance(f, KrausChannel) for f in factors):
             raise ValidationError("local channel factors must be KrausChannels")
-        for f in factors:  # counting every nonzero entry, however small
-            if classify(f, 0.0).channel_class is not ChannelClass.STRICTLY_INCOHERENT:
+        stacks = {}  # the factors' operators, one stack per dimension
+        for f in factors:
+            stacks.setdefault(f.dim, []).append(f.operators)
+        for same_dim in stacks.values():
+            ops = np.concatenate(same_dim)
+            # classify(f, 0.0) of every factor at once: every nonzero entry
+            # counts, however small
+            if _crowded_line(_listed(ops, ops != 0)) is not None:
                 raise NotStrictlyIncoherentError(
                     "local channel factors must be strictly incoherent entry by entry"
                 )
@@ -356,7 +364,8 @@ class LocalChannel:
         return None if self._blocks is None else _x_lines(matrix)
 
     def _contract_lines(self, lines: np.ndarray, *, adjoint: bool = False):
-        """contract on the (2, dim) lines of an X matrix, returning lines.
+        """contract on the (2, dim) lines of an X matrix, or on a (k, 2, dim)
+        stack of them, all in one pass; returns lines of the same shape.
 
         A qubit factor's operators are diagonal or anti-diagonal, so its
         superoperator maps the diagonal pairs (0, 0), (1, 1) among
@@ -365,10 +374,10 @@ class LocalChannel:
         multiplies the leading qubit's index and rotates it to the back.
         """
         blocks = self._blocks.conj().swapaxes(-1, -2) if adjoint else self._blocks
-        x = lines.reshape(2, 2, -1)
+        x = lines.reshape(-1, 2, 2, lines.shape[-1] // 2)
         for block in blocks:
-            x = (block @ x).swapaxes(1, 2).reshape(2, 2, -1)
-        return x.reshape(2, -1)
+            x = (block @ x).swapaxes(2, 3).reshape(x.shape)
+        return x.reshape(lines.shape)
 
 
 class ChannelClass(enum.Enum):
@@ -422,8 +431,19 @@ def classify(
         )
     if isinstance(channel, LocalChannel):
         return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None)
-    operator, row, column, _ = entries = _judged_entries(channel, zero_tol)
-    n, d, _ = channel.operators.shape
+    entries = _judged_entries(channel, zero_tol)
+    crowded = _crowded_line(_Entries(channel.operators.shape, *entries))
+    if crowded is None:
+        return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None, entries)
+    return ChannelClassification(*crowded, entries)
+
+
+def _crowded_line(entries: _Entries) -> tuple | None:
+    """classify's rule on a stack's listed entries: (class, witness) of the
+    first column of an operator that holds two of them (NotIncoherent), else
+    of the first such row (IncoherentOnly); None when every line holds at
+    most one (StrictlyIncoherent)."""
+    (n, d, _), operator, row, column, _ = entries
     for kind, axis, line, position in (
         (ChannelClass.NOT_INCOHERENT, "column", column, row),
         (ChannelClass.INCOHERENT_ONLY, "row", row, column),
@@ -433,9 +453,8 @@ def classify(
         if first is not None:
             op, at = divmod(first, d)
             on_line = tuple(int(i) for i in position[key == first])
-            witness = ClassificationWitness(op, axis, at, on_line)
-            return ChannelClassification(kind, witness, entries)
-    return ChannelClassification(ChannelClass.STRICTLY_INCOHERENT, None, entries)
+            return kind, ClassificationWitness(op, axis, at, on_line)
+    return None
 
 
 def _judged_entries(channel: KrausChannel, zero_tol: float):

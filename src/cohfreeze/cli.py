@@ -2,7 +2,7 @@
 
 Exit codes are stable: 0 success (certify and sweep: Frozen), 1 NotFrozen
 (a sweep: at any grid point), 2 parse error, 3 validation/hypothesis error,
-4 internal numerical failure.
+4 internal numerical failure, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ EXIT_NOT_FROZEN = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a closed pipe
 
 OUTDIR_ENV = "COHFREEZE_OUTDIR"
 
@@ -201,7 +202,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run main and exit with its code. A reader that closes stdout early
+    (cohfreeze ... | head) ends the run quietly with EXIT_BROKEN_PIPE,
+    whether print or the final flush meets the closed pipe."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -33,13 +33,17 @@ When every factor is a qubit and rho0 is an X state (every entry off the
 diagonal and anti-diagonal exactly zero; every diagonal state and every
 d = 2 state is one), the certificate runs on the two lines of each matrix,
 its diagonal and its anti-diagonal, since the channel, its adjoint and the
-diagonal weights above keep X matrices X. The channel acts through its line
-kernel; each evolved state passes DensityMatrix's three rules on its 2 x 2
-blocks {i, d-1-i}, read from the lower triangle as eigvalsh reads it, and
-C_r comes from those blocks' eigenvalues; the recovery, with the same
-kernel rule, both residuals and the l1 bound are elementwise.
-The layout is chosen once, in certify_freezing, and final_state, the
-validated DensityMatrix channel(rho0), is built only when it is read.
+diagonal weights above keep X matrices X. delta0 is then rho0's diagonal
+line, never a d x d state: rho0 has passed DensityMatrix's three rules, so
+its dephased state does too. The channel acts through its line kernel, on
+rho0's and delta0's lines as one stack; each evolved state passes
+DensityMatrix's three rules on its 2 x 2 blocks {i, d-1-i}, read from the
+lower triangle as eigvalsh reads it, and C_r comes from those blocks'
+eigenvalues; the recovery, with the same kernel rule, takes rho_t's and
+delta_t's lines as one stack, and both residuals and the l1 bound are
+elementwise. The layout is chosen once, in certify_freezing, before delta0
+is built, and final_state, the validated DensityMatrix channel(rho0), is
+built only when it is read.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ from .errors import (
     NumericalInconsistencyError,
 )
 from .linalg import (
-    _x_lines,
     _x_matrix,
     check_tolerance,
     is_exactly_diagonal,
@@ -165,8 +168,9 @@ def _closed_form_recovery(
     """The action of petz_recovery(channel, delta0), as a function from a
     matrix to the matrix of its image, without the recovery's Kraus list;
     d0 and dt are the diagonals of delta0 and of channel(delta0). With
-    lines=True it maps the (2, d) lines of an X matrix to those of its
-    image, through the channel's line kernel: every product is elementwise.
+    lines=True it maps a (k, 2, d) stack of X matrices' lines to those of
+    their images in one pass of the channel's line kernel: every product is
+    elementwise.
 
     A LocalChannel's factors are strictly incoherent entry by entry, so
     channel(delta0) is exactly diagonal and sum R_n^dag R_n = dt^(-1/2)
@@ -312,27 +316,27 @@ def _line_l1(lines: np.ndarray) -> float:
 
 
 def _line_round_trip(
-    channel: LocalChannel,
-    classification: ChannelClassification,
-    initial: _Initial,
-    x0: np.ndarray,
+    channel: LocalChannel, classification: ChannelClassification, x0: np.ndarray
 ) -> _RoundTrip:
     """The round trip on the (2, d) lines x0 of an X state rho0 under
     qubit factors (linalg._x_lines): the evolved states stay X matrices,
     each passes DensityMatrix's rules on its 2 x 2 blocks (states._x_spectrum),
-    and C_r reads those blocks' eigenvalues."""
-    delta0 = _x_lines(initial.delta0.matrix)
-    x_t, delta_t = (channel._contract_lines(x) for x in (x0, delta0))
+    and C_r reads those blocks' eigenvalues. delta0 = dephase(rho0) is x0's
+    diagonal line alone. rho0's and delta0's lines go through the channel
+    as one stack, and rho_t's and delta_t's through the recovery."""
+    start = np.stack([x0, x0])  # rho0's lines, then delta0's
+    start[1, 1] = 0
+    x_t, delta_t = evolved = channel._contract_lines(start)
     spectrum = _x_spectrum(x_t)
     _x_spectrum(delta_t)
     cr = _entropy_gap(x_t[0].real, spectrum) if x_t[1].any() else 0.0
-    recover = _closed_form_recovery(channel, delta0[0], delta_t[0], lines=True)
-    state_error = recover(x_t) - x0
+    recover = _closed_form_recovery(channel, x0[0], delta_t[0], lines=True)
+    state_error, diag_error = recover(evolved) - start
     return _RoundTrip(
         cr,
         _line_l1(x_t),
         state_error,
-        recover(delta_t) - delta0,
+        diag_error,
         lambda: _line_l1(state_error),
         classification,
         x_t,
@@ -357,7 +361,8 @@ def certify_freezing(
 
     rho0 is a DensityMatrix, or the record _initial(rho0) of its dephased
     reference and initial measures: a sweep, where only the channel changes,
-    prepares that record once and hands it to every grid point's call.
+    prepares that record once and hands it to every grid point's call. The
+    line layout builds no such record: its delta0 is rho0's diagonal line.
     """
     check_tolerance("tolerance", tol)
     classification = classify(channel)
@@ -371,17 +376,20 @@ def certify_freezing(
             "pass enforce_hypothesis=False (cohfreeze certify --allow-non-strict) "
             "to explore anyway"
         )
-    initial = rho0 if isinstance(rho0, _Initial) else _initial(rho0)
-    _check_dim(channel, initial.state.matrix.shape)  # before either layout
+    state = rho0.state if isinstance(rho0, _Initial) else rho0
+    _check_dim(channel, state.matrix.shape)  # before either layout
     x0 = None
     if isinstance(channel, LocalChannel):  # the line layout, when it applies
-        x0 = channel._lines_of(initial.state.matrix)
+        x0 = channel._lines_of(state.matrix)
     if x0 is None:
+        initial = rho0 if isinstance(rho0, _Initial) else _initial(rho0)
+        cr0, l1_0 = initial.cr, initial.l1
         trip = _dense_round_trip(channel, classification, initial)
-    else:
-        trip = _line_round_trip(channel, classification, initial, x0)
-    cr_deviation = abs(trip.cr - initial.cr)
-    l1_deviation = abs(trip.l1 - initial.l1)
+    else:  # no dephased d x d state
+        cr0, l1_0 = c_rel_ent(state), c_l1(state)
+        trip = _line_round_trip(channel, classification, x0)
+    cr_deviation = abs(trip.cr - cr0)
+    l1_deviation = abs(trip.l1 - l1_0)
     residual_state = max_abs(trip.state_error)
     residual_diag = max_abs(trip.diag_error)
     recovery_incoherent = (
@@ -407,10 +415,10 @@ def certify_freezing(
                 f"{tol:.3e} plus the round-trip bound {bound:.3e}"
             )
     return FreezingCertificate(
-        cr_initial=initial.cr,
+        cr_initial=cr0,
         cr_final=trip.cr,
         cr_deviation=cr_deviation,
-        c_l1_initial=initial.l1,
+        c_l1_initial=l1_0,
         c_l1_final=trip.l1,
         c_l1_deviation=l1_deviation,
         recovery_residual_state=residual_state,

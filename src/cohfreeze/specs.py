@@ -16,6 +16,7 @@ docs/spec-format.md for the full grammar.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -54,27 +55,37 @@ def parse_complex(token: str) -> complex:
         raise SpecParseError(f"bad complex number {token!r}") from None
 
 
+_BRACKET = re.compile(r"[\[\]]")
+_SPACE = re.compile(r"\s")
+
+
 def _split_top_level(text: str, separator: str | None = None) -> list[str]:
     """Split at bracket depth zero: on separator, keeping empty parts, or by
-    default on whitespace, dropping empty parts."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "[":
+    default on whitespace, dropping empty parts. Each stretch between two
+    top-level brackets is split whole; a bracketed group joins its part."""
+    split = _SPACE.split if separator is None else lambda s: s.split(separator)
+    parts, depth, start = [""], 0, 0
+    for bracket in _BRACKET.finditer(text):
+        at = bracket.start()
+        if text[at] == "[":
+            if depth == 0:  # a top-level stretch ends
+                first, *rest = split(text[start:at])
+                parts[-1] += first
+                parts += rest
+                start = at
             depth += 1
-        elif ch == "]":
+        else:
             depth -= 1
             if depth < 0:
                 raise SpecParseError(f"unbalanced brackets in {text!r}")
-        if depth == 0 and (ch.isspace() if separator is None else ch == separator):
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
+            if depth == 0:  # the group joins the last part
+                parts[-1] += text[start : at + 1]
+                start = at + 1
     if depth != 0:
         raise SpecParseError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(current))
+    first, *rest = split(text[start:])
+    parts[-1] += first
+    parts += rest
     if separator is None:
         return [part for part in parts if part]
     return parts

@@ -98,6 +98,34 @@ def bitflip_weight(target: str, source: str, qs) -> float:
     return keep + flip
 
 
+def split_top_level_loop(text: str, separator: str | None = None) -> list[str]:
+    """The inline specs' tokenizer one character at a time: split at bracket
+    depth zero, on separator keeping empty parts, or by default on
+    whitespace dropping them. Unbalanced brackets raise ValueError with the
+    parser's message."""
+    parts = []
+    depth = 0
+    current = []
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced brackets in {text!r}")
+        if depth == 0 and (ch.isspace() if separator is None else ch == separator):
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise ValueError(f"unbalanced brackets in {text!r}")
+    parts.append("".join(current))
+    if separator is None:
+        return [part for part in parts if part]
+    return parts
+
+
 def phi_vector(bits: str, sign: int) -> np.ndarray:
     """State vector (|l> + sign |l~>)/sqrt(2) built by hand."""
     n = len(bits)

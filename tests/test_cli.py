@@ -825,6 +825,41 @@ class TestEntryPoint:
         assert result.returncode == 1
         assert "verdict = NotFrozen" in result.stdout
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # the reader is gone before the child starts, so its stdout is a
+        # pipe with no read end: the final flush meets the closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "cohfreeze", "certify",
+                 "--state", "phi N=1 l=0 sign=+", "--channel", RAW_IO,
+                 "--allow-non-strict"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert result.stderr == ""
+
+    def test_closed_stdout_in_print_exits_141(self, monkeypatch):
+        # a line-buffered stdout makes print itself meet the closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = os.fdopen(write_end, "w", buffering=1)
+        argv = ["cohfreeze", "measure", "--state", "phi N=1 l=0 sign=+"]
+        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            with pytest.raises(SystemExit) as exited:
+                cli.entry()
+        finally:
+            stdout.close()  # its fd now points at os.devnull
+        assert exited.value.code == cli.EXIT_BROKEN_PIPE
+
     def test_module_sweep_exit_status(self, tmp_path):
         spec_file = tmp_path / "phase.spec"
         spec_file.write_text(PHASE_FLIP_SPEC)

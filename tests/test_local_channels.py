@@ -29,11 +29,13 @@ from cohfreeze import (
     certify_freezing,
     classify,
     dephase,
+    identity_channel,
     local_channel,
     petz_recovery,
     random_density,
     tensor,
 )
+from cohfreeze.channels import channel_factory
 from cohfreeze.cli import main
 from cohfreeze.recovery import _closed_form_recovery
 from cohfreeze.specs import parse_channel_spec, parse_state_spec
@@ -60,6 +62,29 @@ factor_specs = st.tuples(
     st.sampled_from(EDGE_PARAMETERS) | st.floats(0.0, 1.0),
 )
 local_specs = st.lists(factor_specs, min_size=1, max_size=4)
+
+
+def off_the_pattern(factor, operator, row, column):
+    """factor's Kraus list with 1e-300 added at one entry, as a raw channel:
+    off its pattern when that entry is zero, otherwise no change at all."""
+    ops = factor.operators.copy()
+    ops[operator % len(ops), row % factor.dim, column % factor.dim] += 1e-300
+    return KrausChannel(ops, label="raw")
+
+
+library_factors = factor_specs.map(lambda spec: channel_factory(spec[0])(spec[1]))
+judged_factors = st.one_of(
+    library_factors,
+    st.just(identity_channel(3)),
+    st.just(identity_channel(16)),
+    st.builds(
+        off_the_pattern,
+        library_factors | st.just(identity_channel(3)),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    ),
+)
 
 
 def random_state(dim, seed):
@@ -194,6 +219,24 @@ class TestDifferential:
                 assert getattr(factored, name) == pytest.approx(
                     getattr(expected, name), abs=1e-12
                 ), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(factor_specs, min_size=1, max_size=6),
+        st.integers(1, 4),
+        st.integers(0, 2**31),
+    )
+    def test_stacked_lines_equal_separate_calls(self, factors, k, seed):
+        local = LocalChannel(tuple(channel_factory(kind)(q) for kind, q in factors))
+        rng = np.random.default_rng(seed)
+        shape = (k, 2, local.dim)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for adjoint in (False, True):
+            got = local._contract_lines(stack, adjoint=adjoint)
+            assert got.shape == shape
+            for lines, one in zip(stack, got):
+                expected = local._contract_lines(lines, adjoint=adjoint)
+                assert one.tobytes() == expected.tobytes()
 
 
 class TestEdges:
@@ -376,18 +419,54 @@ class TestFactoredOrDense:
 
     @pytest.mark.parametrize("num_factors", [1, 3, 5])
     def test_each_factor_is_judged_once(self, monkeypatch, num_factors):
-        calls = []
-        original = cohfreeze.channels.classify
+        # one scan per factor dimension, of all its factors' operators
+        # stacked, by classify's own rule; classify itself is not called
+        scans, classified = [], []
+        rule = cohfreeze.channels._crowded_line
 
-        def counted(channel, *args):
-            calls.append(channel)
-            return original(channel, *args)
+        def counted(entries):
+            scans.append(entries.shape)
+            return rule(entries)
 
-        monkeypatch.setattr(cohfreeze.channels, "classify", counted)
+        monkeypatch.setattr(cohfreeze.channels, "_crowded_line", counted)
+        monkeypatch.setattr(
+            cohfreeze.channels, "classify", lambda *args: classified.append(args)
+        )
         factors = [bit_flip(0.1 * (i + 1)) for i in range(num_factors)]
+        factors.insert(1, identity_channel(3))
         local = local_channel(factors)
         assert isinstance(local, LocalChannel)
-        assert calls == factors
+        assert local.factors == tuple(factors)
+        assert scans == [(2 * num_factors, 2, 2), (1, 3, 3)]
+        assert classified == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(judged_factors, min_size=1, max_size=3).filter(
+            lambda factors: np.prod([f.dim for f in factors]) <= 64
+        )
+    )
+    def test_one_scan_accepts_exactly_what_classify_calls_strict(self, factors):
+        strict = all(
+            classify(f, 0.0).channel_class is ChannelClass.STRICTLY_INCOHERENT
+            for f in factors
+        )
+        try:
+            local = LocalChannel(tuple(factors))
+        except NotStrictlyIncoherentError as exc:
+            assert not strict
+            assert str(exc) == (
+                "local channel factors must be strictly incoherent entry by entry"
+            )
+        else:
+            assert strict
+            assert local.factors == tuple(factors)
+        built = local_channel(factors)
+        assert isinstance(built, LocalChannel) is strict
+        if not strict:
+            expected = tensor(factors)
+            assert built.label == expected.label
+            assert built.operators.tobytes() == expected.operators.tobytes()
 
     def test_type_check_comes_first(self):
         with pytest.raises(ValidationError, match="must be KrausChannels"):

@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohfreeze import (
     ChannelClass,
@@ -23,6 +25,8 @@ from cohfreeze.specs import (
     parse_state_spec,
     parse_sweep_file,
 )
+
+from oracles import split_top_level_loop
 
 SWEEP_TEXT = """\
 # comment line
@@ -287,6 +291,21 @@ class TestBracketScanning:
         with pytest.raises(SpecParseError) as excinfo:
             parse_state_spec(text)
         assert str(excinfo.value) == message
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.text(alphabet="[[]], ,ab=\t\n\u00a0\u2003", max_size=40),
+        st.sampled_from([None, ","]),
+    )
+    def test_tokens_match_the_character_loop(self, text, separator):
+        try:
+            expected = split_top_level_loop(text, separator)
+        except ValueError as exc:
+            with pytest.raises(SpecParseError) as excinfo:
+                specs._split_top_level(text, separator)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert specs._split_top_level(text, separator) == expected
 
     def test_whitespace_inside_brackets(self):
         channel = parse_channel_spec("local [ bitflip   q=0.1 ,  bitflip q=0.2 ]")

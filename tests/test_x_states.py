@@ -286,10 +286,11 @@ class TestMechanism:
         argv = ["certify", "--state", "phi N=6 l=010011 sign=-"]
         assert main([*argv, "--channel", f"local [{factors}]"]) in (0, 1)
         assert capsys.readouterr().out.startswith("verdict = ")
-        # rho0's validation at parse; delta0 is diagonal and skips LAPACK
+        # rho0's validation at parse; delta0 is rho0's diagonal line, never
+        # a DensityMatrix, on the line layout
         assert len(spectra) == 1
         assert spectra[0].shape == (64, 64)
-        assert len(built) == 2
+        assert len(built) == 1
 
     @pytest.mark.parametrize(
         "rho0, spec",
