@@ -29,18 +29,20 @@ zeros, not ZERO_TOL: a tiny entry is still an entry, and dropping it would
 change the output. Small channels (numpy's fixed cost per call outweighs
 the saved arithmetic) and every other stack take the batched product.
 
-A local channel whose factors are strictly incoherent entry by entry, as its
-constructor judges in one scan of their stacked operators (one stack per
-factor dimension, by classify's own crowded-line rule), is kept as its
-factors (LocalChannel) and applied, adjoint-applied and classified one
-factor at a time; local_channel builds any other with tensor, the one
-builder of a Kronecker list. A qubit factor's operators are diagonal or
-anti-diagonal, so under qubit factors an X matrix (every entry off the
-diagonal and anti-diagonal exactly zero) stays one: contract, and with it
-apply_channel, takes such a matrix through one line kernel
-(LocalChannel._contract_lines), which evolves its diagonal and
-anti-diagonal, two length-d lines, by two 2 x 2 blocks of each factor's
-superoperator, and takes a stack of such line pairs in the same pass.
+A local channel whose factors are qubits strictly incoherent entry by entry,
+as its constructor judges in one scan of their stacked operators (by
+classify's own crowded-line rule), is kept as its factors (LocalChannel) and
+applied, adjoint-applied and classified one factor at a time; local_channel
+builds any other, a factor of another dimension included, with tensor, the
+one builder of a Kronecker list. A qubit factor's operators are diagonal or
+anti-diagonal, so its superoperator keeps the parity of an index pair and is
+two 2 x 2 blocks, one table of which (LocalChannel._blocks) the constructor
+reads from the factors' Kraus entries. Under such factors an X matrix (every
+entry off the diagonal and anti-diagonal exactly zero) stays one: contract,
+and with it apply_channel, takes such a matrix through one line kernel
+(LocalChannel._contract_lines), which evolves its diagonal and anti-diagonal,
+two length-d lines, by each factor's two blocks, and takes a stack of such
+line pairs in the same pass.
 """
 
 from __future__ import annotations
@@ -272,28 +274,20 @@ class _KroneckerOperators(Sequence):
 _LINE_PAIRS = np.array([[0, 3], [1, 2]])
 
 
-def _superoperator(channel: KrausChannel) -> np.ndarray:
-    """The d^2 x d^2 matrix S[(a, a'), (b, b')] = sum_n K_n[a, b]
-    conj(K_n[a', b']), which maps X[b, b'] to the channel's output."""
-    ops = channel.operators
-    d = channel.dim
-    return np.einsum("nab,ncd->acbd", ops, ops.conj()).reshape(d * d, d * d)
-
-
 @dataclass(frozen=True, eq=False)
 class LocalChannel:
-    """The tensor product of its factors, stored as the factors alone.
+    """The tensor product of its qubit factors, stored as the factors and
+    their superoperators' 2 x 2 parity blocks.
 
-    Each factor is a validated KrausChannel of any dimension; dim is the
-    product of theirs. The constructor alone judges the factors: it refuses
-    one that is not strictly incoherent entry by entry. `operators` builds
+    Each factor is a validated qubit KrausChannel; dim is 2 ** len(factors).
+    The constructor alone judges the factors: it refuses any that is not a
+    qubit strictly incoherent entry by entry. `operators` builds
     tensor(factors)'s Kronecker products one at a time, read-only, for
     callers outside the package. Equality and hashing are by identity.
     """
 
     factors: tuple[KrausChannel, ...]
-    _superoperators: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _blocks: np.ndarray | None = field(init=False, repr=False)
+    _blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         factors = tuple(self.factors)
@@ -301,29 +295,28 @@ class LocalChannel:
             raise ValidationError("local channel needs at least one factor")
         if not all(isinstance(f, KrausChannel) for f in factors):
             raise ValidationError("local channel factors must be KrausChannels")
-        stacks = {}  # the factors' operators, one stack per dimension
-        for f in factors:
-            stacks.setdefault(f.dim, []).append(f.operators)
-        for same_dim in stacks.values():
-            ops = np.concatenate(same_dim)
-            # classify(f, 0.0) of every factor at once: every nonzero entry
-            # counts, however small
-            if _crowded_line(_listed(ops, ops != 0)) is not None:
-                raise NotStrictlyIncoherentError(
-                    "local channel factors must be strictly incoherent entry by entry"
-                )
+        qubits = all(f.dim == 2 for f in factors)
+        ops = np.concatenate([f.operators for f in factors]) if qubits else None
+        # classify(f, 0.0) of every factor at once: every nonzero entry counts,
+        # however small
+        if not qubits or _crowded_line(_listed(ops, ops != 0)) is not None:
+            raise NotStrictlyIncoherentError(
+                "local channel factors must be qubit and strictly incoherent "
+                "entry by entry"
+            )
+        # _blocks[f, p][a, b] = sum_n K_n[a, b] conj(K_n[a^p, b^p]) over factor
+        # f's operators, its superoperator on the index pairs _LINE_PAIRS[p].
+        # einsum, not multiply: numpy's multiply may fuse a multiply-add and
+        # leave |K|^2 an imaginary part at rounding level.
+        pairs = np.stack([ops, ops[:, ::-1, ::-1]], axis=1).conj()
+        terms = np.einsum("nab,npab->npab", ops, pairs)
+        starts = np.cumsum([0] + [len(f.operators) for f in factors[:-1]])
         object.__setattr__(self, "factors", factors)
-        superoperators = tuple(_superoperator(f) for f in factors)
-        blocks = None
-        if all(f.dim == 2 for f in factors):
-            rows, columns = _LINE_PAIRS[:, :, None], _LINE_PAIRS[:, None, :]
-            blocks = np.stack(superoperators)[:, rows, columns]
-        object.__setattr__(self, "_superoperators", superoperators)
-        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_blocks", np.add.reduceat(terms, starts))
 
     @property
     def dim(self) -> int:
-        return math.prod(f.dim for f in self.factors)
+        return 2 ** len(self.factors)
 
     @property
     def label(self) -> str:
@@ -337,41 +330,38 @@ class LocalChannel:
         """sum_n K_n X K_n^dag, or sum_n K_n^dag X K_n with adjoint=True, for
         a dim x dim matrix X, one factor at a time.
 
-        X is reordered so that each factor's row and column index sit side by
-        side, (i1, j1, ..., ik, jk). Each step multiplies the leading pair by
-        that factor's superoperator and rotates it to the back, so after the
-        last factor the pairs are back in order. An X matrix under qubit
-        factors (_lines_of) takes the line kernel instead.
+        An X matrix (linalg._x_lines) takes the line kernel. Any other X is
+        reordered so that each qubit's row and column index sit side by side,
+        (i1, j1, ..., ik, jk). Each step multiplies the leading pair by that
+        factor's 4 x 4 superoperator, its two blocks on _LINE_PAIRS, and
+        rotates it to the back, so after the last factor the pairs are back
+        in order.
         """
         x = np.asarray(matrix, dtype=np.complex128)
         _check_dim(self, x.shape)
-        lines = self._lines_of(x)
+        lines = _x_lines(x)
         if lines is not None:
             return _x_matrix(self._contract_lines(lines, adjoint=adjoint))
-        dims = [f.dim for f in self.factors]
-        k = len(dims)
-        x = x.reshape(dims * 2)
+        k = len(self.factors)
+        rows, columns = _LINE_PAIRS[:, :, None], _LINE_PAIRS[:, None, :]
+        superoperators = np.zeros((k, 4, 4), np.complex128)
+        superoperators[:, rows, columns] = self._blocks
+        x = x.reshape([2] * 2 * k)
         x = x.transpose([axis for i in range(k) for axis in (i, k + i)])
-        for d, s in zip(dims, self._superoperators):
-            x = ((s.conj().T if adjoint else s) @ x.reshape(d * d, -1)).T
-        x = x.reshape([d for d in dims for _ in range(2)])
+        for s in superoperators:
+            x = ((s.conj().T if adjoint else s) @ x.reshape(4, -1)).T
+        x = x.reshape([2] * 2 * k)
         x = x.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
         return x.reshape(self.dim, self.dim)
-
-    def _lines_of(self, matrix: np.ndarray) -> np.ndarray | None:
-        """The (2, dim) lines (linalg._x_lines) of a dim x dim matrix that the
-        line kernel takes: every factor a qubit, the matrix an X matrix."""
-        return None if self._blocks is None else _x_lines(matrix)
 
     def _contract_lines(self, lines: np.ndarray, *, adjoint: bool = False):
         """contract on the (2, dim) lines of an X matrix, or on a (k, 2, dim)
         stack of them, all in one pass; returns lines of the same shape.
 
-        A qubit factor's operators are diagonal or anti-diagonal, so its
-        superoperator maps the diagonal pairs (0, 0), (1, 1) among
-        themselves, and the anti-diagonal pairs (0, 1), (1, 0) too: line l
-        takes the 2 x 2 block _blocks[factor, l]. As in contract, each step
-        multiplies the leading qubit's index and rotates it to the back.
+        A qubit factor's superoperator maps the diagonal pairs (0, 0), (1, 1)
+        among themselves, and the anti-diagonal pairs (0, 1), (1, 0) too:
+        line l takes the 2 x 2 block _blocks[factor, l]. As in contract, each
+        step multiplies the leading qubit's index and rotates it to the back.
         """
         blocks = self._blocks.conj().swapaxes(-1, -2) if adjoint else self._blocks
         x = lines.reshape(-1, 2, 2, lines.shape[-1] // 2)
@@ -613,7 +603,8 @@ def channel_factory(kind: str):
 
 def local_channel(factors) -> LocalChannel | KrausChannel:
     """Tensor product of per-qubit channels: a LocalChannel when its
-    constructor accepts every factor, else the dense tensor(factors).
+    constructor accepts every factor (each a qubit strictly incoherent entry
+    by entry), else the dense tensor(factors).
 
     Factors may be KrausChannels, LocalChannels (each adds its factors) or
     (kind, parameter) pairs of CHANNEL_FACTORIES names, not all identical.

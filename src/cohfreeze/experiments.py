@@ -243,7 +243,7 @@ def run_sweep(spec: SweepSpec) -> TrajectoryTable:
 class FreezingSummary:
     frozen: bool
     not_frozen_points: int
-    # error column -> (largest value, parameters of the first row with it)
+    # error column -> (largest value, parameters of the first row printed as it)
     maxima: dict[str, tuple[float, tuple[float, ...]]]
 
 
@@ -251,17 +251,20 @@ def detect_freezing(table: TrajectoryTable) -> FreezingSummary:
     """A sweep's one verdict, read from its rows: Frozen iff every grid
     point's certificate is, with the number of NotFrozen points and, for
     each certificate error column, its largest value and the parameters of
-    the first row that attains it. No threshold of its own: each
-    certificate already decides every coherence measure."""
+    the first row whose value equals it at format_number's 12 significant
+    digits, so a last-bit difference renames no point. No threshold of its
+    own: each certificate already decides every coherence measure."""
     if not table.rows:
         raise ValidationError("table has no rows")
-    maxima = {
-        name: max(
-            ((getattr(row, name), row.params) for row in table.rows),
-            key=lambda pair: pair[0],  # max keeps the first of equal values
+    maxima = {}
+    for name in _ERROR_COLUMNS:
+        values = [getattr(row, name) for row in table.rows]
+        largest = max(values)
+        shown = format_number(largest)
+        first = next(
+            row for row, v in zip(table.rows, values) if format_number(v) == shown
         )
-        for name in _ERROR_COLUMNS
-    }
+        maxima[name] = (largest, first.params)
     not_frozen = sum(row.verdict != "Frozen" for row in table.rows)
     return FreezingSummary(not_frozen == 0, not_frozen, maxima)
 

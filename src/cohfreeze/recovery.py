@@ -19,8 +19,10 @@ at most one nonzero, so sum R_n^dag R_n is exactly diagonal; when each row
 does too, so does each R_n, and the recovery is as strictly incoherent as
 the channel.
 
-For a LocalChannel, whose factors are strictly incoherent entry by entry,
-the certificate applies the recovery of its full Kraus list in closed form,
+For a LocalChannel, whose factors are qubits strictly incoherent entry by
+entry (local_channel builds any other factor list with tensor, and its
+Kraus list takes the recovery above), the certificate applies the recovery
+of its full Kraus list in closed form,
 
     R(X) = d0^(1/2) L^dag(dt^(-1/2) X dt^(-1/2)) d0^(1/2) + P_ker X P_ker,
 
@@ -29,10 +31,10 @@ as the weights, and never builds the Kraus list; petz_recovery builds it
 through tensor(channel.factors). Either way the certificate reads R(rho_t)
 and R(dt) as unvalidated matrices.
 
-When every factor is a qubit and rho0 is an X state (every entry off the
-diagonal and anti-diagonal exactly zero; every diagonal state and every
-d = 2 state is one), the certificate runs on the two lines of each matrix,
-its diagonal and its anti-diagonal, since the channel, its adjoint and the
+When rho0 is an X state under a LocalChannel (every entry off the diagonal
+and anti-diagonal exactly zero; every diagonal state and every d = 2 state
+is one), the certificate runs on the two lines of each matrix, its
+diagonal and its anti-diagonal, since the channel, its adjoint and the
 diagonal weights above keep X matrices X. delta0 is then rho0's diagonal
 line, never a d x d state: rho0 has passed DensityMatrix's three rules, so
 its dephased state does too. The channel acts through its line kernel, on
@@ -74,6 +76,7 @@ from .errors import (
     NumericalInconsistencyError,
 )
 from .linalg import (
+    _x_lines,
     _x_matrix,
     check_tolerance,
     is_exactly_diagonal,
@@ -95,17 +98,20 @@ def _recovery_weights(
 
     The weights w are dt. Given the (operator, row, column, value) entries
     classify judged, a Kraus list's recovery takes below linalg.support(dt)
-    their image sum_n |K~_n[t, j]|^2 d0_j instead, so support picks the
-    source of a weight, not the kernel. The kernel is where w is not a
-    normal float (zero or subnormal), so w^(-1/2) squared stays finite.
+    their image sum_n |K~_n[t, j]|^2 d0_j instead (computed only when some
+    weight lies there), so support picks the source of a weight, not the
+    kernel. The kernel is where w is not a normal float (zero or
+    subnormal), so w^(-1/2) squared stays finite.
     An incoherent channel's dt has off-diagonal entries only from Kraus
     entries at or below ZERO_TOL, which the recovery does not read."""
     d0 = np.clip(d0.real, 0.0, None)
     weights = np.clip(dt.real, 0.0, None)
     if entries is not None:
-        _, row, column, value = entries
-        judged = np.bincount(row, np.abs(value) ** 2 * d0[column], len(d0))
-        weights = np.where(support(weights), weights, judged)
+        supported = support(weights)
+        if not supported.all():
+            _, row, column, value = entries
+            judged = np.bincount(row, np.abs(value) ** 2 * d0[column], len(d0))
+            weights = np.where(supported, weights, judged)
     kernel = weights < np.finfo(float).tiny
     inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, weights)))
     return np.sqrt(d0), inv_sqrt, kernel
@@ -318,8 +324,8 @@ def _line_l1(lines: np.ndarray) -> float:
 def _line_round_trip(
     channel: LocalChannel, classification: ChannelClassification, x0: np.ndarray
 ) -> _RoundTrip:
-    """The round trip on the (2, d) lines x0 of an X state rho0 under
-    qubit factors (linalg._x_lines): the evolved states stay X matrices,
+    """The round trip on the (2, d) lines x0 of an X state rho0 under a
+    LocalChannel (linalg._x_lines): the evolved states stay X matrices,
     each passes DensityMatrix's rules on its 2 x 2 blocks (states._x_spectrum),
     and C_r reads those blocks' eigenvalues. delta0 = dephase(rho0) is x0's
     diagonal line alone. rho0's and delta0's lines go through the channel
@@ -355,9 +361,9 @@ def certify_freezing(
     The channel must classify strictly incoherent unless
     enforce_hypothesis=False, in which case any incoherent representation is
     accepted and the outcome is reported as-is. A LocalChannel takes the
-    closed-form recovery; when every factor is a qubit and rho0 is an X
-    state (every entry off the diagonal and anti-diagonal exactly zero),
-    the whole round trip runs on the two lines of rho0.
+    closed-form recovery; when rho0 is an X state (every entry off the
+    diagonal and anti-diagonal exactly zero), the whole round trip runs on
+    the two lines of rho0.
 
     rho0 is a DensityMatrix, or the record _initial(rho0) of its dephased
     reference and initial measures: a sweep, where only the channel changes,
@@ -380,7 +386,7 @@ def certify_freezing(
     _check_dim(channel, state.matrix.shape)  # before either layout
     x0 = None
     if isinstance(channel, LocalChannel):  # the line layout, when it applies
-        x0 = channel._lines_of(state.matrix)
+        x0 = _x_lines(state.matrix)
     if x0 is None:
         initial = rho0 if isinstance(rho0, _Initial) else _initial(rho0)
         cr0, l1_0 = initial.cr, initial.l1

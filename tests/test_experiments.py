@@ -45,6 +45,7 @@ from cohfreeze.channels import (
     LocalChannel,
     classify,
 )
+from cohfreeze.records import format_number
 
 from oracles import (
     bitflip_weight,
@@ -317,6 +318,20 @@ class TestDetectFreezing:
             "recovery_residual_state": (0.75, (0.2,)),
             "recovery_residual_diag": (0.0, (0.1,)),
         }
+
+    def test_a_last_bit_renames_no_point(self):
+        # The maximum is compared at format_number's 12 significant digits:
+        # a later row one ulp larger prints the same and names no point.
+        low = 0.4872
+        ulp_up, digit_up = float(np.nextafter(low, 1.0)), low * (1 + 1e-10)
+        rows = [
+            TrajectoryRow((0.3,), 1.0, 1.0, "NotFrozen", low, low, 0.0),
+            TrajectoryRow((0.7,), 1.0, 1.0, "NotFrozen", ulp_up, digit_up, 0.0),
+        ]
+        summary = detect_freezing(TrajectoryTable(("q",), tuple(rows)))
+        assert format_number(ulp_up) == format_number(low)
+        assert summary.maxima["cr_deviation"] == (ulp_up, (0.3,))
+        assert summary.maxima["recovery_residual_state"] == (digit_up, (0.7,))
 
     @pytest.mark.parametrize(
         "spec", [make_spec, phase_flip_spec], ids=["eq16", "phaseflip"]

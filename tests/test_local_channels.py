@@ -241,17 +241,29 @@ class TestDifferential:
 
 class TestEdges:
     @pytest.mark.parametrize(
-        "spec, num_factors, dim",
+        "spec, factors, dim, kind",
         [
-            ("local [identity dim=4]", 1, 4),
-            ("local [bitflip q=0.1, local [bitflip q=0.2]]", 2, 4),
-            ("local [identity dim=3, amplitudedamping g=1]", 2, 6),
+            ("local [identity dim=4]", lambda: [identity_channel(4)], 4, KrausChannel),
+            (
+                "local [bitflip q=0.1, local [bitflip q=0.2]]",
+                lambda: [bit_flip(0.1), bit_flip(0.2)],
+                4,
+                LocalChannel,
+            ),
+            (
+                "local [identity dim=3, amplitudedamping g=1]",
+                lambda: [identity_channel(3), amplitude_damping(1.0)],
+                6,
+                KrausChannel,
+            ),
         ],
     )
-    def test_same_as_dense(self, spec, num_factors, dim):
+    def test_same_as_dense(self, spec, factors, dim, kind):
+        # a factor that is not a qubit gives the tensor product, whose Kraus
+        # operators the qubit LocalChannel lists lazily in the same order
         local = parse_channel_spec(spec)
-        dense = tensor(local.factors)
-        assert len(local.factors) == num_factors
+        dense = tensor(factors())
+        assert type(local) is kind
         assert local.dim == dense.dim == dim
         assert local.label == dense.label
         assert len(local.operators) == len(dense.operators)
@@ -409,18 +421,19 @@ class TestFactoredOrDense:
         assert built.label == expected.label
         np.testing.assert_array_equal(built.operators, expected.operators)
 
-    @pytest.mark.parametrize("spec", [HADAMARD, IO_ONLY])
+    @pytest.mark.parametrize("spec", [HADAMARD, IO_ONLY, "identity dim=3"])
     def test_local_channel_refuses_a_non_strict_factor(self, spec):
         with pytest.raises(
             NotStrictlyIncoherentError,
-            match=r"^local channel factors must be strictly incoherent entry by entry$",
+            match=r"^local channel factors must be qubit and strictly incoherent "
+            r"entry by entry$",
         ):
             LocalChannel((bit_flip(0.3), parse_channel_spec(spec)))
 
     @pytest.mark.parametrize("num_factors", [1, 3, 5])
     def test_each_factor_is_judged_once(self, monkeypatch, num_factors):
-        # one scan per factor dimension, of all its factors' operators
-        # stacked, by classify's own rule; classify itself is not called
+        # one scan of all the factors' operators stacked, by classify's own
+        # rule; classify itself is not called
         scans, classified = [], []
         rule = cohfreeze.channels._crowded_line
 
@@ -433,11 +446,16 @@ class TestFactoredOrDense:
             cohfreeze.channels, "classify", lambda *args: classified.append(args)
         )
         factors = [bit_flip(0.1 * (i + 1)) for i in range(num_factors)]
-        factors.insert(1, identity_channel(3))
         local = local_channel(factors)
         assert isinstance(local, LocalChannel)
         assert local.factors == tuple(factors)
-        assert scans == [(2 * num_factors, 2, 2), (1, 3, 3)]
+        assert scans == [(2 * num_factors, 2, 2)]
+        # a factor that is not a qubit is refused before any scan
+        factors.insert(1, identity_channel(3))
+        dense = local_channel(factors)
+        assert type(dense) is KrausChannel
+        assert dense.operators.tobytes() == tensor(factors).operators.tobytes()
+        assert scans == [(2 * num_factors, 2, 2)]
         assert classified == []
 
     @settings(max_examples=150, deadline=None)
@@ -448,7 +466,8 @@ class TestFactoredOrDense:
     )
     def test_one_scan_accepts_exactly_what_classify_calls_strict(self, factors):
         strict = all(
-            classify(f, 0.0).channel_class is ChannelClass.STRICTLY_INCOHERENT
+            f.dim == 2
+            and classify(f, 0.0).channel_class is ChannelClass.STRICTLY_INCOHERENT
             for f in factors
         )
         try:
@@ -456,7 +475,8 @@ class TestFactoredOrDense:
         except NotStrictlyIncoherentError as exc:
             assert not strict
             assert str(exc) == (
-                "local channel factors must be strictly incoherent entry by entry"
+                "local channel factors must be qubit and strictly incoherent "
+                "entry by entry"
             )
         else:
             assert strict

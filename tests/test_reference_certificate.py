@@ -8,6 +8,7 @@ import pytest
 from cohfreeze import (
     CHANNEL_FACTORIES,
     DensityMatrix,
+    KrausChannel,
     certify_freezing,
     identity_channel,
     local_channel,
@@ -16,6 +17,7 @@ from cohfreeze import (
     random_sio_channel,
     tensor,
 )
+from cohfreeze.specs import parse_channel_spec
 
 from oracles import reference_certificate
 
@@ -78,6 +80,23 @@ def test_local_channels_of_library_kinds(num_qubits):
         for rho in states(2**num_qubits, 3000 * num_qubits + 10 * seed):
             certificate = certify_freezing(channel, rho, TOL)
             assert_agrees(certificate, tensor(channel.factors).operators, rho)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "local [identity dim=4]",
+        "local [identity dim=3, amplitudedamping g=1]",
+        "local [depolarizing q=0.3, identity dim=3]",
+        "local [phaseflip q=0.2, identity dim=4]",
+    ],
+)
+def test_local_specs_with_a_factor_that_is_not_a_qubit(spec):
+    # such a spec parses to the tensor product's Kraus list
+    channel = parse_channel_spec(spec)
+    assert type(channel) is KrausChannel
+    for rho in states(channel.dim, 4000 + 10 * channel.dim):
+        assert_agrees(certify_freezing(channel, rho, TOL), channel.operators, rho)
 
 
 def test_identity_channel_freezes_a_small_population():

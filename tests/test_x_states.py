@@ -24,8 +24,12 @@ from cohfreeze import (
     LocalChannel,
     ValidationError,
     apply_channel,
+    bit_flip,
+    bitflip_transfer_weights,
     bromley_spec,
     certify_freezing,
+    classify,
+    identity_channel,
     local_channel,
     mixed_family,
     phi_state,
@@ -34,7 +38,9 @@ from cohfreeze import (
 )
 from cohfreeze import recovery, states
 from cohfreeze.cli import main
-from cohfreeze.linalg import _x_lines, _x_matrix
+from cohfreeze.experiments import FAMILY_TOL
+from cohfreeze.linalg import MAX_DIM, _x_lines, _x_matrix, binary_entropy, max_abs
+from cohfreeze.recovery import CERTIFICATE_TOL
 from cohfreeze.specs import parse_channel_spec
 from cohfreeze.states import MixedFamilySpec, _random_weights
 
@@ -61,7 +67,7 @@ MAX_DENSE_OPERATORS = 256
 def takes_the_lines(channel, rho):
     if not isinstance(channel, LocalChannel):
         return False
-    return channel._lines_of(rho.matrix) is not None
+    return _x_lines(rho.matrix) is not None
 
 
 def pm_mixture(num_qubits, rng):
@@ -459,11 +465,7 @@ class TestBlockRule:
 
 
 # Certificates of inputs that keep the dense closed form, as float.hex,
-# computed before the line path existed: a state that is not an X state,
-# and an X state under a factor that is not a qubit.
-X6 = np.eye(6, dtype=complex) / 6
-X6[0, 5] = X6[5, 0] = 0.1
-X6[2, 3] = X6[3, 2] = -0.05
+# computed before the line path existed: states that are not X states.
 PINNED = {
     "non-x": (
         lambda: local_channel([("amplitudedamping", 0.3), ("phaseflip", 0.2)] * 2),
@@ -481,13 +483,6 @@ PINNED = {
          "0x1.216b87ab4406ap+2", "0x1.955e6a3727fadp-1", "0x1.dd7f74c8be0e9p+1",
          "0x1.ce8835909c6abp-3", "0x1.0000000000000p-53"),
     ),
-    "x-state-qutrit-factor": (
-        lambda: parse_channel_spec("local [bitflip q=0.3, identity dim=3]"),
-        lambda: DensityMatrix(X6),
-        ("0x1.d5ae0f6c5e680p-4", "0x1.b8b4ee9056180p-6", "0x1.6780d3c848e20p-4",
-         "0x1.3333333333334p-2", "0x1.eb851eb851ebcp-4", "0x1.70a3d70a3d70ap-3",
-         "0x1.020c49ba5e354p-4", "0x1.0000000000000p-55"),
-    ),
 }
 
 
@@ -504,3 +499,56 @@ def test_dense_closed_form_is_unchanged(case):
     np.testing.assert_array_equal(
         certificate.final_state.matrix, apply_channel(channel, rho0).matrix
     )
+
+
+def test_an_x_state_under_a_qutrit_factor_takes_the_kraus_list():
+    # A factor that is not a qubit gives the tensor product's Kraus list,
+    # whose certificate the reference one checks (d = 6).
+    x6 = np.eye(6, dtype=complex) / 6
+    x6[0, 5] = x6[5, 0] = 0.1
+    x6[2, 3] = x6[3, 2] = -0.05
+    rho0 = DensityMatrix(x6)
+    channel = parse_channel_spec("local [bitflip q=0.3, identity dim=3]")
+    assert type(channel) is KrausChannel
+    expected = tensor([bit_flip(0.3), identity_channel(3)])
+    assert channel.operators.tobytes() == expected.operators.tobytes()
+    certificate = certify_freezing(channel, rho0)
+    reference = reference_certificate(channel.operators, x6, TOL)
+    assert certificate.failed_checks == reference["failed_checks"]
+    assert certificate.failed_checks == ("cr_deviation", "recovery_residual_state")
+    assert certificate.recovery_incoherent == reference["recovery_incoherent"]
+    assert certificate.recovery_witness is reference["recovery_witness"] is None
+    for name in NUMERIC_FIELDS:
+        assert abs(getattr(certificate, name) - reference[name]) <= 1e-12, name
+
+
+def pm_mixture_lines(p, weights):
+    """The (2, d) lines (linalg._x_lines) of mixed_family's state, built
+    without its d x d matrix, with the same arithmetic."""
+    d = 2 ** len(next(iter(weights)))
+    index = np.array([int(bits, 2) for bits in weights])
+    w = np.array(list(weights.values()))
+    lines = np.zeros((2, d), complex)
+    for at in (index, d - 1 - index):  # a string and its complement
+        lines[0, at] += 0.5 * w
+        lines[1, at] += 0.5 * w * (2.0 * p - 1.0)
+    return lines
+
+
+@pytest.mark.parametrize("num_qubits", range(7, 13))
+def test_bit_flips_past_the_dense_cap_give_the_transferred_mixture(num_qubits):
+    # Past linalg.MAX_DIM no DensityMatrix is built: the round trip runs on
+    # the lines alone, against the paper's family in closed form.
+    rng = np.random.default_rng(num_qubits)
+    p = float(rng.uniform())
+    weights = _random_weights(num_qubits, rng)
+    qs = rng.uniform(0.05, 0.95, num_qubits).tolist()
+    channel = local_channel([("bitflip", q) for q in qs])
+    assert isinstance(channel, LocalChannel) and channel.dim > MAX_DIM
+    x0 = pm_mixture_lines(p, weights)
+    trip = recovery._line_round_trip(channel, classify(channel), x0)
+    expected = pm_mixture_lines(p, bitflip_transfer_weights(weights, qs))
+    assert max_abs(trip.final_state - expected) <= 1e-14
+    assert abs(trip.cr - (1.0 - binary_entropy(p))) <= FAMILY_TOL
+    assert max_abs(trip.state_error) <= CERTIFICATE_TOL
+    assert max_abs(trip.diag_error) <= CERTIFICATE_TOL
