@@ -140,7 +140,7 @@ def _located(value: float, names: tuple[str, ...], point: tuple[float, ...]) -> 
 
 def cmd_sweep(args) -> int:
     try:
-        text = Path(args.spec).read_text(encoding="utf-8")
+        text = Path(args.spec).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecParseError(f"cannot read spec file: {exc}") from None
     spec, output_path = parse_sweep_file(text)

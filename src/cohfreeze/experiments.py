@@ -272,26 +272,27 @@ def detect_freezing(table: TrajectoryTable) -> FreezingSummary:
 def bitflip_transfer_weights(weights: Mapping[str, float], qs) -> dict[str, float]:
     """Mixture weights over canonical bit strings after local bit flips.
 
-    Flip pattern x (bit i set when qubit i flips, the first qubit most
-    significant) has the product probability prod_i (q_i if x_i else 1-q_i).
-    Target m receives w_l times the probability of pattern m ^ l plus that of
-    its complement, the two patterns that send |l> to |m> or m's complement.
+    The weights go on a list over all 2^N strings (the first qubit most
+    significant), and the bit-flip channel acts on that list one qubit at a
+    time: qubit i keeps w[x] with probability 1 - q_i and moves in
+    w[x ^ 2^(N-1-i)] with probability q_i. Canonical target m then
+    receives the weight of its +/- pair, m and its complement -1 - m.
     """
+    if not weights:
+        raise ValidationError("weights must not be empty")
     if any(len(check_bits(bits)) != len(qs) for bits in weights):
         raise ValidationError("need one flip probability per qubit")
     qs = [check_unit_interval("q", q) for q in qs]
-    patterns = [1.0]
-    for q in qs:
-        patterns = [w * f for w in patterns for f in (1.0 - q, q)]
-    moved = [w + c for w, c in zip(patterns, reversed(patterns))]  # ~x is at -1 - x
-    sources = [(int(bits, 2), _check_weight(bits, w)) for bits, w in weights.items()]
-    transferred = {}
-    for m, target in enumerate(canonical_bitstrings(len(qs))):
-        total = 0.0
-        for l, w in sources:
-            total += w * moved[m ^ l]
-        transferred[target] = total
-    return transferred
+    w = [0.0] * 2 ** len(qs)
+    for bits, weight in weights.items():
+        w[int(bits, 2)] = _check_weight(bits, weight)
+    for i, q in enumerate(qs):
+        bit = 1 << (len(qs) - 1 - i)
+        w = [(1.0 - q) * v + q * w[x ^ bit] for x, v in enumerate(w)]
+    return {
+        target: w[m] + w[-1 - m]
+        for m, target in enumerate(canonical_bitstrings(len(qs)))
+    }
 
 
 @dataclass(frozen=True)

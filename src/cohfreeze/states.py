@@ -239,13 +239,13 @@ def _mixed_family_matrix(p: float, weights: Mapping[str, float]) -> np.ndarray:
     dim = 2 ** len(next(iter(weights)))
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for bits, w in weights.items():
-        if w == 0.0:
-            continue
         i = int(bits, 2)
         j = dim - 1 - i  # the complement's index
         mat[i, i] += 0.5 * w
         mat[j, j] += 0.5 * w
         off = 0.5 * w * (2.0 * p - 1.0)
+        # +=, not =: a zero weight at p < 1/2 gives off = -0.0, and adding
+        # it keeps the +0.0 that was there.
         mat[i, j] += off
         mat[j, i] += off
     return mat

@@ -392,6 +392,18 @@ class TestSweep:
         digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
         assert digest == EQ16_CSV_SHA256
 
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # the same CSV bytes as the plain spec's, EQ16_CSV_SHA256
+        spec_file = tmp_path / "bom.spec"
+        spec_file.write_bytes(b"\xef\xbb\xbf" + EQ16_SPEC.encode())
+        out_file = tmp_path / "out.csv"
+        assert run_cli(
+            "sweep", "--spec", str(spec_file), "--out", str(out_file),
+            "--no-timestamp",
+        ) == 0
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == EQ16_CSV_SHA256
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         spec_file = tmp_path / "eq16.spec"
         spec_file.write_text(EQ16_SPEC)

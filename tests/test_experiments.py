@@ -363,6 +363,25 @@ class TestTransferWeights:
                 )
                 assert weights[target] == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("num_qubits", range(1, 8))
+    def test_matches_oracle_on_random_mixtures(self, num_qubits):
+        # zero weights and flip probabilities 0 and 1 included
+        rng = np.random.default_rng([31, num_qubits])
+        for _ in range(3):
+            sources = states._random_weights(num_qubits, rng)
+            for bits in rng.choice(list(sources), len(sources) // 2, replace=False):
+                sources[str(bits)] = 0.0
+            qs = [
+                float(rng.choice([0.0, 1.0, rng.uniform()])) for _ in range(num_qubits)
+            ]
+            weights = bitflip_transfer_weights(sources, qs)
+            assert list(weights) == canonical_bitstrings(num_qubits)
+            for target, got in weights.items():
+                expected = sum(
+                    w * bitflip_weight(target, bits, qs) for bits, w in sources.items()
+                )
+                assert got == pytest.approx(expected, abs=1e-15)
+
     def test_normalized(self):
         for sources in ({"00": 1.0}, {"00": 0.25, "01": 0.75}):
             weights = bitflip_transfer_weights(sources, (0.3, 0.8))
@@ -380,6 +399,14 @@ class TestTransferWeights:
             bitflip_transfer_weights({"00": 1.0}, (q, 0.2))
         with pytest.raises(OutOfRangeError, match=rf"q must be in \[0, 1\], got {q}"):
             bitflip_transfer_weights({"00": 1.0}, (0.2, q))
+
+    def test_rejects_empty_weights_as_mixed_family_spec_does(self):
+        with pytest.raises(ValidationError) as spec_error:
+            MixedFamilySpec(p=1.0, weights={})
+        with pytest.raises(ValidationError) as transfer_error:
+            bitflip_transfer_weights({}, (0.3, 0.2))
+        assert str(transfer_error.value) == str(spec_error.value)
+        assert str(transfer_error.value) == "weights must not be empty"
 
     def test_rejects_a_key_that_is_not_bits(self):
         with pytest.raises(ValidationError, match="not a bit string: '0a'"):

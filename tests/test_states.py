@@ -421,6 +421,15 @@ class TestMixedFamily:
                         phi_state(bits, sign).matrix, expected
                     )
 
+    def test_a_zero_weight_stores_no_negative_zero(self):
+        # at p < 1/2 a zero weight's coherence is -0.0, which would show in
+        # the matrix bytes
+        spec = MixedFamilySpec(p=0.2, weights={"000": 0.0, "010": 0.4, "011": 0.6})
+        matrix = mixed_family(spec).matrix
+        zeros = matrix[matrix == 0]
+        assert not np.signbit(zeros.real).any()
+        assert not np.signbit(zeros.imag).any()
+
     def test_half_mixture_is_incoherent(self):
         spec = MixedFamilySpec(p=0.5, weights={"00": 0.3, "01": 0.7})
         rho = mixed_family(spec)

@@ -4,9 +4,12 @@ on the diagonal and anti-diagonal lines of the state.
 Each line certificate is compared with the dense tensor-product certificate
 and, at d <= 8, with the reference certificate of tests/oracles.py; the
 metamorphic relations of tests/test_metamorphic.py are restated for X
-states at d = 16..64. The block rule is checked against DensityMatrix, and
-the inputs that keep the dense closed form against values pinned before the
-line path existed.
+states at d = 16..64. Past d = 64 the line round trip runs on lines built
+directly and is checked against the +/- family's transferred mixture
+(N = 7..16, and the Bromley states at N = 8..12), under permuted and
+flipped qubits (N = 7..12), and against the dense round trip (N = 7, 8).
+The block rule is checked against DensityMatrix, and the inputs that keep
+the dense closed form against values pinned before the line path existed.
 """
 
 import dataclasses
@@ -36,7 +39,7 @@ from cohfreeze import (
     random_density,
     tensor,
 )
-from cohfreeze import recovery, states
+from cohfreeze import experiments, recovery, states
 from cohfreeze.cli import main
 from cohfreeze.experiments import FAMILY_TOL
 from cohfreeze.linalg import MAX_DIM, _x_lines, _x_matrix, binary_entropy, max_abs
@@ -535,14 +538,9 @@ def pm_mixture_lines(p, weights):
     return lines
 
 
-@pytest.mark.parametrize("num_qubits", range(7, 13))
-def test_bit_flips_past_the_dense_cap_give_the_transferred_mixture(num_qubits):
-    # Past linalg.MAX_DIM no DensityMatrix is built: the round trip runs on
-    # the lines alone, against the paper's family in closed form.
-    rng = np.random.default_rng(num_qubits)
-    p = float(rng.uniform())
-    weights = _random_weights(num_qubits, rng)
-    qs = rng.uniform(0.05, 0.95, num_qubits).tolist()
+def assert_bit_flips_give_the_transferred_mixture(p, weights, qs):
+    """Past linalg.MAX_DIM no DensityMatrix is built: the round trip runs on
+    the lines alone, against the paper's family in closed form."""
     channel = local_channel([("bitflip", q) for q in qs])
     assert isinstance(channel, LocalChannel) and channel.dim > MAX_DIM
     x0 = pm_mixture_lines(p, weights)
@@ -552,3 +550,106 @@ def test_bit_flips_past_the_dense_cap_give_the_transferred_mixture(num_qubits):
     assert abs(trip.cr - (1.0 - binary_entropy(p))) <= FAMILY_TOL
     assert max_abs(trip.state_error) <= CERTIFICATE_TOL
     assert max_abs(trip.diag_error) <= CERTIFICATE_TOL
+
+
+@pytest.mark.parametrize("num_qubits", range(7, 17))
+def test_bit_flips_past_the_dense_cap_give_the_transferred_mixture(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    p = float(rng.uniform())
+    weights = _random_weights(num_qubits, rng)
+    qs = rng.uniform(0.05, 0.95, num_qubits).tolist()
+    assert_bit_flips_give_the_transferred_mixture(p, weights, qs)
+
+
+@pytest.mark.parametrize("num_qubits", [8, 10, 12])
+def test_bromley_states_past_the_dense_cap_keep_their_coherence(num_qubits):
+    # the bromley preset's nine (c1, c3) pairs, under identical flips
+    for c1 in experiments._BROMLEY_C1:
+        for c3 in experiments._BROMLEY_C3:
+            family = bromley_spec(num_qubits, c1, c3)
+            assert family.p == (1.0 + c1) / 2.0
+            for q in (0.1, 0.3, 0.5):
+                assert_bit_flips_give_the_transferred_mixture(
+                    family.p, family.weights, [q] * num_qubits
+                )
+
+
+def random_x_lines(num_qubits, rng):
+    """The lines of a random X state: each 2 x 2 block {i, d-1-i} is
+    positive, with a complex corner."""
+    d = 2**num_qubits
+    half = d // 2
+    diagonal = rng.uniform(0.05, 1.0, d)
+    bound = np.sqrt(diagonal[:half] * diagonal[::-1][:half])
+    modulus = rng.uniform(0.0, 1.0, half) * bound
+    corner = modulus * np.exp(2j * np.pi * rng.uniform(size=half))
+    lines = np.stack([diagonal, np.concatenate([corner, corner[::-1].conj()])])
+    return lines / diagonal.sum()
+
+
+def round_trip_numbers(trip):
+    """C_r, C_l1 and the round trip's two largest residuals."""
+    return trip.cr, trip.l1, max_abs(trip.state_error), max_abs(trip.diag_error)
+
+
+def random_pairs(kinds, num_qubits, rng):
+    """(kind, parameter) pairs for local_channel, one per qubit."""
+    chosen = rng.choice(kinds, num_qubits)
+    return [(str(k), float(rng.uniform(0.05, 0.95))) for k in chosen]
+
+
+def line_round_trip(pairs, x0):
+    channel = local_channel(pairs)
+    assert isinstance(channel, LocalChannel)
+    return recovery._line_round_trip(channel, classify(channel), x0)
+
+
+def assert_numbers_agree(got, want):
+    for name, a, b in zip(("cr", "l1", "state", "diag"), got, want):
+        assert abs(a - b) <= GAP, name
+
+
+@pytest.mark.parametrize("num_qubits", range(7, 13))
+def test_permuted_qubits_past_the_dense_cap_keep_the_round_trip(num_qubits):
+    # the factor order and the bit order of both lines permuted together
+    rng = np.random.default_rng([104, num_qubits])
+    for _ in range(2):
+        x0 = random_x_lines(num_qubits, rng)
+        pairs = random_pairs(KINDS, num_qubits, rng)
+        base = round_trip_numbers(line_round_trip(pairs, x0))
+        order = rng.permutation(num_qubits)
+        permuted = x0.reshape(2, *[2] * num_qubits).transpose(0, *(1 + order))
+        got = line_round_trip([pairs[i] for i in order], permuted.reshape(x0.shape))
+        assert_numbers_agree(round_trip_numbers(got), base)
+
+
+@pytest.mark.parametrize("num_qubits", range(7, 13))
+def test_a_qubit_flipped_past_the_dense_cap_keeps_the_round_trip(num_qubits):
+    # X on qubit k flips bit k of both lines' indices; every library kind
+    # but amplitude damping commutes with it, so the channel is unchanged
+    kinds = [k for k in KINDS if k != "amplitudedamping"]
+    rng = np.random.default_rng([105, num_qubits])
+    for _ in range(2):
+        x0 = random_x_lines(num_qubits, rng)
+        pairs = random_pairs(kinds, num_qubits, rng)
+        base = round_trip_numbers(line_round_trip(pairs, x0))
+        bit = 1 << (num_qubits - 1 - int(rng.integers(num_qubits)))
+        flipped = x0[:, np.arange(x0.shape[1]) ^ bit]
+        got = line_round_trip(pairs, flipped)
+        assert_numbers_agree(round_trip_numbers(got), base)
+
+
+@pytest.mark.parametrize("num_qubits", [7, 8])
+def test_both_layouts_agree_past_the_dense_cap(num_qubits):
+    rng = np.random.default_rng([106, num_qubits])
+    for _ in range(2):
+        x0 = random_x_lines(num_qubits, rng)
+        pairs = random_pairs(KINDS, num_qubits, rng)
+        channel = local_channel(pairs)
+        rho0 = DensityMatrix(_x_matrix(x0))
+        assert rho0.dim > MAX_DIM
+        initial = recovery._initial(rho0)
+        dense = recovery._dense_round_trip(channel, classify(channel), initial)
+        assert_numbers_agree(
+            round_trip_numbers(line_round_trip(pairs, x0)), round_trip_numbers(dense)
+        )
