@@ -37,12 +37,14 @@ builds any other, a factor of another dimension included, with tensor, the
 one builder of a Kronecker list. A qubit factor's operators are diagonal or
 anti-diagonal, so its superoperator keeps the parity of an index pair and is
 two 2 x 2 blocks, one table of which (LocalChannel._blocks) the constructor
-reads from the factors' Kraus entries. Under such factors an X matrix (every
-entry off the diagonal and anti-diagonal exactly zero) stays one: contract,
-and with it apply_channel, takes such a matrix through one line kernel
-(LocalChannel._contract_lines), which evolves its diagonal and anti-diagonal,
-two length-d lines, by each factor's two blocks, and takes a stack of such
-line pairs in the same pass.
+reads from the factors' Kraus entries. The tensor product then maps each
+parity line of a matrix, its entries (i, i ^ P) for one mask P
+(linalg._parity_lines), into itself: the diagonal is line 0, the
+anti-diagonal line d-1, and an X matrix (every other entry exactly zero) is
+those two lines alone. One line kernel (LocalChannel._contract_lines)
+evolves any set of such lines, by each factor's block for the parity bit of
+the line's mask; contract, and with it apply_channel, is that kernel
+between a matrix's kept lines and the matrix they give back.
 """
 
 from __future__ import annotations
@@ -62,7 +64,13 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .linalg import _x_lines, _x_matrix, as_complex_matrix, check_unit_interval, max_abs
+from .linalg import (
+    _parity_lines,
+    _parity_matrix,
+    as_complex_matrix,
+    check_unit_interval,
+    max_abs,
+)
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
@@ -269,11 +277,6 @@ class _KroneckerOperators(Sequence):
         return op
 
 
-# The superoperator indices 2a + a' of a qubit's diagonal pairs (a, a') =
-# (0, 0), (1, 1) and anti-diagonal pairs (0, 1), (1, 0), in line order.
-_LINE_PAIRS = np.array([[0, 3], [1, 2]])
-
-
 @dataclass(frozen=True, eq=False)
 class LocalChannel:
     """The tensor product of its qubit factors, stored as the factors and
@@ -305,7 +308,7 @@ class LocalChannel:
                 "entry by entry"
             )
         # _blocks[f, p][a, b] = sum_n K_n[a, b] conj(K_n[a^p, b^p]) over factor
-        # f's operators, its superoperator on the index pairs _LINE_PAIRS[p].
+        # f's operators: its superoperator from index pair (b, b^p) to (a, a^p).
         # einsum, not multiply: numpy's multiply may fuse a multiply-add and
         # leave |K|^2 an imaginary part at rounding level.
         pairs = np.stack([ops, ops[:, ::-1, ::-1]], axis=1).conj()
@@ -326,47 +329,37 @@ class LocalChannel:
     def operators(self) -> _KroneckerOperators:
         return _KroneckerOperators(self.factors)
 
-    def contract(self, matrix, *, adjoint: bool = False) -> np.ndarray:
-        """sum_n K_n X K_n^dag, or sum_n K_n^dag X K_n with adjoint=True, for
-        a dim x dim matrix X, one factor at a time.
-
-        An X matrix (linalg._x_lines) takes the line kernel. Any other X is
-        reordered so that each qubit's row and column index sit side by side,
-        (i1, j1, ..., ik, jk). Each step multiplies the leading pair by that
-        factor's 4 x 4 superoperator, its two blocks on _LINE_PAIRS, and
-        rotates it to the back, so after the last factor the pairs are back
-        in order.
-        """
+    def contract(self, matrix) -> np.ndarray:
+        """sum_n K_n X K_n^dag for a dim x dim matrix X: its parity lines
+        (linalg._parity_lines) through _contract_lines, written back."""
         x = np.asarray(matrix, dtype=np.complex128)
         _check_dim(self, x.shape)
-        lines = _x_lines(x)
-        if lines is not None:
-            return _x_matrix(self._contract_lines(lines, adjoint=adjoint))
-        k = len(self.factors)
-        rows, columns = _LINE_PAIRS[:, :, None], _LINE_PAIRS[:, None, :]
-        superoperators = np.zeros((k, 4, 4), np.complex128)
-        superoperators[:, rows, columns] = self._blocks
-        x = x.reshape([2] * 2 * k)
-        x = x.transpose([axis for i in range(k) for axis in (i, k + i)])
-        for s in superoperators:
-            x = ((s.conj().T if adjoint else s) @ x.reshape(4, -1)).T
-        x = x.reshape([2] * 2 * k)
-        x = x.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
-        return x.reshape(self.dim, self.dim)
+        masks, lines = _parity_lines(x)
+        return _parity_matrix(masks, self._contract_lines(lines, masks))
 
-    def _contract_lines(self, lines: np.ndarray, *, adjoint: bool = False):
-        """contract on the (2, dim) lines of an X matrix, or on a (k, 2, dim)
-        stack of them, all in one pass; returns lines of the same shape.
+    def _contract_lines(
+        self, lines: np.ndarray, masks: np.ndarray, *, adjoint: bool = False
+    ) -> np.ndarray:
+        """contract, or with adjoint=True sum_n K_n^dag X K_n, on the (m, d)
+        parity lines of X with the m parity masks; lines of any masks, a
+        mask repeated included, go in one pass. Returns the lines of the
+        image.
 
-        A qubit factor's superoperator maps the diagonal pairs (0, 0), (1, 1)
-        among themselves, and the anti-diagonal pairs (0, 1), (1, 0) too:
-        line l takes the 2 x 2 block _blocks[factor, l]. As in contract, each
-        step multiplies the leading qubit's index and rotates it to the back.
+        A qubit factor's operators keep the parity a ^ a' of an index pair
+        (a, a'), so line P maps into itself, and on it factor f acts by the
+        2 x 2 block _blocks[f, bit f of P] (bit 0 the most significant).
+        Each step multiplies every line's leading qubit index by its block
+        and rotates that index to the back, so after the last factor the
+        indices are back in order.
         """
-        blocks = self._blocks.conj().swapaxes(-1, -2) if adjoint else self._blocks
-        x = lines.reshape(-1, 2, 2, lines.shape[-1] // 2)
+        k = len(self.factors)
+        bits = (masks >> np.arange(k - 1, -1, -1)[:, None]) & 1
+        blocks = self._blocks[np.arange(k)[:, None], bits]  # (k, m, 2, 2)
+        if adjoint:
+            blocks = blocks.conj().swapaxes(-1, -2)
+        x = lines.reshape(len(masks), 2, -1)
         for block in blocks:
-            x = (block @ x).swapaxes(2, 3).reshape(x.shape)
+            x = (block @ x).swapaxes(1, 2).reshape(x.shape)
         return x.reshape(lines.shape)
 
 

@@ -74,24 +74,33 @@ def is_exactly_diagonal(matrix: np.ndarray) -> bool:
     return np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal())
 
 
-def _x_lines(matrix: np.ndarray) -> np.ndarray | None:
-    """The (2, d) lines of an X matrix, its diagonal matrix[i, i] and its
-    anti-diagonal matrix[i, d-1-i], when every other entry is exactly zero;
-    else None. d must be even, as under qubit factors (d = 2^k): even d
-    keeps the two lines apart."""
+def _parity_lines(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, lines): line P of a d x d matrix holds matrix[i, i ^ P], and
+    the kept lines, in ascending P, are P = 0 (the diagonal), P = d-1 (the
+    anti-diagonal) and every line with a nonzero entry. d must be a power
+    of two, as under qubit factors. An X matrix (every entry off its
+    diagonal and anti-diagonal exactly zero) is its lines 0 and d-1, found
+    by counting its nonzero entries, without gathering the others."""
+    d = len(matrix)
+    ends = np.array([0, d - 1])
     lines = np.stack([matrix.diagonal(), matrix[:, ::-1].diagonal()])
-    if np.count_nonzero(matrix) != np.count_nonzero(lines):
-        return None
-    return lines
+    if np.count_nonzero(matrix) == np.count_nonzero(lines):
+        return ends, lines
+    i = np.arange(d)
+    lines = matrix.ravel().take(i * d + (i ^ i[:, None]))
+    kept = lines.any(axis=1)
+    kept[ends] = True
+    masks = np.flatnonzero(kept)
+    return masks, lines[masks]
 
 
-def _x_matrix(lines: np.ndarray) -> np.ndarray:
-    """The d x d matrix whose _x_lines are lines."""
+def _parity_matrix(masks: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """The d x d matrix whose _parity_lines are (masks, lines); every line
+    not listed is zero."""
     d = lines.shape[1]
+    i = np.arange(d)
     matrix = np.zeros((d, d), np.complex128)
-    flat = matrix.reshape(-1)
-    flat[:: d + 1] = lines[0]
-    flat[d - 1 : d * d - 1 : d - 1] = lines[1]
+    matrix[i, i ^ masks[:, None]] = lines
     return matrix
 
 

@@ -28,24 +28,28 @@ of its full Kraus list in closed form,
 
 with L^dag the channel's adjoint applied factor by factor and dt's diagonal
 as the weights, and never builds the Kraus list; petz_recovery builds it
-through tensor(channel.factors). Either way the certificate reads R(rho_t)
-and R(dt) as unvalidated matrices.
+through tensor(channel.factors).
 
-When rho0 is an X state under a LocalChannel (every entry off the diagonal
-and anti-diagonal exactly zero; every diagonal state and every d = 2 state
-is one), the certificate runs on the two lines of each matrix, its
-diagonal and its anti-diagonal, since the channel, its adjoint and the
-diagonal weights above keep X matrices X. delta0 is then rho0's diagonal
-line, never a d x d state: rho0 has passed DensityMatrix's three rules, so
-its dephased state does too. The channel acts through its line kernel, on
-rho0's and delta0's lines as one stack; each evolved state passes
-DensityMatrix's three rules on its 2 x 2 blocks {i, d-1-i}, read from the
-lower triangle as eigvalsh reads it, and C_r comes from those blocks'
-eigenvalues; the recovery, with the same kernel rule, takes rho_t's and
-delta_t's lines as one stack, and both residuals and the l1 bound are
-elementwise. The layout is chosen once, in certify_freezing, before delta0
-is built, and final_state, the validated DensityMatrix channel(rho0), is
-built only when it is read.
+The two layouts are chosen by channel type, once, in certify_freezing. A
+Kraus list takes d x d matrices: its evolved states are validated
+DensityMatrixes, and the certificate reads R(rho_t) and R(dt) as
+unvalidated matrices. A LocalChannel takes parity lines, the entries
+(i, i ^ P) of a matrix for one mask P (linalg._parity_lines), since its
+channel, its adjoint and the diagonal weights above map each line into
+itself: rho0 is its diagonal, its anti-diagonal and every other line with
+a nonzero entry, two lines alone for an X state (every entry off the
+diagonal and anti-diagonal exactly zero; every diagonal state and every
+d = 2 state is one). delta0 is rho0's diagonal line and a zero
+anti-diagonal, never a d x d state: rho0 has passed DensityMatrix's three
+rules, so its dephased state does too. The channel acts through its line
+kernel, on rho0's and delta0's lines as one stack, and the recovery, with
+the same kernel rule, on rho_t's and delta_t's; both residuals and the l1
+bound are read off the lines. delta_t, and rho_t of an X state, pass
+DensityMatrix's three rules on their 2 x 2 blocks {i, d-1-i}, read from
+the lower triangle as eigvalsh reads it, and C_r comes from those blocks'
+eigenvalues; any other rho_t is the one DensityMatrix the layout
+validates, and C_r reads its spectrum. For an X state final_state, the
+validated DensityMatrix channel(rho0), is built only when it is read.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ from .errors import (
     NumericalInconsistencyError,
 )
 from .linalg import (
-    _x_lines,
-    _x_matrix,
+    _parity_lines,
+    _parity_matrix,
     check_tolerance,
     is_exactly_diagonal,
     max_abs,
@@ -163,20 +167,13 @@ def _recovery_channel(
     return KrausChannel(stack, label=f"recovery({channel.label})")
 
 
-def _line_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The (2, d) lines (linalg._x_lines) of np.outer(u, v)."""
-    return np.stack([u * v, u * v[::-1]])
-
-
-def _closed_form_recovery(
-    channel: LocalChannel, d0: np.ndarray, dt: np.ndarray, *, lines: bool = False
-):
-    """The action of petz_recovery(channel, delta0), as a function from a
-    matrix to the matrix of its image, without the recovery's Kraus list;
-    d0 and dt are the diagonals of delta0 and of channel(delta0). With
-    lines=True it maps a (k, 2, d) stack of X matrices' lines to those of
-    their images in one pass of the channel's line kernel: every product is
-    elementwise.
+def _closed_form_recovery(channel: LocalChannel, d0: np.ndarray, dt: np.ndarray):
+    """The action of petz_recovery(channel, delta0), as a function from the
+    parity masks and lines (linalg._parity_lines) of a matrix to the lines
+    of its image, without the recovery's Kraus list; d0 and dt are the
+    diagonals of delta0 and of channel(delta0). Line P of np.outer(u, v) is
+    u * v[i ^ P], so every product is elementwise, and the adjoint goes
+    through the channel's line kernel.
 
     A LocalChannel's factors are strictly incoherent entry by entry, so
     channel(delta0) is exactly diagonal and sum R_n^dag R_n = dt^(-1/2)
@@ -185,15 +182,14 @@ def _closed_form_recovery(
     of completely positive maps, R needs no check of its image either.
     """
     sqrt0, inv_sqrt, kernel = _recovery_weights(d0, dt)
-    outer, contract = np.outer, channel.contract
-    if lines:
-        outer, contract = _line_products, channel._contract_lines
-    outer0 = outer(sqrt0, sqrt0)
-    outer_t = outer(inv_sqrt, inv_sqrt)
-    projector = outer(kernel, kernel)
+    index = np.arange(len(d0))
 
-    def recover(x: np.ndarray) -> np.ndarray:
-        return outer0 * contract(outer_t * x, adjoint=True) + projector * x
+    def recover(masks: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        pairs = index ^ masks[:, None]
+        weighted = channel._contract_lines(
+            inv_sqrt * inv_sqrt[pairs] * lines, masks, adjoint=True
+        )
+        return sqrt0 * sqrt0[pairs] * weighted + kernel * kernel[pairs] * lines
 
     return recover
 
@@ -210,9 +206,10 @@ class FreezingCertificate:
     then every field but the private _final_state. final_state is the
     evolved state channel(rho0), a validated DensityMatrix, that the final
     measures and the round trip were computed from. _final_state holds it,
-    or on the line path the state's lines, from which final_state builds it
-    at each read, so a certificate that is never asked for it never builds
-    it. It takes no part in equality, repr or to_text().
+    or for an X state under a LocalChannel its parity (masks, lines), from
+    which final_state builds it at each read, so a certificate that is never
+    asked for it never builds it. It takes no part in equality, repr or
+    to_text().
     """
 
     failed_checks: tuple[str, ...]
@@ -227,13 +224,13 @@ class FreezingCertificate:
     recovery_incoherent: bool
     recovery_witness: ClassificationWitness | None
     tol: float
-    _final_state: DensityMatrix | np.ndarray = field(compare=False, repr=False)
+    _final_state: DensityMatrix | tuple = field(compare=False, repr=False)
 
     @property
     def final_state(self) -> DensityMatrix:
         if isinstance(self._final_state, DensityMatrix):
             return self._final_state
-        return DensityMatrix(_x_matrix(self._final_state))
+        return DensityMatrix(_parity_matrix(*self._final_state))
 
     @property
     def frozen(self) -> bool:
@@ -277,33 +274,27 @@ class _RoundTrip(NamedTuple):
     diag_error: np.ndarray
     state_error_l1: Callable[[], float]
     recovery_classification: ChannelClassification
-    final_state: DensityMatrix | np.ndarray
+    final_state: DensityMatrix | tuple
 
 
 def _dense_round_trip(
-    channel: KrausChannel | LocalChannel,
+    channel: KrausChannel,
     classification: ChannelClassification,
     initial: _Initial,
 ) -> _RoundTrip:
-    """The round trip on d x d matrices: the evolved states are
-    DensityMatrixes, and a KrausChannel's recovery is its Kraus list."""
+    """The round trip on d x d matrices under a Kraus list: the evolved
+    states are DensityMatrixes, and the recovery is a Kraus list too."""
     delta0 = initial.delta0
     rho_t = apply_channel(channel, initial.state)
     delta_t = apply_channel(channel, delta0)
     cr, l1 = c_rel_ent(rho_t), c_l1(rho_t)
+    # delta0 = dephase(rho0) is diagonal by construction.
+    recovery = _recovery_channel(channel, classification, delta0)
+    recovered = [apply_channel(recovery, s).matrix for s in (rho_t, delta_t)]
     # Strict: each R_n keeps K~_n's at most one nonzero per row and column.
     recovery_classification = classification
-    if isinstance(channel, LocalChannel):
-        recover = _closed_form_recovery(
-            channel, delta0.matrix.diagonal(), delta_t.matrix.diagonal()
-        )
-        recovered = [recover(s.matrix) for s in (rho_t, delta_t)]
-    else:
-        # delta0 = dephase(rho0) is diagonal by construction.
-        recovery = _recovery_channel(channel, classification, delta0)
-        recovered = [apply_channel(recovery, s).matrix for s in (rho_t, delta_t)]
-        if classification.channel_class is not ChannelClass.STRICTLY_INCOHERENT:
-            recovery_classification = classify(recovery)  # for its witness
+    if classification.channel_class is not ChannelClass.STRICTLY_INCOHERENT:
+        recovery_classification = classify(recovery)  # for its witness
     state_error = recovered[0] - initial.state.matrix
     return _RoundTrip(
         cr,
@@ -317,35 +308,50 @@ def _dense_round_trip(
 
 
 def _line_l1(lines: np.ndarray) -> float:
-    """offdiagonal_l1 of the X matrix with these lines: its anti-diagonal."""
-    return float(np.abs(lines[1]).sum())
+    """offdiagonal_l1 of a matrix from its parity lines, masks ascending:
+    every line but the diagonal, line 0."""
+    return float(np.abs(lines[1:]).sum())
 
 
 def _line_round_trip(
-    channel: LocalChannel, classification: ChannelClassification, x0: np.ndarray
+    channel: LocalChannel,
+    classification: ChannelClassification,
+    masks: np.ndarray,
+    lines: np.ndarray,
 ) -> _RoundTrip:
-    """The round trip on the (2, d) lines x0 of an X state rho0 under a
-    LocalChannel (linalg._x_lines): the evolved states stay X matrices,
-    each passes DensityMatrix's rules on its 2 x 2 blocks (states._x_spectrum),
-    and C_r reads those blocks' eigenvalues. delta0 = dephase(rho0) is x0's
-    diagonal line alone. rho0's and delta0's lines go through the channel
-    as one stack, and rho_t's and delta_t's through the recovery."""
-    start = np.stack([x0, x0])  # rho0's lines, then delta0's
-    start[1, 1] = 0
-    x_t, delta_t = evolved = channel._contract_lines(start)
-    spectrum = _x_spectrum(x_t)
+    """The round trip on the parity lines (masks, lines) of a state rho0
+    under a LocalChannel (linalg._parity_lines), which maps each line into
+    itself. delta0 = dephase(rho0) is the diagonal line and a zero
+    anti-diagonal, and rho0's and delta0's lines go through the channel as
+    one stack, as rho_t's and delta_t's go through the recovery. delta_t,
+    and rho_t when rho0 is an X state (its lines 0 and d-1 alone), pass
+    DensityMatrix's rules on their 2 x 2 blocks (states._x_spectrum), and
+    C_r reads those blocks' eigenvalues; any other rho_t is the validated
+    DensityMatrix whose spectrum gives C_r."""
+    m, d = lines.shape
+    start_masks = np.concatenate([masks, (0, d - 1)])  # rho0's, then delta0's
+    start = np.concatenate([lines, np.zeros((2, d), np.complex128)])
+    start[m] = lines[0]
+    evolved = channel._contract_lines(start, start_masks)
+    x_t, delta_t = evolved[:m], evolved[m:]
+    if m == 2:  # an X state
+        spectrum, final_state = _x_spectrum(x_t), (masks, x_t)
+    else:
+        final_state = DensityMatrix(_parity_matrix(masks, x_t))
+        spectrum = final_state.eigenvalues
     _x_spectrum(delta_t)
-    cr = _entropy_gap(x_t[0].real, spectrum) if x_t[1].any() else 0.0
-    recover = _closed_form_recovery(channel, x0[0], delta_t[0], lines=True)
-    state_error, diag_error = recover(evolved) - start
+    cr = _entropy_gap(x_t[0].real, spectrum) if x_t[1:].any() else 0.0
+    recover = _closed_form_recovery(channel, lines[0], delta_t[0])
+    errors = recover(start_masks, evolved) - start
+    state_error = errors[:m]
     return _RoundTrip(
         cr,
         _line_l1(x_t),
         state_error,
-        diag_error,
+        errors[m:],
         lambda: _line_l1(state_error),
         classification,
-        x_t,
+        final_state,
     )
 
 
@@ -361,14 +367,13 @@ def certify_freezing(
     The channel must classify strictly incoherent unless
     enforce_hypothesis=False, in which case any incoherent representation is
     accepted and the outcome is reported as-is. A LocalChannel takes the
-    closed-form recovery; when rho0 is an X state (every entry off the
-    diagonal and anti-diagonal exactly zero), the whole round trip runs on
-    the two lines of rho0.
+    closed-form recovery, and the whole round trip runs on the parity lines
+    of rho0; a KrausChannel runs it on d x d matrices.
 
     rho0 is a DensityMatrix, or the record _initial(rho0) of its dephased
     reference and initial measures: a sweep, where only the channel changes,
     prepares that record once and hands it to every grid point's call. The
-    line layout builds no such record: its delta0 is rho0's diagonal line.
+    line layout reads only its state: its delta0 is rho0's diagonal line.
     """
     check_tolerance("tolerance", tol)
     classification = classify(channel)
@@ -384,16 +389,14 @@ def certify_freezing(
         )
     state = rho0.state if isinstance(rho0, _Initial) else rho0
     _check_dim(channel, state.matrix.shape)  # before either layout
-    x0 = None
-    if isinstance(channel, LocalChannel):  # the line layout, when it applies
-        x0 = _x_lines(state.matrix)
-    if x0 is None:
+    if isinstance(channel, LocalChannel):  # no dephased d x d state
+        cr0, l1_0 = c_rel_ent(state), c_l1(state)
+        masks, lines = _parity_lines(state.matrix)
+        trip = _line_round_trip(channel, classification, masks, lines)
+    else:
         initial = rho0 if isinstance(rho0, _Initial) else _initial(rho0)
         cr0, l1_0 = initial.cr, initial.l1
         trip = _dense_round_trip(channel, classification, initial)
-    else:  # no dephased d x d state
-        cr0, l1_0 = c_rel_ent(state), c_l1(state)
-        trip = _line_round_trip(channel, classification, x0)
     cr_deviation = abs(trip.cr - cr0)
     l1_deviation = abs(trip.l1 - l1_0)
     residual_state = max_abs(trip.state_error)

@@ -30,7 +30,7 @@ from .channels import (
 )
 from .errors import CohfreezeError, OutOfRangeError, SpecParseError
 from .experiments import SweepSpec
-from .linalg import check_dimension, check_qubits
+from .linalg import check_dimension, check_qubits, check_tolerance, check_unit_interval
 from .states import (
     DensityMatrix,
     MixedFamilySpec,
@@ -343,7 +343,10 @@ def parse_sweep_file(text: str) -> tuple[SweepSpec, str | None]:
         ]
 
     # An unset tolerance keeps SweepSpec's default.
-    tolerance = take("tolerances.certificate", _number)
+    tolerance = take(
+        "tolerances.certificate",
+        lambda key, text: check_tolerance("certificate_tol", _number(key, text)),
+    )
     tolerances = {} if tolerance is None else {"certificate_tol": tolerance}
 
     output_path = take("output.path", _text)
@@ -376,4 +379,6 @@ def _kinds(key: str, text: str) -> tuple[str, ...]:
 
 def _grid(key: str, text: str) -> tuple[float, ...]:
     items = _bracket_items(text, "grid must not be empty")
-    return tuple(_number("grid value", item) for item in items)
+    return tuple(
+        check_unit_interval("grid value", _number("grid value", item)) for item in items
+    )

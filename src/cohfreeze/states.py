@@ -84,11 +84,12 @@ def _checked(entries, adjoint, diagonal, spectrum) -> np.ndarray:
 
 
 def _block_spectrum(lines: np.ndarray) -> np.ndarray:
-    """The eigenvalues of the X matrix with these (2, d) lines (see
-    linalg._x_lines), block by block: each pair {i, d-1-i}, i < d/2, spans
-    the 2 x 2 block [[a, conj(z)], [z, b]] of the real diagonal entries and
-    the lower-triangle entry z = matrix[d-1-i, i], the entries eigvalsh
-    reads. Unsorted: the lower eigenvalue of each block, then the upper."""
+    """The eigenvalues of the X matrix with these (2, d) lines, its
+    diagonal and anti-diagonal (linalg._parity_lines), block by block: each
+    pair {i, d-1-i}, i < d/2, spans the 2 x 2 block [[a, conj(z)], [z, b]]
+    of the real diagonal entries and the lower-triangle entry
+    z = matrix[d-1-i, i], the entries eigvalsh reads. Unsorted: the lower
+    eigenvalue of each block, then the upper."""
     half = lines.shape[1] // 2
     top, bottom = lines[:, :half], lines[:, ::-1][:, :half]
     a, b = top[0].real, bottom[0].real
@@ -170,16 +171,15 @@ def basis_state(dim: int, index: int) -> DensityMatrix:
 
 
 def _parse_sign(sign) -> int:
-    if sign in (1, +1, "+", "+1"):
-        return 1
-    if sign in (-1, "-", "-1"):
-        return -1
-    raise ValidationError(f"sign must be + or -, got {sign!r}")
+    if sign not in ("+", "-"):
+        raise ValidationError(f"sign must be + or -, got {sign!r}")
+    return 1 if sign == "+" else -1
 
 
 def phi_spec(bits: str, sign) -> MixedFamilySpec:
-    """The pure state (|l> + sign*|l-complement>)/sqrt(2), l starting with 0,
-    as the mixed family with the one weight {l: 1} and p = (1 + sign)/2."""
+    """The pure state (|l> + sign*|l-complement>)/sqrt(2), l starting with 0
+    and sign "+" or "-", as the mixed family with the one weight {l: 1} and
+    p = 1 or 0."""
     if check_bits(bits)[0] != "0":
         raise InvalidCanonicalFormError(f"bit string must start with 0, got {bits!r}")
     return MixedFamilySpec(p=(1 + _parse_sign(sign)) / 2, weights={bits: 1.0})

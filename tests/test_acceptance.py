@@ -83,7 +83,7 @@ def test_criterion_1_pure_family_reproduction():
         states = [
             (bits, sign, phi_state(bits, sign))
             for bits in canonical_bitstrings(n)
-            for sign in (1, -1)
+            for sign in "+-"
         ]
         for point in itertools.product(*grids):
             channel = local_channel([("bitflip", q) for q in point])
@@ -185,7 +185,7 @@ def _biconditional_cases():
         rng = np.random.default_rng(seed)
         n = int(rng.choice([2, 3]))
         bits = "0" + "".join(str(int(b)) for b in rng.integers(0, 2, n - 1))
-        sign = 1 if rng.random() < 0.5 else -1
+        sign = "+" if rng.random() < 0.5 else "-"
         rho0 = phi_state(bits, sign)
         qs = rng.uniform(0.05, 0.95, n)
         channel = local_channel([("bitflip", float(q)) for q in qs])

@@ -1,7 +1,9 @@
 """The factored LocalChannel against the dense tensor-product channel.
 
 Every factored step of a certificate (apply, adjoint, classify, closed-form
-recovery) is compared with tensor(factors) and with the loop oracle.
+recovery) is compared with tensor(factors) and with the loop oracle, and
+certificates of states that are not X states with the Kraus list's and
+the reference certificate of tests/oracles.py.
 """
 
 import itertools
@@ -29,6 +31,7 @@ from cohfreeze import (
     certify_freezing,
     classify,
     dephase,
+    from_pure,
     identity_channel,
     local_channel,
     petz_recovery,
@@ -37,10 +40,11 @@ from cohfreeze import (
 )
 from cohfreeze.channels import channel_factory
 from cohfreeze.cli import main
-from cohfreeze.recovery import _closed_form_recovery
+from cohfreeze.linalg import _parity_lines, _parity_matrix
+from cohfreeze.recovery import CERTIFICATE_TOL, _closed_form_recovery
 from cohfreeze.specs import parse_channel_spec, parse_state_spec
 
-from oracles import brute_apply
+from oracles import brute_apply, reference_certificate
 
 EDGE_PARAMETERS = (0.0, 1e-15, 1e-9, 0.5, 1.0 - 1e-9, 1.0)
 H = "0.7071067811865476"
@@ -110,6 +114,25 @@ def adjoint_operators(channel):
     return [op.conj().T for op in channel.operators]
 
 
+def adjoint_contract(local, x):
+    """sum_n K_n^dag X K_n through the line kernel."""
+    masks, lines = _parity_lines(x)
+    return _parity_matrix(masks, local._contract_lines(lines, masks, adjoint=True))
+
+
+def closed_form(local, delta0, delta_t):
+    """_closed_form_recovery as a function of a d x d matrix."""
+    recover = _closed_form_recovery(
+        local, delta0.matrix.diagonal(), delta_t.matrix.diagonal()
+    )
+
+    def on_matrix(x):
+        masks, lines = _parity_lines(x)
+        return _parity_matrix(masks, recover(masks, lines))
+
+    return on_matrix
+
+
 class TestDifferential:
     @settings(max_examples=60, deadline=None)
     @given(local_specs, st.integers(0, 2**31))
@@ -127,7 +150,7 @@ class TestDifferential:
             local.contract(x), brute_apply(dense.operators, x), atol=1e-13
         )
         np.testing.assert_allclose(
-            local.contract(x, adjoint=True),
+            adjoint_contract(local, x),
             brute_apply(adjoint_operators(dense), x),
             atol=1e-13,
         )
@@ -139,9 +162,7 @@ class TestDifferential:
         rho0 = random_state(local.dim, seed)
         delta0 = dephase(rho0)
         delta_t = apply_channel(local, delta0)
-        recover = _closed_form_recovery(
-            local, delta0.matrix.diagonal(), delta_t.matrix.diagonal()
-        )
+        recover = closed_form(local, delta0, delta_t)
         kraus = petz_recovery(tensor(local.factors), delta0)
         for state in (apply_channel(local, rho0), delta_t):
             np.testing.assert_allclose(
@@ -159,9 +180,7 @@ class TestDifferential:
         delta_t = apply_channel(local, delta0)
         np.testing.assert_array_equal(np.diag(delta_t.matrix)[[1, 2]], 0)
         state = random_density(4, 4, seed=7)
-        recover = _closed_form_recovery(
-            local, delta0.matrix.diagonal(), delta_t.matrix.diagonal()
-        )
+        recover = closed_form(local, delta0, delta_t)
         kraus = petz_recovery(tensor(local.factors), delta0)
         np.testing.assert_allclose(
             recover(state.matrix), brute_apply(kraus.operators, state.matrix), atol=1e-12
@@ -227,16 +246,87 @@ class TestDifferential:
         st.integers(0, 2**31),
     )
     def test_stacked_lines_equal_separate_calls(self, factors, k, seed):
+        # k groups of lines, each of its own masks (a mask may repeat), in
+        # one call give the bytes of k calls
         local = LocalChannel(tuple(channel_factory(kind)(q) for kind, q in factors))
         rng = np.random.default_rng(seed)
-        shape = (k, 2, local.dim)
-        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        d = local.dim
+        groups = [rng.integers(0, d, rng.integers(1, 4)) for _ in range(k)]
+        stack = [rng.standard_normal((len(g), d, 2)) @ (1, 1j) for g in groups]
+        lines, masks = np.concatenate(stack), np.concatenate(groups)
         for adjoint in (False, True):
-            got = local._contract_lines(stack, adjoint=adjoint)
-            assert got.shape == shape
-            for lines, one in zip(stack, got):
-                expected = local._contract_lines(lines, adjoint=adjoint)
-                assert one.tobytes() == expected.tobytes()
+            got = local._contract_lines(lines, masks, adjoint=adjoint)
+            assert got.shape == lines.shape
+            expected = np.concatenate(
+                [
+                    local._contract_lines(x, g, adjoint=adjoint)
+                    for x, g in zip(stack, groups)
+                ]
+            )
+            assert got.tobytes() == expected.tobytes()
+
+
+MAX_DENSE_OPERATORS = 256
+
+
+def random_library_local(num_qubits, rng):
+    """Library kinds, each parameter 0, 1 or uniform, with at most
+    MAX_DENSE_OPERATORS operators in their Kraus list."""
+    kinds = sorted(CHANNEL_FACTORIES)
+    while True:
+        chosen = [str(k) for k in rng.choice(kinds, num_qubits)]
+        count = np.prod([len(channel_factory(k)(0.5).operators) for k in chosen])
+        if count <= MAX_DENSE_OPERATORS:
+            break
+    pairs = [(k, float(rng.choice([0.0, 1.0, rng.uniform()]))) for k in chosen]
+    local = local_channel(pairs)
+    assert isinstance(local, LocalChannel)
+    return local
+
+
+def parity_sparse_state(dim, rng):
+    """(|a> + e^(i t)|b>)/sqrt(2) with a ^ b neither 0 nor dim - 1, so one
+    parity line besides the diagonal and anti-diagonal holds an entry."""
+    a = int(rng.integers(dim))
+    b = int(rng.choice([b for b in range(dim) if a ^ b not in (0, dim - 1)]))
+    psi = np.zeros(dim, complex)
+    psi[a], psi[b] = 1.0, np.exp(2j * np.pi * rng.uniform())
+    return from_pure(psi / np.sqrt(2))
+
+
+class TestStatesThatAreNotXStates:
+    """A state with an entry off its diagonal and anti-diagonal runs on its
+    parity lines too; its certificate is that of the Kraus list."""
+
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_against_the_kraus_list_and_the_reference(self, num_qubits):
+        rng = np.random.default_rng([33, num_qubits])
+        dim = 2**num_qubits
+        for draw in range(8 if num_qubits < 6 else 4):
+            local = random_library_local(num_qubits, rng)
+            states = [random_density(dim, dim, seed=100 * num_qubits + draw)]
+            if dim > 2:
+                states.append(parity_sparse_state(dim, rng))
+                assert len(_parity_lines(states[-1].matrix)[0]) == 3
+            for rho0 in states:
+                got = certify_or_error(local, rho0)
+                dense = certify_or_error(tensor(local.factors), rho0)
+                if isinstance(dense, type):
+                    assert got is dense
+                    continue
+                assert got.verdict == dense.verdict
+                assert got.failed_checks == dense.failed_checks
+                assert got.recovery_witness == dense.recovery_witness
+                for name in CERTIFICATE_FIELDS:
+                    assert abs(getattr(got, name) - getattr(dense, name)) <= 1e-12, name
+                if dim <= 8:
+                    expected = reference_certificate(
+                        tensor(local.factors).operators, rho0.matrix, CERTIFICATE_TOL
+                    )
+                    assert got.failed_checks == expected["failed_checks"]
+                    assert expected["recovery_witness"] is got.recovery_witness is None
+                    for name in CERTIFICATE_FIELDS:
+                        assert abs(getattr(got, name) - expected[name]) <= 1e-12, name
 
 
 class TestEdges:
@@ -538,9 +628,7 @@ def test_petz_recovery_of_a_local_channel_is_that_of_its_tensor_product():
     assert recovery.label == expected.label
     np.testing.assert_array_equal(recovery.operators, expected.operators)
     delta_t = apply_channel(local, delta0)
-    recover = _closed_form_recovery(
-        local, delta0.matrix.diagonal(), delta_t.matrix.diagonal()
-    )
+    recover = closed_form(local, delta0, delta_t)
     rho = random_state(16, seed=32)
     np.testing.assert_allclose(
         apply_channel(recovery, rho).matrix, recover(rho.matrix), rtol=0, atol=1e-13

@@ -32,7 +32,7 @@ from cohfreeze import (
     tensor,
 )
 from cohfreeze import channels, coherence, recovery
-from cohfreeze.linalg import _x_lines, max_abs
+from cohfreeze.linalg import _parity_lines, max_abs
 from cohfreeze.recovery import _recovery_weights
 
 from oracles import brute_apply
@@ -191,8 +191,9 @@ class TestExactKernel:
     )
     def test_unchanged_state_is_frozen(self, channel, dim, population):
         rho = small_population_state(population, dim)
-        if isinstance(channel, LocalChannel):  # an X state takes the lines
-            assert (_x_lines(rho.matrix) is None) == (dim == 4)
+        if isinstance(channel, LocalChannel):  # an X state is two lines
+            masks, _ = _parity_lines(rho.matrix)
+            assert masks.tolist() == ([0, 1] if dim == 2 else [0, 1, 3])
         assert certify_freezing(channel, rho).verdict == "Frozen"
 
 
@@ -284,7 +285,7 @@ class TestCertifyFreezing:
         # classify's scan; the recovery is built from the entries it read
         assert calls == [channel]
 
-    def test_factored_certificate_validates_only_its_three_states(self, monkeypatch):
+    def test_factored_certificate_validates_only_rho_t(self, monkeypatch):
         channel = local_channel([("amplitudedamping", 0.3), ("phaseflip", 0.2)] * 2)
         rho0 = random_density(16, 3, seed=75)
         built, spectra = [], []
@@ -302,9 +303,9 @@ class TestCertifyFreezing:
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted_init)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         certificate = certify_freezing(channel, rho0)
-        # delta0, rho_t and channel(delta0); the two recovered matrices are
-        # read only through residuals. Only rho_t is not diagonal.
-        assert len(built) == 3
+        # rho_t, which is not an X state; delta0 and channel(delta0) are
+        # lines, and the two recovered states are read only through residuals
+        assert len(built) == 1
         assert len(spectra) == 1
         np.testing.assert_array_equal(spectra[0], certificate.final_state.matrix)
 

@@ -447,6 +447,29 @@ class TestSweepFiles:
                 "tolerances.certificate = abc",
                 "line 6: bad number for tolerances.certificate: 'abc'",
             ),
+            # A value out of its range names its line, as a bad kind does.
+            (
+                "sweep.q1 = [0, 0.1, 0.2]\nsweep.q2 = [0, 0.5]",
+                "sweep.q = [0, 1.5]",
+                "line 4: bad sweep.q: grid value must be in [0, 1], got 1.5",
+            ),
+            (
+                "sweep.q2 = [0, 0.5]",
+                "sweep.q2 = [0, nan]",
+                "line 5: bad sweep.q2: grid value must be in [0, 1], got nan",
+            ),
+            (
+                "tolerances.certificate = 1e-8",
+                "tolerances.certificate = -1",
+                "line 6: bad tolerances.certificate: certificate_tol must be finite "
+                "and positive, got -1.0",
+            ),
+            (
+                "tolerances.certificate = 1e-8",
+                "tolerances.certificate = nan",
+                "line 6: bad tolerances.certificate: certificate_tol must be finite "
+                "and positive, got nan",
+            ),
             # The certificates decide a sweep; the removed key is unknown.
             (
                 "tolerances.certificate = 1e-8",

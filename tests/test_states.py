@@ -386,6 +386,13 @@ class TestPhiState:
         assert rho.matrix[1, 2] == pytest.approx(-0.5)
         assert rho.matrix[1, 1] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("sign", [1, -1, "+1", "-1"], ids=repr)
+    def test_sign_is_plus_or_minus_only(self, sign):
+        # the spelling of the spec grammar, sign=+ or sign=-
+        with pytest.raises(ValidationError) as refused:
+            phi_state("00", sign)
+        assert str(refused.value) == f"sign must be + or -, got {sign!r}"
+
     def test_enforces_leading_zero(self):
         with pytest.raises(InvalidCanonicalFormError):
             phi_state("10", "+")

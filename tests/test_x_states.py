@@ -7,9 +7,10 @@ metamorphic relations of tests/test_metamorphic.py are restated for X
 states at d = 16..64. Past d = 64 the line round trip runs on lines built
 directly and is checked against the +/- family's transferred mixture
 (N = 7..16, and the Bromley states at N = 8..12), under permuted and
-flipped qubits (N = 7..12), and against the dense round trip (N = 7, 8).
-The block rule is checked against DensityMatrix, and the inputs that keep
-the dense closed form against values pinned before the line path existed.
+flipped qubits (N = 7..12), and against the round trip that validates its
+evolved state as a DensityMatrix (N = 7, 8). The block rule is checked
+against DensityMatrix, and states that are not X states against values
+pinned before the line path existed.
 """
 
 import dataclasses
@@ -42,7 +43,13 @@ from cohfreeze import (
 from cohfreeze import experiments, recovery, states
 from cohfreeze.cli import main
 from cohfreeze.experiments import FAMILY_TOL
-from cohfreeze.linalg import MAX_DIM, _x_lines, _x_matrix, binary_entropy, max_abs
+from cohfreeze.linalg import (
+    MAX_DIM,
+    _parity_lines,
+    _parity_matrix,
+    binary_entropy,
+    max_abs,
+)
 from cohfreeze.recovery import CERTIFICATE_TOL
 from cohfreeze.specs import parse_channel_spec
 from cohfreeze.states import MixedFamilySpec, _random_weights
@@ -67,10 +74,23 @@ OPERATOR_COUNTS = {k: len(CHANNEL_FACTORIES[k][1](0.5).operators) for k in KINDS
 MAX_DENSE_OPERATORS = 256
 
 
-def takes_the_lines(channel, rho):
+def x_masks(dim):
+    """The parity masks of an X state's two lines."""
+    return np.array([0, dim - 1])
+
+
+def x_lines(matrix):
+    """The two parity lines of an X matrix."""
+    masks, lines = _parity_lines(matrix)
+    assert masks.tolist() == x_masks(len(matrix)).tolist()
+    return lines
+
+
+def takes_two_lines(channel, rho):
+    """A LocalChannel and an X state: the certificate runs on two lines."""
     if not isinstance(channel, LocalChannel):
         return False
-    return _x_lines(rho.matrix) is not None
+    return len(_parity_lines(rho.matrix)[0]) == 2
 
 
 def pm_mixture(num_qubits, rng):
@@ -150,7 +170,7 @@ class TestAgainstTheDenseCertificate:
         for _ in range(6 if num_qubits < 6 else 2):
             rho0 = make(num_qubits, rng)
             local = random_local(num_qubits, rng)
-            assert takes_the_lines(local, rho0)
+            assert takes_two_lines(local, rho0)
             got = certify_freezing(local, rho0, TOL)
             assert_agrees(got, certify_freezing(tensor(local.factors), rho0, TOL))
             # the prepared record of a sweep takes the same path
@@ -230,7 +250,7 @@ def kraus_split(factors, rho, rng):
 
 def with_ancilla(factors, rho, rng):
     """An idle qubit in |0>: the state is no longer an X state, so the
-    changed pair takes the dense closed form."""
+    changed pair validates its evolved state as a DensityMatrix."""
     return [*factors, local_channel([("bitflip", 0.0)]).factors[0]], np.kron(
         rho, np.diag([1.0, 0.0])
     )
@@ -265,7 +285,7 @@ def test_relations_keep_the_x_certificate(family, num_qubits):
             changed, matrix = relation(factors, rho.matrix, rng)
             channel, state = LocalChannel(tuple(changed)), DensityMatrix(matrix)
             if relation is not with_ancilla:
-                assert takes_the_lines(channel, state), relation.__name__
+                assert takes_two_lines(channel, state), relation.__name__
             got = certify_freezing(channel, state, TOL)
             assert got.failed_checks == base.failed_checks, relation.__name__
             for name in NUMERIC_FIELDS:
@@ -339,21 +359,21 @@ class TestMechanism:
         rng = np.random.default_rng(3)
         local = random_local(5, rng)
         rho = pm_mixture(5, rng)
-        lines = _x_lines(rho.matrix)
-        for adjoint in (False, True):
-            expected = _x_matrix(local._contract_lines(lines, adjoint=adjoint))
-            got = local.contract(rho.matrix, adjoint=adjoint)
-            assert got.tobytes() == expected.tobytes()
+        masks = x_masks(32)
+        evolved = local._contract_lines(x_lines(rho.matrix), masks)
+        expected = _parity_matrix(masks, evolved)
+        assert local.contract(rho.matrix).tobytes() == expected.tobytes()
         dense = apply_channel(tensor(local.factors), rho).matrix
         np.testing.assert_allclose(apply_channel(local, rho).matrix, dense, atol=1e-15)
         # any complex X matrix, as the recovery's weighted arguments are
-        x = _x_matrix(rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32)))
+        lines = rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32))
+        x = _parity_matrix(masks, lines)
         operators = tensor(local.factors).operators
         np.testing.assert_allclose(
             local.contract(x), brute_apply(operators, x), atol=1e-13
         )
         np.testing.assert_allclose(
-            local.contract(x, adjoint=True),
+            _parity_matrix(masks, local._contract_lines(lines, masks, adjoint=True)),
             brute_apply(operators.conj().transpose(0, 2, 1), x),
             atol=1e-13,
         )
@@ -377,7 +397,7 @@ class TestDimensionCheck:
         channel = parse_channel_spec(channel)
         rho0 = phi_state("01", "-") if state == "phi" else random_density(4, 2, 3)
         # the layout the pair would take without the check
-        assert takes_the_lines(channel, rho0) is lines
+        assert takes_two_lines(channel, rho0) is lines
         with pytest.raises(DimensionMismatchError) as applied:
             apply_channel(channel, rho0)
         message = f"channel dim {channel.dim} does not match state dim 4"
@@ -392,10 +412,9 @@ class TestDimensionCheck:
         local = local_channel([("bitflip", 0.2)] * 3)
         size = 4 if shape == (4, 4) else shape
         message = f"channel dim 8 does not match state dim {size}"
-        for adjoint in (False, True):
-            with pytest.raises(DimensionMismatchError) as refused:
-                local.contract(np.zeros(shape), adjoint=adjoint)
-            assert str(refused.value) == message
+        with pytest.raises(DimensionMismatchError) as refused:
+            local.contract(np.zeros(shape))
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize(
         "channel, message",
@@ -445,12 +464,12 @@ class TestBlockRule:
         with pytest.raises(ValidationError) as dense:
             DensityMatrix(matrix)
         with pytest.raises(ValidationError) as lines:
-            states._x_spectrum(_x_lines(matrix))
+            states._x_spectrum(x_lines(matrix))
         assert str(lines.value) == str(dense.value)
 
     def test_upper_triangle_alone_is_not_read(self):
         matrix = x_matrix(0.25, 0.25, 0.25 + 1.2e-10, 0.25 + 0.3e-10)
-        spectrum = states._x_spectrum(_x_lines(matrix))
+        spectrum = states._x_spectrum(x_lines(matrix))
         np.testing.assert_allclose(
             np.sort(spectrum), DensityMatrix(matrix).eigenvalues, atol=1e-16
         )
@@ -461,14 +480,14 @@ class TestBlockRule:
             rho = pm_mixture(num_qubits, rng)
             matrix = rho.matrix.copy()
             matrix[-1, 0] += 1e-11j  # within HERMITIAN_TOL: triangles differ
-            spectrum = states._x_spectrum(_x_lines(matrix))
+            spectrum = states._x_spectrum(x_lines(matrix))
             np.testing.assert_allclose(
                 np.sort(spectrum), DensityMatrix(matrix).eigenvalues, atol=1e-15
             )
 
 
-# Certificates of inputs that keep the dense closed form, as float.hex,
-# computed before the line path existed: states that are not X states.
+# Certificates of states that are not X states, as float.hex, computed
+# before the line path existed; their parity lines give the same bits.
 PINNED = {
     "non-x": (
         lambda: local_channel([("amplitudedamping", 0.3), ("phaseflip", 0.2)] * 2),
@@ -494,7 +513,7 @@ def test_dense_closed_form_is_unchanged(case):
     make_channel, make_state, pinned = PINNED[case]
     channel, rho0 = make_channel(), make_state()
     assert isinstance(channel, LocalChannel)
-    assert not takes_the_lines(channel, rho0)
+    assert not takes_two_lines(channel, rho0)
     certificate = certify_freezing(channel, rho0)
     assert certificate.failed_checks == ("cr_deviation", "recovery_residual_state")
     got = tuple(float(getattr(certificate, name)).hex() for name in NUMERIC_FIELDS)
@@ -526,7 +545,7 @@ def test_an_x_state_under_a_qutrit_factor_takes_the_kraus_list():
 
 
 def pm_mixture_lines(p, weights):
-    """The (2, d) lines (linalg._x_lines) of mixed_family's state, built
+    """The two parity lines (x_masks) of mixed_family's state, built
     without its d x d matrix, with the same arithmetic."""
     d = 2 ** len(next(iter(weights)))
     index = np.array([int(bits, 2) for bits in weights])
@@ -544,9 +563,11 @@ def assert_bit_flips_give_the_transferred_mixture(p, weights, qs):
     channel = local_channel([("bitflip", q) for q in qs])
     assert isinstance(channel, LocalChannel) and channel.dim > MAX_DIM
     x0 = pm_mixture_lines(p, weights)
-    trip = recovery._line_round_trip(channel, classify(channel), x0)
+    masks = x_masks(channel.dim)
+    trip = recovery._line_round_trip(channel, classify(channel), masks, x0)
     expected = pm_mixture_lines(p, bitflip_transfer_weights(weights, qs))
-    assert max_abs(trip.final_state - expected) <= 1e-14
+    assert trip.final_state[0] is masks
+    assert max_abs(trip.final_state[1] - expected) <= 1e-14
     assert abs(trip.cr - (1.0 - binary_entropy(p))) <= FAMILY_TOL
     assert max_abs(trip.state_error) <= CERTIFICATE_TOL
     assert max_abs(trip.diag_error) <= CERTIFICATE_TOL
@@ -598,10 +619,13 @@ def random_pairs(kinds, num_qubits, rng):
     return [(str(k), float(rng.uniform(0.05, 0.95))) for k in chosen]
 
 
-def line_round_trip(pairs, x0):
+def line_round_trip(pairs, x0, masks=None):
+    """The round trip on lines x0 of masks, by default an X state's two."""
     channel = local_channel(pairs)
     assert isinstance(channel, LocalChannel)
-    return recovery._line_round_trip(channel, classify(channel), x0)
+    if masks is None:
+        masks = x_masks(channel.dim)
+    return recovery._line_round_trip(channel, classify(channel), masks, x0)
 
 
 def assert_numbers_agree(got, want):
@@ -641,15 +665,19 @@ def test_a_qubit_flipped_past_the_dense_cap_keeps_the_round_trip(num_qubits):
 
 @pytest.mark.parametrize("num_qubits", [7, 8])
 def test_both_layouts_agree_past_the_dense_cap(num_qubits):
+    # the same X state as its two lines, which take the block rule, and
+    # with one all-zero parity line more, which makes its evolved state the
+    # validated DensityMatrix whose spectrum gives C_r
     rng = np.random.default_rng([106, num_qubits])
     for _ in range(2):
         x0 = random_x_lines(num_qubits, rng)
         pairs = random_pairs(KINDS, num_qubits, rng)
-        channel = local_channel(pairs)
-        rho0 = DensityMatrix(_x_matrix(x0))
-        assert rho0.dim > MAX_DIM
-        initial = recovery._initial(rho0)
-        dense = recovery._dense_round_trip(channel, classify(channel), initial)
+        d = x0.shape[1]
+        assert d > MAX_DIM
+        mask = int(rng.integers(1, d - 1))
+        padded = np.insert(x0, 1, 0.0, axis=0)
+        trip = line_round_trip(pairs, padded, np.array([0, mask, d - 1]))
+        assert isinstance(trip.final_state, DensityMatrix)
         assert_numbers_agree(
-            round_trip_numbers(line_round_trip(pairs, x0)), round_trip_numbers(dense)
+            round_trip_numbers(line_round_trip(pairs, x0)), round_trip_numbers(trip)
         )
