@@ -466,18 +466,23 @@ def _check_dim(channel: KrausChannel | LocalChannel, shape: tuple) -> None:
 
 
 def apply_channel(
-    channel: KrausChannel | LocalChannel, rho: DensityMatrix
-) -> DensityMatrix:
-    """sum_n K_n rho K_n^dag as a validated density matrix; a monomial
-    stack skips the batched product."""
-    _check_dim(channel, rho.matrix.shape)
+    channel: KrausChannel | LocalChannel, rho: DensityMatrix | np.ndarray
+) -> DensityMatrix | np.ndarray:
+    """sum_n K_n rho K_n^dag: a validated density matrix for a DensityMatrix,
+    the plain matrix, as LocalChannel.contract gives it, for a d x d matrix
+    (the same entries, unvalidated); a monomial stack skips the batched
+    product."""
+    state = isinstance(rho, DensityMatrix)
+    x = rho.matrix if state else np.asarray(rho, dtype=np.complex128)
+    _check_dim(channel, x.shape)
     if isinstance(channel, LocalChannel):
-        return DensityMatrix(channel.contract(rho.matrix))
-    if channel._monomial is not None:
-        return DensityMatrix(_apply_monomial(*channel._monomial, rho.matrix))
-    ops = channel.operators
-    out = (ops @ rho.matrix @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
-    return DensityMatrix(out)
+        out = channel.contract(x)
+    elif channel._monomial is not None:
+        out = _apply_monomial(*channel._monomial, x)
+    else:
+        ops = channel.operators
+        out = (ops @ x @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+    return DensityMatrix(out) if state else out
 
 
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:

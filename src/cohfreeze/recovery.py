@@ -31,25 +31,27 @@ as the weights, and never builds the Kraus list; petz_recovery builds it
 through tensor(channel.factors).
 
 The two layouts are chosen by channel type, once, in certify_freezing. A
-Kraus list takes d x d matrices: its evolved states are validated
-DensityMatrixes, and the certificate reads R(rho_t) and R(dt) as
-unvalidated matrices. A LocalChannel takes parity lines, the entries
-(i, i ^ P) of a matrix for one mask P (linalg._parity_lines), since its
-channel, its adjoint and the diagonal weights above map each line into
-itself: rho0 is its diagonal, its anti-diagonal and every other line with
-a nonzero entry, two lines alone for an X state (every entry off the
-diagonal and anti-diagonal exactly zero; every diagonal state and every
-d = 2 state is one). delta0 is rho0's diagonal line and a zero
-anti-diagonal, never a d x d state: rho0 has passed DensityMatrix's three
-rules, so its dephased state does too. The channel acts through its line
-kernel, on rho0's and delta0's lines as one stack, and the recovery, with
-the same kernel rule, on rho_t's and delta_t's; both residuals and the l1
-bound are read off the lines. delta_t, and rho_t of an X state, pass
-DensityMatrix's three rules on their 2 x 2 blocks {i, d-1-i}, read from
-the lower triangle as eigvalsh reads it, and C_r comes from those blocks'
-eigenvalues; any other rho_t is the one DensityMatrix the layout
-validates, and C_r reads its spectrum. For an X state final_state, the
-validated DensityMatrix channel(rho0), is built only when it is read.
+Kraus list takes d x d matrices: its evolved states rho_t and dt are the
+two validated DensityMatrixes, and delta0 (rho0's diagonal), the
+recovery's own channel(delta0) and R(rho_t) and R(dt) are plain matrices,
+the last two read only through their residuals. A LocalChannel takes
+parity lines, the entries (i, i ^ P) of a matrix for one mask P
+(linalg._parity_lines), since its channel, its adjoint and the diagonal
+weights above map each line into itself: rho0 is its diagonal, its
+anti-diagonal and every other line with a nonzero entry, two lines alone
+for an X state (every entry off the diagonal and anti-diagonal exactly
+zero; every diagonal state and every d = 2 state is one). delta0 is rho0's
+diagonal line and a zero anti-diagonal, never a d x d state: rho0 has
+passed DensityMatrix's three rules, so its dephased state does too. The
+channel acts through its line kernel, on rho0's and delta0's lines as one
+stack, and the recovery, with the same kernel rule, on rho_t's and
+delta_t's; both residuals and the l1 bound are read off the lines.
+delta_t, and rho_t of an X state, pass DensityMatrix's three rules on
+their 2 x 2 blocks {i, d-1-i}, read from the lower triangle as eigvalsh
+reads it, and C_r comes from those blocks' eigenvalues; any other rho_t is
+the one DensityMatrix the layout validates, and C_r reads its spectrum.
+For an X state final_state, the validated DensityMatrix channel(rho0), is
+built only when it is read.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from .linalg import (
     support,
 )
 from .records import render
-from .states import DensityMatrix, _x_spectrum, dephase
+from .states import DensityMatrix, _x_spectrum
 
 CERTIFICATE_TOL = 1e-8
 
@@ -136,29 +138,31 @@ def petz_recovery(
         raise NotDiagonalError("reference state must be diagonal")
     if isinstance(channel, LocalChannel):
         channel = tensor(channel.factors)
-    return _recovery_channel(channel, classify(channel), delta0)
+    return _recovery_channel(channel, classify(channel), delta0.matrix)
 
 
 def _recovery_channel(
     channel: KrausChannel,
     classification: ChannelClassification,
-    delta0: DensityMatrix,
+    delta0: np.ndarray,
 ) -> KrausChannel:
-    """petz_recovery for a diagonal delta0, built from the entries that
-    classify(channel) judged and handed over on the classification."""
+    """petz_recovery for the exactly diagonal d x d matrix delta0, built
+    from the entries that classify(channel) judged and handed over on the
+    classification. channel(delta0) is read only for its diagonal, the
+    weights, so it stays a plain matrix."""
     if classification.channel_class is ChannelClass.NOT_INCOHERENT:
         raise NotIncoherentChannelError(
             "channel is not incoherent: " + classification.witness.describe()
         )
     delta_t = apply_channel(channel, delta0)
     sqrt0, inv_sqrt, kernel = _recovery_weights(
-        delta0.matrix.diagonal(), delta_t.matrix.diagonal(), classification._entries
+        delta0.diagonal(), delta_t.diagonal(), classification._entries
     )
     operator, row, column, value = classification._entries
     n, ker = len(channel.operators), np.flatnonzero(kernel)
     # R_n[column, row] = d0^(1/2) conj(K_n[row, column]) dt^(-1/2), then P_ker
     stack = _Entries(
-        (n + kernel.any(), *delta0.matrix.shape),
+        (n + kernel.any(), *delta0.shape),
         np.concatenate([operator, np.full(len(ker), n)]),
         np.concatenate([column, ker]),
         np.concatenate([row, ker]),
@@ -249,16 +253,20 @@ class FreezingCertificate:
 @dataclass(frozen=True)
 class _Initial:
     """The rho0 half of a certificate, which no channel changes: the state,
-    its dephased reference delta0 and its two initial measures."""
+    its dephased reference delta0 and its two initial measures. delta0 is
+    the plain d x d matrix of rho0's diagonal, not a DensityMatrix: rho0
+    has passed the three rules, so its diagonal does too, as on the line
+    layout."""
 
     state: DensityMatrix
-    delta0: DensityMatrix
+    delta0: np.ndarray
     cr: float
     l1: float
 
 
 def _initial(rho0: DensityMatrix) -> _Initial:
-    return _Initial(rho0, dephase(rho0), c_rel_ent(rho0), c_l1(rho0))
+    delta0 = np.diag(rho0.matrix.diagonal())
+    return _Initial(rho0, delta0, c_rel_ent(rho0), c_l1(rho0))
 
 
 class _RoundTrip(NamedTuple):
@@ -282,15 +290,17 @@ def _dense_round_trip(
     classification: ChannelClassification,
     initial: _Initial,
 ) -> _RoundTrip:
-    """The round trip on d x d matrices under a Kraus list: the evolved
-    states are DensityMatrixes, and the recovery is a Kraus list too."""
+    """The round trip on d x d matrices under a Kraus list. It validates
+    what _line_round_trip validates: rho_t, whose spectrum gives C_r, and
+    delta_t. delta0 and every other product are plain matrices: the
+    recovery is a completeness-checked Kraus list, and R(rho_t) and
+    R(delta_t) are read only through their residuals."""
     delta0 = initial.delta0
     rho_t = apply_channel(channel, initial.state)
-    delta_t = apply_channel(channel, delta0)
+    delta_t = DensityMatrix(apply_channel(channel, delta0))
     cr, l1 = c_rel_ent(rho_t), c_l1(rho_t)
-    # delta0 = dephase(rho0) is diagonal by construction.
     recovery = _recovery_channel(channel, classification, delta0)
-    recovered = [apply_channel(recovery, s).matrix for s in (rho_t, delta_t)]
+    recovered = [apply_channel(recovery, s.matrix) for s in (rho_t, delta_t)]
     # Strict: each R_n keeps K~_n's at most one nonzero per row and column.
     recovery_classification = classification
     if classification.channel_class is not ChannelClass.STRICTLY_INCOHERENT:
@@ -300,7 +310,7 @@ def _dense_round_trip(
         cr,
         l1,
         state_error,
-        recovered[1] - delta0.matrix,
+        recovered[1] - delta0,
         lambda: offdiagonal_l1(state_error),
         recovery_classification,
         rho_t,

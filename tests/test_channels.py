@@ -185,6 +185,26 @@ class TestApply:
         with pytest.raises(DimensionMismatchError):
             apply_channel(bit_flip(0.1), random_density(4, 4, seed=0))
 
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            random_sio_channel(8, 3, seed=5),
+            random_sio_channel(16, 3, seed=5),
+            local_channel([("bitflip", 0.2)] * 3),
+        ],
+        ids=["batched", "monomial", "local"],
+    )
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 8), (64,)])
+    def test_a_wrong_size_matrix_is_refused_as_a_state_is(self, channel, shape):
+        refusal = f"channel dim {channel.dim} does not match state dim"
+        size = 4 if shape == (4, 4) else shape
+        with pytest.raises(DimensionMismatchError) as matrix:
+            apply_channel(channel, np.zeros(shape))
+        assert str(matrix.value) == f"{refusal} {size}"
+        with pytest.raises(DimensionMismatchError) as state:
+            apply_channel(channel, random_density(4, 2, seed=1))
+        assert str(state.value) == f"{refusal} 4"
+
     def test_trace_and_psd_preserved(self):
         for name, factory in LIBRARY.items():
             rho = random_density(2, 2, seed=hash(name) % 1000)

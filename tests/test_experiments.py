@@ -651,20 +651,20 @@ class TestPreparedInitialState:
             assert_same_certificate(certificate, fresh)
 
     def test_a_sweep_prepares_the_initial_state_once(self, monkeypatch):
-        counts = {"c_rel_ent": 0, "dephase": 0}
-        for name in counts:
-            original = getattr(recovery, name)
+        counts = {"c_rel_ent": 0, "_initial": 0}
+        for module, name in ((recovery, "c_rel_ent"), (experiments, "_initial")):
+            original = getattr(module, name)
 
             def counted(*args, name=name, original=original):
                 counts[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(recovery, name, counted)
+            monkeypatch.setattr(module, name, counted)
         spec = make_spec()
         points = len(run_sweep(spec).rows)
         assert points == 18
         # one C_r of the evolved state per point, one of rho0 per sweep
-        assert counts == {"c_rel_ent": points + 1, "dephase": 1}
+        assert counts == {"c_rel_ent": points + 1, "_initial": 1}
 
     @pytest.mark.parametrize(
         "channel, rho0, representation, channel_class",

@@ -32,7 +32,7 @@ from cohfreeze import (
     tensor,
 )
 from cohfreeze import channels, coherence, recovery
-from cohfreeze.linalg import _parity_lines, max_abs
+from cohfreeze.linalg import _parity_lines, is_exactly_diagonal, max_abs
 from cohfreeze.recovery import _recovery_weights
 
 from oracles import brute_apply
@@ -308,6 +308,57 @@ class TestCertifyFreezing:
         assert len(built) == 1
         assert len(spectra) == 1
         np.testing.assert_array_equal(spectra[0], certificate.final_state.matrix)
+
+    @pytest.mark.parametrize(
+        "channel, strict",
+        [
+            (random_sio_channel(4, 3, seed=76), True),
+            (random_sio_channel(24, 3, seed=77), True),
+            (random_incoherent_channel(8, 3, seed=78), False),
+        ],
+        ids=["batched", "monomial", "incoherent-only"],
+    )
+    def test_dense_certificate_validates_only_the_evolved_states(
+        self, monkeypatch, channel, strict
+    ):
+        assert (channel._monomial is not None) is (channel.dim == 24)
+        rho0 = random_density(channel.dim, 3, seed=79)
+        built, spectra, applied = [], [], []
+        original_init = DensityMatrix.__post_init__
+        original_eigvalsh = np.linalg.eigvalsh
+        original_apply = recovery.apply_channel
+
+        def counted_init(state):
+            built.append(state)
+            original_init(state)
+
+        def counted_eigvalsh(matrix, *args, **kwargs):
+            spectra.append(matrix)
+            return original_eigvalsh(matrix, *args, **kwargs)
+
+        def counted_apply(*args):
+            applied.append(args)
+            return original_apply(*args)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted_init)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(recovery, "apply_channel", counted_apply)
+        certificate = certify_freezing(channel, rho0, enforce_hypothesis=strict)
+        # channel(rho0), whose spectrum gives C_r, then channel(delta0); delta0,
+        # the recovery's own channel(delta0) and the two recovered states are
+        # plain matrices
+        rho_t = certificate.final_state.matrix
+        delta_t = apply_channel(channel, np.diag(rho0.matrix.diagonal()))
+        assert [state.matrix.tobytes() for state in built] == [
+            rho_t.tobytes(),
+            delta_t.tobytes(),
+        ]
+        # at most one eigvalsh, on channel(rho0): an incoherent-only channel
+        # leaves it exactly diagonal, and its spectrum is its diagonal
+        expected = [] if is_exactly_diagonal(rho_t) else [rho_t.tobytes()]
+        assert [matrix.tobytes() for matrix in spectra] == expected
+        assert expected or not strict
+        assert len(applied) == 5
 
     def test_incoherent_only_certificate_scans_its_recovery_once(self, monkeypatch):
         calls = []

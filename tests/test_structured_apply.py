@@ -24,6 +24,7 @@ from cohfreeze import (
     CohfreezeError,
     DensityMatrix,
     KrausChannel,
+    LocalChannel,
     ValidationError,
     apply_channel,
     bit_flip,
@@ -32,6 +33,7 @@ from cohfreeze import (
     compose,
     dephase,
     depolarizing,
+    local_channel,
     petz_recovery,
     random_density,
     random_incoherent_channel,
@@ -496,6 +498,56 @@ class TestDenseInputs:
             assert channel._monomial[1].dtype == np.intp
             for rho in dense_inputs(dim, 20, imaginary):
                 assert_dense_matches(channel, rho)
+
+
+def row_form_recovery(dim, seed):
+    """The recovery of a paired stack under a full-rank reference: row form,
+    no operator rank one."""
+    reference = dephase(random_density(dim, dim, seed))
+    return petz_recovery(KrausChannel(paired_stack(dim, seed)), reference)
+
+
+class TestMatrixInput:
+    """apply_channel of a matrix is the matrix of apply_channel of the
+    state, byte for byte, on every branch of the one evolution body."""
+
+    @pytest.mark.parametrize(
+        "make, branch",
+        [
+            (lambda: random_sio_channel(4, 3, seed=30), None),
+            (lambda: random_sio_channel(24, 3, seed=31), (1, False)),
+            (lambda: row_form_recovery(24, 32), (2, False)),
+            (lambda: KrausChannel(mixed_rank_one(1, 24, 33)), (1, True)),
+            (lambda: KrausChannel(mixed_rank_one(2, 24, 34)), (2, True)),
+            (
+                lambda: local_channel([("amplitudedamping", 0.3), ("bitflip", 0.2)] * 2),
+                "local",
+            ),
+        ],
+        ids=[
+            "batched",
+            "column-form",
+            "row-form",
+            "rank-one-column",
+            "rank-one-row",
+            "local",
+        ],
+    )
+    def test_a_matrix_evolves_as_its_state(self, make, branch):
+        channel = make()
+        if branch == "local":
+            assert isinstance(channel, LocalChannel)
+        elif branch is None:
+            assert channel._monomial is None
+        else:
+            axis, _, _, shared = channel._monomial
+            assert (axis, shared is not None) == branch
+        for rho in (*dense_inputs(channel.dim, 35), singular_diagonal(channel.dim, 36)):
+            evolved = apply_channel(channel, rho.matrix)
+            assert type(evolved) is np.ndarray
+            expected = apply_channel(channel, rho).matrix
+            assert evolved.dtype == expected.dtype
+            assert evolved.tobytes() == expected.tobytes()
 
 
 ZERO_TOLS = (0.0, channels.ZERO_TOL, 1e-3, 0.5)
