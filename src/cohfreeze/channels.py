@@ -43,8 +43,8 @@ parity line of a matrix, its entries (i, i ^ P) for one mask P
 anti-diagonal line d-1, and an X matrix (every other entry exactly zero) is
 those two lines alone. One line kernel (LocalChannel._contract_lines)
 evolves any set of such lines, by each factor's block for the parity bit of
-the line's mask; contract, and with it apply_channel, is that kernel
-between a matrix's kept lines and the matrix they give back.
+the line's mask; apply_channel is that kernel between a matrix's kept lines
+and the matrix they give back.
 """
 
 from __future__ import annotations
@@ -329,21 +329,13 @@ class LocalChannel:
     def operators(self) -> _KroneckerOperators:
         return _KroneckerOperators(self.factors)
 
-    def contract(self, matrix) -> np.ndarray:
-        """sum_n K_n X K_n^dag for a dim x dim matrix X: its parity lines
-        (linalg._parity_lines) through _contract_lines, written back."""
-        x = np.asarray(matrix, dtype=np.complex128)
-        _check_dim(self, x.shape)
-        masks, lines = _parity_lines(x)
-        return _parity_matrix(masks, self._contract_lines(lines, masks))
-
     def _contract_lines(
         self, lines: np.ndarray, masks: np.ndarray, *, adjoint: bool = False
     ) -> np.ndarray:
-        """contract, or with adjoint=True sum_n K_n^dag X K_n, on the (m, d)
-        parity lines of X with the m parity masks; lines of any masks, a
-        mask repeated included, go in one pass. Returns the lines of the
-        image.
+        """sum_n K_n X K_n^dag, or with adjoint=True sum_n K_n^dag X K_n, on
+        the (m, d) parity lines of X with the m parity masks; lines of any
+        masks, a mask repeated included, go in one pass. Returns the lines
+        of the image.
 
         A qubit factor's operators keep the parity a ^ a' of an index pair
         (a, a'), so line P maps into itself, and on it factor f acts by the
@@ -469,14 +461,15 @@ def apply_channel(
     channel: KrausChannel | LocalChannel, rho: DensityMatrix | np.ndarray
 ) -> DensityMatrix | np.ndarray:
     """sum_n K_n rho K_n^dag: a validated density matrix for a DensityMatrix,
-    the plain matrix, as LocalChannel.contract gives it, for a d x d matrix
-    (the same entries, unvalidated); a monomial stack skips the batched
-    product."""
+    the plain matrix for a d x d matrix (the same entries, unvalidated). A
+    LocalChannel evolves the matrix's parity lines (linalg._parity_lines)
+    through its line kernel; a monomial stack skips the batched product."""
     state = isinstance(rho, DensityMatrix)
     x = rho.matrix if state else np.asarray(rho, dtype=np.complex128)
     _check_dim(channel, x.shape)
     if isinstance(channel, LocalChannel):
-        out = channel.contract(x)
+        masks, lines = _parity_lines(x)
+        out = _parity_matrix(masks, channel._contract_lines(lines, masks))
     elif channel._monomial is not None:
         out = _apply_monomial(*channel._monomial, x)
     else:

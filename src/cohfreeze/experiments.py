@@ -105,7 +105,7 @@ class SweepSpec:
             )
         total = 1
         for grid in self.grids:
-            if not grid:
+            if len(grid) == 0:
                 raise ValidationError("grids must not be empty")
             for value in grid:
                 check_unit_interval("grid value", value)

@@ -41,15 +41,15 @@ weights above map each line into itself: rho0 is its diagonal, its
 anti-diagonal and every other line with a nonzero entry, two lines alone
 for an X state (every entry off the diagonal and anti-diagonal exactly
 zero; every diagonal state and every d = 2 state is one). delta0 is rho0's
-diagonal line and a zero anti-diagonal, never a d x d state: rho0 has
-passed DensityMatrix's three rules, so its dephased state does too. The
-channel acts through its line kernel, on rho0's and delta0's lines as one
-stack, and the recovery, with the same kernel rule, on rho_t's and
-delta_t's; both residuals and the l1 bound are read off the lines.
-delta_t, and rho_t of an X state, pass DensityMatrix's three rules on
-their 2 x 2 blocks {i, d-1-i}, read from the lower triangle as eigvalsh
-reads it, and C_r comes from those blocks' eigenvalues; any other rho_t is
-the one DensityMatrix the layout validates, and C_r reads its spectrum.
+diagonal line, never a d x d state: rho0 has passed DensityMatrix's three
+rules, so its dephased state does too. The channel acts through its line
+kernel on rho0's lines and delta0's as one stack, and the recovery, with
+the same kernel rule, on rho_t's and delta_t's; both residuals and the l1
+bound are read off the lines. delta_t passes DensityMatrix's three rules
+as np.diag(delta_t) would, and rho_t of an X state on its 2 x 2 blocks
+{i, d-1-i}, read from the lower triangle as eigvalsh reads it, whose
+eigenvalues give C_r; any other rho_t is the one DensityMatrix the layout
+validates, and C_r reads its spectrum.
 For an X state final_state, the validated DensityMatrix channel(rho0), is
 built only when it is read.
 """
@@ -91,7 +91,7 @@ from .linalg import (
     support,
 )
 from .records import render
-from .states import DensityMatrix, _x_spectrum
+from .states import DensityMatrix, _checked, _x_spectrum
 
 CERTIFICATE_TOL = 1e-8
 
@@ -171,13 +171,18 @@ def _recovery_channel(
     return KrausChannel(stack, label=f"recovery({channel.label})")
 
 
-def _closed_form_recovery(channel: LocalChannel, d0: np.ndarray, dt: np.ndarray):
-    """The action of petz_recovery(channel, delta0), as a function from the
-    parity masks and lines (linalg._parity_lines) of a matrix to the lines
-    of its image, without the recovery's Kraus list; d0 and dt are the
-    diagonals of delta0 and of channel(delta0). Line P of np.outer(u, v) is
-    u * v[i ^ P], so every product is elementwise, and the adjoint goes
-    through the channel's line kernel.
+def _closed_form_recovery(
+    channel: LocalChannel,
+    d0: np.ndarray,
+    dt: np.ndarray,
+    masks: np.ndarray,
+    lines: np.ndarray,
+) -> np.ndarray:
+    """petz_recovery(channel, delta0) on the matrix with these parity masks
+    and lines (linalg._parity_lines), as its lines, without the recovery's
+    Kraus list; d0 and dt are the diagonals of delta0 and channel(delta0).
+    Line P of np.outer(u, v) is u * v[i ^ P], so every product is
+    elementwise, and the adjoint goes through the channel's line kernel.
 
     A LocalChannel's factors are strictly incoherent entry by entry, so
     channel(delta0) is exactly diagonal and sum R_n^dag R_n = dt^(-1/2)
@@ -186,16 +191,11 @@ def _closed_form_recovery(channel: LocalChannel, d0: np.ndarray, dt: np.ndarray)
     of completely positive maps, R needs no check of its image either.
     """
     sqrt0, inv_sqrt, kernel = _recovery_weights(d0, dt)
-    index = np.arange(len(d0))
-
-    def recover(masks: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        pairs = index ^ masks[:, None]
-        weighted = channel._contract_lines(
-            inv_sqrt * inv_sqrt[pairs] * lines, masks, adjoint=True
-        )
-        return sqrt0 * sqrt0[pairs] * weighted + kernel * kernel[pairs] * lines
-
-    return recover
+    pairs = np.arange(len(d0)) ^ masks[:, None]
+    weighted = channel._contract_lines(
+        inv_sqrt * inv_sqrt[pairs] * lines, masks, adjoint=True
+    )
+    return sqrt0 * sqrt0[pairs] * weighted + kernel * kernel[pairs] * lines
 
 
 @dataclass(frozen=True)
@@ -252,21 +252,16 @@ class FreezingCertificate:
 
 @dataclass(frozen=True)
 class _Initial:
-    """The rho0 half of a certificate, which no channel changes: the state,
-    its dephased reference delta0 and its two initial measures. delta0 is
-    the plain d x d matrix of rho0's diagonal, not a DensityMatrix: rho0
-    has passed the three rules, so its diagonal does too, as on the line
-    layout."""
+    """The rho0 half of a certificate, which no channel changes: the state
+    and its two initial measures, read by both layouts."""
 
     state: DensityMatrix
-    delta0: np.ndarray
     cr: float
     l1: float
 
 
 def _initial(rho0: DensityMatrix) -> _Initial:
-    delta0 = np.diag(rho0.matrix.diagonal())
-    return _Initial(rho0, delta0, c_rel_ent(rho0), c_l1(rho0))
+    return _Initial(rho0, c_rel_ent(rho0), c_l1(rho0))
 
 
 class _RoundTrip(NamedTuple):
@@ -288,15 +283,15 @@ class _RoundTrip(NamedTuple):
 def _dense_round_trip(
     channel: KrausChannel,
     classification: ChannelClassification,
-    initial: _Initial,
+    rho0: DensityMatrix,
 ) -> _RoundTrip:
     """The round trip on d x d matrices under a Kraus list. It validates
     what _line_round_trip validates: rho_t, whose spectrum gives C_r, and
-    delta_t. delta0 and every other product are plain matrices: the
-    recovery is a completeness-checked Kraus list, and R(rho_t) and
-    R(delta_t) are read only through their residuals."""
-    delta0 = initial.delta0
-    rho_t = apply_channel(channel, initial.state)
+    delta_t. delta0 = np.diag of rho0's diagonal and every other product
+    are plain matrices: the recovery is a completeness-checked Kraus list,
+    and R(rho_t) and R(delta_t) are read only through their residuals."""
+    delta0 = np.diag(rho0.matrix.diagonal())
+    rho_t = apply_channel(channel, rho0)
     delta_t = DensityMatrix(apply_channel(channel, delta0))
     cr, l1 = c_rel_ent(rho_t), c_l1(rho_t)
     recovery = _recovery_channel(channel, classification, delta0)
@@ -305,7 +300,7 @@ def _dense_round_trip(
     recovery_classification = classification
     if classification.channel_class is not ChannelClass.STRICTLY_INCOHERENT:
         recovery_classification = classify(recovery)  # for its witness
-    state_error = recovered[0] - initial.state.matrix
+    state_error = recovered[0] - rho0.matrix
     return _RoundTrip(
         cr,
         l1,
@@ -331,34 +326,32 @@ def _line_round_trip(
 ) -> _RoundTrip:
     """The round trip on the parity lines (masks, lines) of a state rho0
     under a LocalChannel (linalg._parity_lines), which maps each line into
-    itself. delta0 = dephase(rho0) is the diagonal line and a zero
-    anti-diagonal, and rho0's and delta0's lines go through the channel as
-    one stack, as rho_t's and delta_t's go through the recovery. delta_t,
-    and rho_t when rho0 is an X state (its lines 0 and d-1 alone), pass
-    DensityMatrix's rules on their 2 x 2 blocks (states._x_spectrum), and
-    C_r reads those blocks' eigenvalues; any other rho_t is the validated
-    DensityMatrix whose spectrum gives C_r."""
-    m, d = lines.shape
-    start_masks = np.concatenate([masks, (0, d - 1)])  # rho0's, then delta0's
-    start = np.concatenate([lines, np.zeros((2, d), np.complex128)])
-    start[m] = lines[0]
+    itself: rho0's lines and delta0's diagonal line go through the channel
+    as one stack, as rho_t's and delta_t's go through the recovery. delta_t
+    passes DensityMatrix's rules as np.diag(delta_t) would; rho_t, when rho0
+    is an X state (its lines 0 and d-1 alone), passes them on its 2 x 2
+    blocks (states._x_spectrum), whose eigenvalues give C_r, and any other
+    rho_t is the validated DensityMatrix whose spectrum gives C_r."""
+    m = len(masks)
+    start_masks = np.append(masks, 0)  # rho0's lines, then delta0's
+    start = np.concatenate([lines, lines[:1]])
     evolved = channel._contract_lines(start, start_masks)
-    x_t, delta_t = evolved[:m], evolved[m:]
+    x_t, delta_t = evolved[:m], evolved[m]
     if m == 2:  # an X state
         spectrum, final_state = _x_spectrum(x_t), (masks, x_t)
     else:
         final_state = DensityMatrix(_parity_matrix(masks, x_t))
         spectrum = final_state.eigenvalues
-    _x_spectrum(delta_t)
+    _checked(delta_t, delta_t.conj(), delta_t, np.real)
     cr = _entropy_gap(x_t[0].real, spectrum) if x_t[1:].any() else 0.0
-    recover = _closed_form_recovery(channel, lines[0], delta_t[0])
-    errors = recover(start_masks, evolved) - start
+    recovered = _closed_form_recovery(channel, lines[0], delta_t, start_masks, evolved)
+    errors = recovered - start
     state_error = errors[:m]
     return _RoundTrip(
         cr,
         _line_l1(x_t),
         state_error,
-        errors[m:],
+        errors[m],
         lambda: _line_l1(state_error),
         classification,
         final_state,
@@ -380,10 +373,10 @@ def certify_freezing(
     closed-form recovery, and the whole round trip runs on the parity lines
     of rho0; a KrausChannel runs it on d x d matrices.
 
-    rho0 is a DensityMatrix, or the record _initial(rho0) of its dephased
-    reference and initial measures: a sweep, where only the channel changes,
-    prepares that record once and hands it to every grid point's call. The
-    line layout reads only its state: its delta0 is rho0's diagonal line.
+    rho0 is a DensityMatrix, or the record _initial(rho0) of its initial
+    measures: a sweep, where only the channel changes, prepares that record
+    once and hands it to every grid point's call. Both layouts read rho0's
+    measures from that one record.
     """
     check_tolerance("tolerance", tol)
     classification = classify(channel)
@@ -399,16 +392,13 @@ def certify_freezing(
         )
     state = rho0.state if isinstance(rho0, _Initial) else rho0
     _check_dim(channel, state.matrix.shape)  # before either layout
-    if isinstance(channel, LocalChannel):  # no dephased d x d state
-        cr0, l1_0 = c_rel_ent(state), c_l1(state)
-        masks, lines = _parity_lines(state.matrix)
-        trip = _line_round_trip(channel, classification, masks, lines)
+    initial = rho0 if isinstance(rho0, _Initial) else _initial(rho0)
+    if isinstance(channel, LocalChannel):
+        trip = _line_round_trip(channel, classification, *_parity_lines(state.matrix))
     else:
-        initial = rho0 if isinstance(rho0, _Initial) else _initial(rho0)
-        cr0, l1_0 = initial.cr, initial.l1
-        trip = _dense_round_trip(channel, classification, initial)
-    cr_deviation = abs(trip.cr - cr0)
-    l1_deviation = abs(trip.l1 - l1_0)
+        trip = _dense_round_trip(channel, classification, state)
+    cr_deviation = abs(trip.cr - initial.cr)
+    l1_deviation = abs(trip.l1 - initial.l1)
     residual_state = max_abs(trip.state_error)
     residual_diag = max_abs(trip.diag_error)
     recovery_incoherent = (
@@ -434,10 +424,10 @@ def certify_freezing(
                 f"{tol:.3e} plus the round-trip bound {bound:.3e}"
             )
     return FreezingCertificate(
-        cr_initial=cr0,
+        cr_initial=initial.cr,
         cr_final=trip.cr,
         cr_deviation=cr_deviation,
-        c_l1_initial=l1_0,
+        c_l1_initial=initial.l1,
         c_l1_final=trip.l1,
         c_l1_deviation=l1_deviation,
         recovery_residual_state=residual_state,

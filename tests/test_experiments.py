@@ -97,9 +97,22 @@ def make_spec(**overrides):
 
 
 class TestSweepSpec:
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValidationError):
-            make_spec(grids=((), (0.1,)))
+    @pytest.mark.parametrize("empty", [(), np.array([])], ids=["tuple", "array"])
+    def test_rejects_empty_grid(self, empty):
+        with pytest.raises(ValidationError, match="^grids must not be empty$"):
+            make_spec(grids=(empty, (0.1,)))
+
+    def test_array_grids_sweep_as_tuple_grids(self):
+        arrays = (np.linspace(0, 1, 3), np.linspace(0, 0.5, 2))
+        tuples = tuple(tuple(grid.tolist()) for grid in arrays)
+        assert (
+            run_sweep(make_spec(grids=arrays)).to_csv()
+            == run_sweep(make_spec(grids=tuples)).to_csv()
+        )
+        assert (
+            reproduce_pure_family("01", "+", arrays).table.to_csv()
+            == reproduce_pure_family("01", "+", tuples).table.to_csv()
+        )
 
     def test_rejects_out_of_range_values(self):
         message = r"^grid value must be in \[0, 1\], got 1.5$"
@@ -617,7 +630,7 @@ def assert_same_certificate(a, b):
 
 class TestPreparedInitialState:
     """A sweep prepares the initial state's half of its certificates once:
-    delta0, C_r(rho0) and C_l1(rho0)."""
+    C_r(rho0) and C_l1(rho0)."""
 
     @pytest.mark.parametrize(
         "run",

@@ -2,7 +2,7 @@
 
 LocalChannel._blocks, the table of its factors' 2 x 2 parity blocks, is
 written by LocalChannel.__post_init__ and read only by
-LocalChannel._contract_lines, the line kernel that contract and the
+LocalChannel._contract_lines, the line kernel that apply_channel and the
 certificate's round trip both go through. Any other reader of the table
 would be a second way to apply a local channel.
 """
@@ -53,10 +53,10 @@ def test_detector_finds_each_use():
         "table = channel._blocks\n"
         "class LocalChannel:\n"
         "    _blocks: int = 0\n"
-        "    def contract(self, x):\n"
+        "    def apply(self, x):\n"
         "        return getattr(self, '_blocks') @ x\n"
         "def superoperator(channel):\n"
         "    '''reads LocalChannel._blocks'''\n"
         "    return channel._blocks[0], blocks, channel.blocks\n"
     )
-    assert block_uses(source) == ["<module>", "LocalChannel.contract", "superoperator"]
+    assert block_uses(source) == ["<module>", "LocalChannel.apply", "superoperator"]

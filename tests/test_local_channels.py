@@ -122,13 +122,13 @@ def adjoint_contract(local, x):
 
 def closed_form(local, delta0, delta_t):
     """_closed_form_recovery as a function of a d x d matrix."""
-    recover = _closed_form_recovery(
-        local, delta0.matrix.diagonal(), delta_t.matrix.diagonal()
-    )
+    d0, dt = delta0.matrix.diagonal(), delta_t.matrix.diagonal()
 
     def on_matrix(x):
         masks, lines = _parity_lines(x)
-        return _parity_matrix(masks, recover(masks, lines))
+        return _parity_matrix(
+            masks, _closed_form_recovery(local, d0, dt, masks, lines)
+        )
 
     return on_matrix
 
@@ -147,7 +147,7 @@ class TestDifferential:
         )
         x = random_matrix(local.dim, seed)
         np.testing.assert_allclose(
-            local.contract(x), brute_apply(dense.operators, x), atol=1e-13
+            apply_channel(local, x), brute_apply(dense.operators, x), atol=1e-13
         )
         np.testing.assert_allclose(
             adjoint_contract(local, x),

@@ -52,7 +52,7 @@ from cohfreeze.linalg import (
 )
 from cohfreeze.recovery import CERTIFICATE_TOL
 from cohfreeze.specs import parse_channel_spec
-from cohfreeze.states import MixedFamilySpec, _random_weights
+from cohfreeze.states import PSD_TOL, MixedFamilySpec, _random_weights
 
 from oracles import brute_apply, reference_certificate
 
@@ -355,14 +355,14 @@ class TestMechanism:
             np.testing.assert_array_equal(state.matrix, expected)
             assert state.matrix.tobytes() == expected.tobytes()
 
-    def test_apply_channel_and_contract_take_the_line_kernel(self):
+    def test_apply_channel_takes_the_line_kernel(self):
         rng = np.random.default_rng(3)
         local = random_local(5, rng)
         rho = pm_mixture(5, rng)
         masks = x_masks(32)
         evolved = local._contract_lines(x_lines(rho.matrix), masks)
         expected = _parity_matrix(masks, evolved)
-        assert local.contract(rho.matrix).tobytes() == expected.tobytes()
+        assert apply_channel(local, rho.matrix).tobytes() == expected.tobytes()
         dense = apply_channel(tensor(local.factors), rho).matrix
         np.testing.assert_allclose(apply_channel(local, rho).matrix, dense, atol=1e-15)
         # any complex X matrix, as the recovery's weighted arguments are
@@ -370,13 +370,60 @@ class TestMechanism:
         x = _parity_matrix(masks, lines)
         operators = tensor(local.factors).operators
         np.testing.assert_allclose(
-            local.contract(x), brute_apply(operators, x), atol=1e-13
+            apply_channel(local, x), brute_apply(operators, x), atol=1e-13
         )
         np.testing.assert_allclose(
             _parity_matrix(masks, local._contract_lines(lines, masks, adjoint=True)),
             brute_apply(operators.conj().transpose(0, 2, 1), x),
             atol=1e-13,
         )
+
+    @pytest.mark.parametrize(
+        "rho0, kept",
+        [(phi_state("0110", "+"), 2), (random_density(16, 3, seed=75), 16)],
+        ids=["x", "non-x"],
+    )
+    def test_the_round_trip_sends_delta0_as_one_line(self, rho0, kept, monkeypatch):
+        # rho0's m kept lines and delta0's diagonal go through the kernel
+        # forward, and their images back through the adjoint: m + 1 each way
+        local = local_channel([("amplitudedamping", 0.3), ("phaseflip", 0.2)] * 2)
+        masks, lines = _parity_lines(rho0.matrix)
+        assert len(masks) == kept
+        calls = []
+        kernel = LocalChannel._contract_lines
+
+        def recorded(channel, lines, masks, *, adjoint=False):
+            calls.append((adjoint, masks.copy(), lines.copy()))
+            return kernel(channel, lines, masks, adjoint=adjoint)
+
+        monkeypatch.setattr(LocalChannel, "_contract_lines", recorded)
+        certify_freezing(local, rho0)
+        assert [(adjoint, len(sent)) for adjoint, _, sent in calls] == [
+            (False, kept + 1),
+            (True, kept + 1),
+        ]
+        for _, sent_masks, _ in calls:
+            np.testing.assert_array_equal(sent_masks, np.append(masks, 0))
+        forward = calls[0][2]
+        np.testing.assert_array_equal(forward, np.concatenate([lines, lines[:1]]))
+
+    @pytest.mark.parametrize(
+        "rho0",
+        [phi_state("0110", "-"), random_density(16, 3, seed=75)],
+        ids=["x", "non-x"],
+    )
+    def test_a_prepared_record_leaves_rho0_unmeasured(self, rho0, monkeypatch):
+        local = local_channel([("amplitudedamping", 0.3), ("phaseflip", 0.2)] * 2)
+        prepared = recovery._initial(rho0)
+
+        def refuse(state):
+            raise AssertionError("a measure of rho0 computed again")
+
+        monkeypatch.setattr(recovery, "c_rel_ent", refuse)
+        monkeypatch.setattr(recovery, "c_l1", refuse)
+        certificate = certify_freezing(local, prepared)
+        monkeypatch.undo()
+        assert_same_certificate(certificate, certify_freezing(local, rho0))
 
 
 class TestDimensionCheck:
@@ -408,12 +455,12 @@ class TestDimensionCheck:
             assert str(certified.value) == message
 
     @pytest.mark.parametrize("shape", [(4, 4), (8, 2), (64,)])
-    def test_contract_refuses_a_wrong_size_matrix(self, shape):
+    def test_apply_channel_refuses_a_wrong_size_matrix(self, shape):
         local = local_channel([("bitflip", 0.2)] * 3)
         size = 4 if shape == (4, 4) else shape
         message = f"channel dim 8 does not match state dim {size}"
         with pytest.raises(DimensionMismatchError) as refused:
-            local.contract(np.zeros(shape))
+            apply_channel(local, np.zeros(shape))
         assert str(refused.value) == message
 
     @pytest.mark.parametrize(
@@ -484,6 +531,42 @@ class TestBlockRule:
             np.testing.assert_allclose(
                 np.sort(spectrum), DensityMatrix(matrix).eigenvalues, atol=1e-15
             )
+
+    @pytest.mark.parametrize(
+        "diagonal, refused",
+        [
+            ([0.25 + 1e-9j, 0.25, 0.25, 0.25], True),  # complex entry
+            ([0.25, 0.25, 0.25, 0.25 + 2e-10], True),  # trace off by 2e-10
+            ([0.5, 0.5 + 2e-10, 0.0, -2e-10], True),  # an entry at -2e-10
+            ([0.5, 0.5 + PSD_TOL, 0.0, -PSD_TOL], False),  # at -PSD_TOL
+        ],
+        ids=["complex", "trace", "negative", "at-psd-tol"],
+    )
+    def test_the_evolved_reference_line_is_judged_as_its_matrix(
+        self, diagonal, refused, monkeypatch
+    ):
+        # Lambda(delta0), the kernel's last forward line, replaced by a
+        # crafted diagonal: refused exactly when np.diag of it is
+        line = np.array(diagonal, dtype=complex)
+        kernel = LocalChannel._contract_lines
+
+        def crafted(channel, lines, masks, *, adjoint=False):
+            out = kernel(channel, lines, masks, adjoint=adjoint)
+            if not adjoint:
+                out[-1] = line
+            return out
+
+        monkeypatch.setattr(LocalChannel, "_contract_lines", crafted)
+        identity = local_channel([("bitflip", 0.0)] * 2)
+        if not refused:
+            DensityMatrix(np.diag(line))
+            certify_freezing(identity, phi_state("01", "+"))
+            return
+        with pytest.raises(ValidationError) as dense:
+            DensityMatrix(np.diag(line))
+        with pytest.raises(ValidationError) as lines:
+            certify_freezing(identity, phi_state("01", "+"))
+        assert str(lines.value) == str(dense.value)
 
 
 # Certificates of states that are not X states, as float.hex, computed
